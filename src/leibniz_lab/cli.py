@@ -17,8 +17,7 @@ from .dendriform import (subadjacent, verify_dendriform,
 from .errors import LeibnizLabError, ParseError, UsageError, ValidationError
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  parse_representation, parse_subspace, serialize_algebra,
-                 serialize_dendriform, serialize_matrix,
-                 serialize_representation)
+                 serialize_matrix, serialize_representation)
 from .kahler import (check_para_kahler, check_pseudo_kahler,
                      complexify_pseudo_kahler, levi_civita, realify)
 from .leibniz import verify_leibniz
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification and construction for Leibniz "
                     "algebras with symplectic, product and complex "
                     "structures.")
-    parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="group", required=True)
     for group in _HANDLERS:
         g = sub.add_parser(group)

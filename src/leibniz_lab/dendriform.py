@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
                      NotSymmetric, SingularMatrix)
-from .leibniz import CheckResult, LeibnizAlgebra, OK
+from .leibniz import (CheckResult, LeibnizAlgebra, first_failure, form_value,
+                      tensor_product, unit, vadd, vsub)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
 from .scalars import GAUSSIAN, RATIONAL, Scalar
@@ -43,40 +43,20 @@ class DendriformAlgebra:
     def gaussian(self) -> bool:
         return self.field == GAUSSIAN
 
-    def zero_vector(self):
-        return [Scalar.zero(self.gaussian) for _ in range(self.dim)]
-
     def basis_vector(self, i: int):
-        v = self.zero_vector()
-        v[i] = Scalar.one(self.gaussian)
-        return v
-
-    def _product(self, tensor, x, y):
-        out = self.zero_vector()
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                f = xi * yj
-                for k in range(self.dim):
-                    c = tensor[i][j][k]
-                    if not c.is_zero():
-                        out[k] = out[k] + f * c
-        return out
+        return unit(self.dim, i, self.gaussian)
 
     def left(self, x, y):
         """x left-product y."""
-        return self._product(self.left_constants, x, y)
+        return tensor_product(self.left_constants, x, y, self.gaussian)
 
     def right(self, x, y):
         """x right-product y."""
-        return self._product(self.right_constants, x, y)
+        return tensor_product(self.right_constants, x, y, self.gaussian)
 
     def both(self, x, y):
         """The sub-adjacent bracket value x<y + x>y."""
-        return [a + b for a, b in zip(self.left(x, y), self.right(x, y))]
+        return vadd(self.left(x, y), self.right(x, y))
 
 
 def dendriforms_equal(D1: DendriformAlgebra, D2: DendriformAlgebra) -> bool:
@@ -87,39 +67,19 @@ def dendriforms_equal(D1: DendriformAlgebra, D2: DendriformAlgebra) -> bool:
 
 def verify_dendriform(D: DendriformAlgebra) -> CheckResult:
     """Check the three defining identities on all basis triples."""
-    for i in range(D.dim):
-        x = D.basis_vector(i)
-        for j in range(D.dim):
-            y = D.basis_vector(j)
-            for k in range(D.dim):
-                z = D.basis_vector(k)
-                lhs = D.left(D.left(x, y), z)
-                rhs = _sub(_sub(D.left(x, D.left(y, z)),
-                                D.left(y, D.left(x, z))),
-                           D.left(D.right(x, y), z))
-                if lhs != rhs:
-                    return CheckResult(False, "p1", (i, j, k), lhs, rhs)
-                lhs = D.left(x, D.right(y, z))
-                rhs = _add(_add(D.right(D.left(x, y), z),
-                                D.right(y, D.left(x, z))),
-                           D.right(y, D.right(x, z)))
-                if lhs != rhs:
-                    return CheckResult(False, "p2", (i, j, k), lhs, rhs)
-                lhs = D.right(x, D.right(y, z))
-                rhs = _sub(_add(D.right(D.right(x, y), z),
-                                D.left(y, D.right(x, z))),
-                           D.right(x, D.left(y, z)))
-                if lhs != rhs:
-                    return CheckResult(False, "p3", (i, j, k), lhs, rhs)
-    return OK
+    e = [D.basis_vector(i) for i in range(D.dim)]
+    L, R = D.left, D.right
 
+    def sides(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        yield ("p1", L(L(x, y), z),
+               vsub(vsub(L(x, L(y, z)), L(y, L(x, z))), L(R(x, y), z)))
+        yield ("p2", L(x, R(y, z)),
+               vadd(vadd(R(L(x, y), z), R(y, L(x, z))), R(y, R(x, z))))
+        yield ("p3", R(x, R(y, z)),
+               vsub(vadd(R(R(x, y), z), L(y, R(x, z))), R(x, L(y, z))))
 
-def _add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def _sub(x, y):
-    return [a - b for a, b in zip(x, y)]
+    return first_failure(D.dim, 3, sides)
 
 
 def subadjacent(D: DendriformAlgebra) -> LeibnizAlgebra:
@@ -152,46 +112,32 @@ def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
         raise DimensionMismatch("T must map the %d-dim module into the algebra"
                                 % R.rep_dim)
     m = R.rep_dim
-    for a in range(m):
-        u = _unit(m, a, A.gaussian)
-        tu = T.apply(u)
-        for b in range(m):
-            v = _unit(m, b, A.gaussian)
-            tv = T.apply(v)
-            lhs = A.bracket(tu, tv)
-            rhs = T.apply(_add(R.left_of(tu).apply(v),
-                               R.right_of(tv).apply(u)))
-            if lhs != rhs:
-                return CheckResult(False, "ROTA_BAXTER_FAILS", (a, b), lhs, rhs)
-    return OK
+    us = [unit(m, a, A.gaussian) for a in range(m)]
+    tus = [T.apply(u) for u in us]
+    lefts = [R.left_of(tu) for tu in tus]
+    rights = [R.right_of(tu) for tu in tus]
+
+    def sides(a, b):
+        yield ("ROTA_BAXTER_FAILS", A.bracket(tus[a], tus[b]),
+               T.apply(vadd(lefts[a].apply(us[b]), rights[b].apply(us[a]))))
+
+    return first_failure(m, 2, sides)
 
 
-def _unit(m, b, gaussian):
-    u = [Scalar.zero(gaussian) for _ in range(m)]
-    u[b] = Scalar.one(gaussian)
-    return u
+def _require_rota_baxter(A: LeibnizAlgebra, R: Representation, T: Matrix):
+    check = verify_rota_baxter(A, R, T)
+    if not check.ok:
+        raise NotRotaBaxter("identity fails at basis pair %s" % (check.indices,))
 
 
 def rb_to_dendriform(A: LeibnizAlgebra, R: Representation,
                      T: Matrix) -> DendriformAlgebra:
     """Dendriform structure on V: u<v = l(Tu)v, u>v = r(Tv)u."""
-    check = verify_rota_baxter(A, R, T)
-    if not check.ok:
-        raise NotRotaBaxter("identity fails at basis pair %s" % (check.indices,))
-    m = R.rep_dim
-    left = [[[None] * m for _ in range(m)] for _ in range(m)]
-    right = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        u = _unit(m, a, A.gaussian)
-        tu = T.apply(u)
-        for b in range(m):
-            v = _unit(m, b, A.gaussian)
-            tv = T.apply(v)
-            lv = R.left_of(tu).apply(v)
-            rv = R.right_of(tv).apply(u)
-            for k in range(m):
-                left[a][b][k] = lv[k]
-                right[a][b][k] = rv[k]
+    _require_rota_baxter(A, R, T)
+    us = [unit(R.rep_dim, a, A.gaussian) for a in range(R.rep_dim)]
+    tus = [T.apply(u) for u in us]
+    left = [[R.left_of(tu).apply(v) for v in us] for tu in tus]
+    right = [[R.right_of(tv).apply(u) for tv in tus] for u in us]
     return DendriformAlgebra.from_constants(left, right, A.field)
 
 
@@ -201,57 +147,30 @@ def compatible_dendriform_from_invertible_rb(
     if T.rows != T.cols:
         raise SingularMatrix("invertible T must be square")
     t_inv = invert(T)
-    check = verify_rota_baxter(A, R, T)
-    if not check.ok:
-        raise NotRotaBaxter("identity fails at basis pair %s" % (check.indices,))
-    n = A.dim
-    left = [[[None] * n for _ in range(n)] for _ in range(n)]
-    right = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        x = A.basis_vector(i)
-        for j in range(n):
-            y = A.basis_vector(j)
-            lv = T.apply(R.left_of(x).apply(t_inv.apply(y)))
-            rv = T.apply(R.right_of(y).apply(t_inv.apply(x)))
-            for k in range(n):
-                left[i][j][k] = lv[k]
-                right[i][j][k] = rv[k]
+    _require_rota_baxter(A, R, T)
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    left = [[T.apply(R.left_of(x).apply(t_inv.apply(y))) for y in e]
+            for x in e]
+    right = [[T.apply(R.right_of(y).apply(t_inv.apply(x))) for y in e]
+             for x in e]
     return DendriformAlgebra.from_constants(left, right, A.field)
-
-
-def _form_value(B: Matrix, x, y) -> Scalar:
-    acc = Scalar.zero()
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if not yj.is_zero():
-                acc = acc + xi * yj * B[i, j]
-    return acc
 
 
 def verify_invariant_form(D: DendriformAlgebra, omega: Matrix) -> CheckResult:
     """Invariance of a nondegenerate form with respect to both products."""
     if is_singular(omega):
         raise DegenerateForm("invariant forms must be nondegenerate")
-    for i in range(D.dim):
-        x = D.basis_vector(i)
-        for j in range(D.dim):
-            y = D.basis_vector(j)
-            for k in range(D.dim):
-                z = D.basis_vector(k)
-                lhs = _form_value(omega, D.left(x, y), z)
-                rhs = -_form_value(omega, y, D.left(x, z))
-                if lhs != rhs:
-                    return CheckResult(False, "INVARIANT_LEFT_FAILS",
-                                       (i, j, k), [lhs], [rhs])
-                lhs = _form_value(omega, D.right(x, y), z)
-                rhs = _form_value(omega, x,
-                                  _add(D.left(y, z), D.right(z, y)))
-                if lhs != rhs:
-                    return CheckResult(False, "INVARIANT_RIGHT_FAILS",
-                                       (i, j, k), [lhs], [rhs])
-    return OK
+    e = [D.basis_vector(i) for i in range(D.dim)]
+    L, R = D.left, D.right
+
+    def sides(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        yield ("INVARIANT_LEFT_FAILS", [form_value(omega, L(x, y), z)],
+               [-form_value(omega, y, L(x, z))])
+        yield ("INVARIANT_RIGHT_FAILS", [form_value(omega, R(x, y), z)],
+               [form_value(omega, x, vadd(L(y, z), R(z, y)))])
+
+    return first_failure(D.dim, 3, sides)
 
 
 def verify_quadratic_dendriform(D: DendriformAlgebra,
@@ -261,21 +180,14 @@ def verify_quadratic_dendriform(D: DendriformAlgebra,
         raise NotSymmetric("quadratic forms must be symmetric")
     if is_singular(B):
         raise DegenerateForm("quadratic forms must be nondegenerate")
-    for i in range(D.dim):
-        x = D.basis_vector(i)
-        for j in range(D.dim):
-            y = D.basis_vector(j)
-            for k in range(D.dim):
-                z = D.basis_vector(k)
-                lhs = _form_value(B, D.left(x, y), z)
-                rhs = -_form_value(B, y, D.both(x, z))
-                if lhs != rhs:
-                    return CheckResult(False, "QUADRATIC_LEFT_FAILS",
-                                       (i, j, k), [lhs], [rhs])
-                lhs = _form_value(B, D.right(x, y), z)
-                rhs = (_form_value(B, x, D.both(y, z))
-                       + _form_value(B, x, D.both(z, y)))
-                if lhs != rhs:
-                    return CheckResult(False, "QUADRATIC_RIGHT_FAILS",
-                                       (i, j, k), [lhs], [rhs])
-    return OK
+    e = [D.basis_vector(i) for i in range(D.dim)]
+
+    def sides(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        yield ("QUADRATIC_LEFT_FAILS", [form_value(B, D.left(x, y), z)],
+               [-form_value(B, y, D.both(x, z))])
+        yield ("QUADRATIC_RIGHT_FAILS", [form_value(B, D.right(x, y), z)],
+               [form_value(B, x, D.both(y, z))
+                + form_value(B, x, D.both(z, y))])
+
+    return first_failure(D.dim, 3, sides)

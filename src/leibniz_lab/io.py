@@ -21,7 +21,8 @@ import sys
 
 from .dendriform import DendriformAlgebra, verify_dendriform
 from .errors import ParseError, ValidationError
-from .leibniz import LeibnizAlgebra, Subspace, verify_leibniz
+from .leibniz import (LeibnizAlgebra, Subspace, sparse_brackets,
+                      verify_leibniz)
 from .linalg import Matrix
 from .representations import Representation, verify_representation
 from .scalars import (GAUSSIAN, RATIONAL, Scalar, format_scalar, parse_scalar)
@@ -217,20 +218,15 @@ def parse_document(doc: dict):
 # -- serialization ---------------------------------------------------------
 
 
-def _bracket_entries(tensor, dim: int):
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            value = [{"k": k, "c": format_scalar(tensor[i][j][k])}
-                     for k in range(dim) if not tensor[i][j][k].is_zero()]
-            if value:
-                entries.append({"i": i, "j": j, "value": value})
-    return entries
+def _bracket_entries(tensor):
+    return [{"i": i, "j": j, "value": [{"k": k, "c": format_scalar(c)}
+                                       for k, c in value.items()]}
+            for (i, j), value in sparse_brackets(tensor).items()]
 
 
 def serialize_algebra(A: LeibnizAlgebra) -> dict:
     doc = {"dim": A.dim, "field": A.field,
-           "brackets": _bracket_entries(A.constants, A.dim)}
+           "brackets": _bracket_entries(A.constants)}
     if A.labels:
         doc["basis"] = list(A.labels)
     return doc
@@ -238,8 +234,8 @@ def serialize_algebra(A: LeibnizAlgebra) -> dict:
 
 def serialize_dendriform(D: DendriformAlgebra) -> dict:
     return {"dim": D.dim, "field": D.field,
-            "left": _bracket_entries(D.left_constants, D.dim),
-            "right": _bracket_entries(D.right_constants, D.dim)}
+            "left": _bracket_entries(D.left_constants),
+            "right": _bracket_entries(D.right_constants)}
 
 
 def serialize_matrix(M: Matrix, field: str = None) -> dict:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
                      NotPseudoKahler, WrongField)
-from .leibniz import CheckResult, LeibnizAlgebra, OK, Subspace, is_subalgebra
-from .linalg import Matrix, invert, is_singular, matrices_equal, rank
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, form_value,
+                      is_subalgebra)
+from .linalg import Matrix, invert, is_singular, matrices_equal
 from .scalars import GAUSSIAN, RATIONAL, Scalar
-from .structures import classify_complex, classify_product
-from .symplectic import build_phase_space, form_value, verify_symplectic
+from .structures import (_is_anti_involution, classify_product,
+                         complex_integrability)
+from .symplectic import (_is_direct_sum, _non_isotropic_pair,
+                         build_phase_space, verify_symplectic)
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,7 @@ def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
     """Symplectic form + paracomplex structure + B(Ex, Ey) = -B(x, y)."""
     check = verify_symplectic(A, B)
     if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
+        return replace(check, reason="SYMPLECTIC_FAILS")
     report = classify_product(A, E)
     if not report.is_product:
         return CheckResult(False, "PRODUCT_FAILS")
@@ -53,44 +55,34 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
     """Two B-isotropic subalgebras that split the algebra as a vector space."""
     check = verify_symplectic(A, B)
     if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
-    for W in (w_plus, w_minus):
-        for u in W.basis:
-            for v in W.basis:
-                if not form_value(B, list(u), list(v)).is_zero():
-                    return CheckResult(False, "ISOTROPY_FAILS")
+        return replace(check, reason="SYMPLECTIC_FAILS")
+    if any(_non_isotropic_pair(B, W) is not None for W in (w_plus, w_minus)):
+        return CheckResult(False, "ISOTROPY_FAILS")
     if not is_subalgebra(A, w_plus) or not is_subalgebra(A, w_minus):
         return CheckResult(False, "SUBALGEBRA_FAILS")
-    columns = w_plus.columns() + w_minus.columns()
-    if w_plus.dim + w_minus.dim != A.dim or (
-            A.dim and rank(Matrix.from_rows(
-                [[col[i, 0] for col in columns]
-                 for i in range(A.dim)])) != A.dim):
+    if not _is_direct_sum(A.dim, w_plus, w_minus):
         return CheckResult(False, "DIRECT_SUM_FAILS")
     return OK
 
 
+def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
+    """S = B M for a triple that passed ``check``; S must be skew."""
+    if not check.ok:
+        raise error("triple fails: %s" % check.reason)
+    S = B @ M
+    if not matrices_equal(S.transpose(), S.scale(Scalar.of(-1))):
+        raise error("derived form is not skew")
+    return S
+
+
 def S_from_B_E(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> Matrix:
     """The skew form S(x, y) = B(x, Ey) of a para-Kahler triple."""
-    check = check_para_kahler(A, B, E)
-    if not check.ok:
-        raise NotParaKahler("triple fails: %s" % check.reason)
-    S = B @ E
-    if not matrices_equal(S.transpose(), S.scale(Scalar.of(-1))):
-        raise NotParaKahler("derived form is not skew")
-    return S
+    return _skew_form(check_para_kahler(A, B, E), B, E, NotParaKahler)
 
 
 def S_from_B_J(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> Matrix:
     """The skew form S(x, y) = B(x, Jy) of a pseudo-Kahler triple."""
-    check = check_pseudo_kahler(A, B, J)
-    if not check.ok:
-        raise NotPseudoKahler("triple fails: %s" % check.reason)
-    S = B @ J
-    if not matrices_equal(S.transpose(), S.scale(Scalar.of(-1))):
-        raise NotPseudoKahler("derived form is not skew")
-    return S
+    return _skew_form(check_pseudo_kahler(A, B, J), B, J, NotPseudoKahler)
 
 
 def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
@@ -141,15 +133,13 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
 
 def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
     """Symplectic form + complex structure + B(Jx, Jy) = B(x, y)."""
+    if A.field != RATIONAL:
+        raise WrongField("pseudo-Kahler structures live on rational ('real') "
+                         "algebras")
     check = verify_symplectic(A, B)
     if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
-    try:
-        report = classify_complex(A, J)
-    except Exception:
-        return CheckResult(False, "COMPLEX_FAILS")
-    if not report.is_complex:
+        return replace(check, reason="SYMPLECTIC_FAILS")
+    if not (_is_anti_involution(J) and complex_integrability(A, J).ok):
         return CheckResult(False, "COMPLEX_FAILS")
     if not matrices_equal(J.transpose() @ B @ J, B):
         return CheckResult(False, "COMPAT_FAILS")
@@ -174,9 +164,7 @@ def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     z = Matrix.zero(n, n, D.gaussian)
     top = z.hstack(sharp_inv.scale(Scalar.of(-1)))
     bottom = sharp.hstack(z)
-    J = Matrix.from_rows([list(top.row(i)) for i in range(n)]
-                         + [list(bottom.row(i)) for i in range(n)])
-    return P, J
+    return P, Matrix.from_rows(top.entries + bottom.entries)
 
 
 def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
@@ -225,9 +213,7 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
     Q_mat = Matrix.from_rows(q_rows)
     top = Q_mat.scale(Scalar.of(-1)).hstack(P_mat.scale(Scalar.of(-1)))
     bottom = P_mat.hstack(Q_mat.scale(Scalar.of(-1)))
-    J = Matrix.from_rows([list(top.row(i)) for i in range(n)]
-                         + [list(bottom.row(i)) for i in range(n)])
-    return algebra, b_real, J
+    return algebra, b_real, Matrix.from_rows(top.entries + bottom.entries)
 
 
 def complexify_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix):

@@ -1,8 +1,21 @@
-"""Leibniz algebras as exact structure-constant tensors."""
+"""Leibniz algebras as exact structure-constant tensors.
+
+This module also holds the tensor core that every other module builds on:
+the bilinear kernel :func:`tensor_product`, :func:`form_value`, the vector
+helpers :func:`vadd`, :func:`vsub` and :func:`unit`,
+:func:`sparse_brackets`, and :func:`first_failure`, the one loop that runs
+an identity over basis tuples.
+
+Adding an identity: write a ``sides(*idx)`` generator that yields
+``(reason, lhs, rhs)`` for the basis tuple ``idx``, one triple per
+equation, and return ``first_failure(dim, arity, sides)``.  The first
+tuple in lexicographic order whose sides differ becomes the witness.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -26,6 +39,75 @@ class CheckResult:
 
 
 OK = CheckResult(True)
+
+
+def first_failure(dim: int, arity: int, sides) -> CheckResult:
+    """Run an identity over all basis tuples in lexicographic order.
+
+    ``sides(*idx)`` yields ``(reason, lhs, rhs)`` lazily; the first unequal
+    pair is returned as the witness, so later sides are never evaluated.
+    """
+    for idx in product(range(dim), repeat=arity):
+        for reason, lhs, rhs in sides(*idx):
+            if lhs != rhs:
+                return CheckResult(False, reason, idx, lhs, rhs)
+    return OK
+
+
+def vadd(x: Vector, y: Vector) -> Vector:
+    return [a + b for a, b in zip(x, y)]
+
+
+def vsub(x: Vector, y: Vector) -> Vector:
+    return [a - b for a, b in zip(x, y)]
+
+
+def unit(n: int, i: int, gaussian: bool = False) -> Vector:
+    """The i-th standard basis vector of length n."""
+    v = [Scalar.zero(gaussian)] * n
+    v[i] = Scalar.one(gaussian)
+    return v
+
+
+def tensor_product(tensor, x: Vector, y: Vector, gaussian: bool) -> Vector:
+    """sum_ijk x_i y_j c[i][j][k] e_k for a dense n x n x n tensor c."""
+    out = [Scalar.zero(gaussian)] * len(tensor)
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y):
+            if yj.is_zero():
+                continue
+            f = xi * yj
+            for k, c in enumerate(tensor[i][j]):
+                if not c.is_zero():
+                    out[k] = out[k] + f * c
+    return out
+
+
+def sparse_brackets(tensor, offset: int = 0) -> dict:
+    """The nonzero entries of a dense tensor as {(i, j): {k: c}}, in index
+    order, with every index shifted by ``offset``."""
+    brackets = {}
+    for i, plane in enumerate(tensor):
+        for j, row in enumerate(plane):
+            value = {k + offset: c for k, c in enumerate(row)
+                     if not c.is_zero()}
+            if value:
+                brackets[(i + offset, j + offset)] = value
+    return brackets
+
+
+def form_value(B: Matrix, x: Vector, y: Vector) -> Scalar:
+    """The bilinear form B(x, y) = sum_ij x_i y_j B[i, j]."""
+    acc = Scalar.zero()
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y):
+            if not yj.is_zero():
+                acc = acc + xi * yj * B[i, j]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -100,30 +182,13 @@ class LeibnizAlgebra:
     def gaussian(self) -> bool:
         return self.field == GAUSSIAN
 
-    def zero_vector(self) -> Vector:
-        return [Scalar.zero(self.gaussian) for _ in range(self.dim)]
-
     def basis_vector(self, i: int) -> Vector:
-        v = self.zero_vector()
-        v[i] = Scalar.one(self.gaussian)
-        return v
+        return unit(self.dim, i, self.gaussian)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vectors of length %d expected" % self.dim)
-        out = self.zero_vector()
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                f = xi * yj
-                for k in range(self.dim):
-                    c = self.constants[i][j][k]
-                    if not c.is_zero():
-                        out[k] = out[k] + f * c
-        return out
+        return tensor_product(self.constants, x, y, self.gaussian)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return list(self.constants[i][j])
@@ -156,76 +221,46 @@ def verify_leibniz(A: LeibnizAlgebra) -> CheckResult:
 
     Trilinearity of both sides certifies the identity for all elements.
     """
-    for i in range(A.dim):
-        ei = A.basis_vector(i)
-        for j in range(A.dim):
-            ej = A.basis_vector(j)
-            for k in range(A.dim):
-                ek = A.basis_vector(k)
-                lhs = A.bracket(ei, A.bracket(ej, ek))
-                rhs = _add(A.bracket(A.bracket(ei, ej), ek),
-                           A.bracket(ej, A.bracket(ei, ek)))
-                if lhs != rhs:
-                    return CheckResult(False, "LEIBNIZ_FAILS", (i, j, k),
-                                       lhs, rhs)
-    return OK
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    br = A.bracket_basis
+
+    def sides(i, j, k):
+        yield ("LEIBNIZ_FAILS", A.bracket(e[i], br(j, k)),
+               vadd(A.bracket(br(i, j), e[k]), A.bracket(e[j], br(i, k))))
+
+    return first_failure(A.dim, 3, sides)
 
 
-def _add(x: Vector, y: Vector) -> Vector:
-    return [a + b for a, b in zip(x, y)]
+def _check_ambient(A: LeibnizAlgebra, W: Subspace):
+    if W.basis and W.ambient_dim != A.dim:
+        raise DimensionMismatch("subspace lives in the wrong ambient space")
 
 
 def is_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
-    if W.basis and W.ambient_dim != A.dim:
-        raise DimensionMismatch("subspace lives in the wrong ambient space")
-    for w1 in W.basis:
-        for w2 in W.basis:
-            if not W.contains(A.bracket(list(w1), list(w2))):
-                return False
-    return True
+    _check_ambient(A, W)
+    return all(W.contains(A.bracket(list(u), list(v)))
+               for u in W.basis for v in W.basis)
 
 
 def is_abelian_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
-    if W.basis and W.ambient_dim != A.dim:
-        raise DimensionMismatch("subspace lives in the wrong ambient space")
-    for w1 in W.basis:
-        for w2 in W.basis:
-            if any(not c.is_zero() for c in A.bracket(list(w1), list(w2))):
-                return False
-    return True
+    _check_ambient(A, W)
+    return all(c.is_zero() for u in W.basis for v in W.basis
+               for c in A.bracket(list(u), list(v)))
 
 
 def is_two_sided_ideal(A: LeibnizAlgebra, W: Subspace) -> bool:
-    if W.basis and W.ambient_dim != A.dim:
-        raise DimensionMismatch("subspace lives in the wrong ambient space")
-    for i in range(A.dim):
-        ei = A.basis_vector(i)
-        for w in W.basis:
-            if not W.contains(A.bracket(ei, list(w))):
-                return False
-            if not W.contains(A.bracket(list(w), ei)):
-                return False
-    return True
+    _check_ambient(A, W)
+    return all(W.contains(A.bracket(A.basis_vector(i), list(w)))
+               and W.contains(A.bracket(list(w), A.basis_vector(i)))
+               for i in range(A.dim) for w in W.basis)
 
 
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
     if A.field != B.field:
         raise FieldMismatch("direct sum of algebras over different fields")
-    n, m = A.dim, B.dim
-    brackets = {}
-    for i in range(n):
-        for j in range(n):
-            value = {k: A.constants[i][j][k] for k in range(n)
-                     if not A.constants[i][j][k].is_zero()}
-            if value:
-                brackets[(i, j)] = value
-    for i in range(m):
-        for j in range(m):
-            value = {n + k: B.constants[i][j][k] for k in range(m)
-                     if not B.constants[i][j][k].is_zero()}
-            if value:
-                brackets[(n + i, n + j)] = value
-    return LeibnizAlgebra.from_brackets(n + m, brackets, A.field)
+    brackets = sparse_brackets(A.constants)
+    brackets.update(sparse_brackets(B.constants, A.dim))
+    return LeibnizAlgebra.from_brackets(A.dim + B.dim, brackets, A.field)
 
 
 def killing_form(A: LeibnizAlgebra) -> Matrix:

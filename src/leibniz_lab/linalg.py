@@ -8,8 +8,7 @@ are exact and there is no tolerance parameter anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 from .scalars import Scalar

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotRotaBaxter
-from .leibniz import CheckResult, LeibnizAlgebra, OK
-from .linalg import Matrix, matrices_equal
+from .leibniz import (CheckResult, LeibnizAlgebra, first_failure,
+                      sparse_brackets, unit, vadd, vsub)
+from .linalg import Matrix
 from .scalars import Scalar
 
 
@@ -36,20 +37,19 @@ class Representation:
                               tuple(z for _ in range(algebra.dim)),
                               tuple(z for _ in range(algebra.dim)))
 
-    def left_of(self, x) -> Matrix:
-        """l(x) for an arbitrary element, assembled by linearity."""
+    def _combine(self, maps, x) -> Matrix:
         acc = Matrix.zero(self.rep_dim, self.rep_dim, self.algebra.gaussian)
         for i, xi in enumerate(x):
             if not xi.is_zero():
-                acc = acc + self.left_maps[i].scale(xi)
+                acc = acc + maps[i].scale(xi)
         return acc
 
+    def left_of(self, x) -> Matrix:
+        """l(x) for an arbitrary element, assembled by linearity."""
+        return self._combine(self.left_maps, x)
+
     def right_of(self, x) -> Matrix:
-        acc = Matrix.zero(self.rep_dim, self.rep_dim, self.algebra.gaussian)
-        for i, xi in enumerate(x):
-            if not xi.is_zero():
-                acc = acc + self.right_maps[i].scale(xi)
-        return acc
+        return self._combine(self.right_maps, x)
 
 
 def _commutator(A: Matrix, B: Matrix) -> Matrix:
@@ -66,24 +66,19 @@ def verify_representation(R: Representation) -> CheckResult:
     Witnesses report both sides as row-major flattened matrices.
     """
     A = R.algebra
-    for i in range(A.dim):
-        for j in range(A.dim):
-            bij = A.bracket_basis(i, j)
-            l_b = R.left_of(bij)
-            r_b = R.right_of(bij)
-            li, lj = R.left_maps[i], R.left_maps[j]
-            ri, rj = R.right_maps[i], R.right_maps[j]
-            if not matrices_equal(l_b, _commutator(li, lj)):
-                return CheckResult(False, "AXIOM_L_BRACKET", (i, j),
-                                   _flatten(l_b), _flatten(_commutator(li, lj)))
-            if not matrices_equal(r_b, _commutator(li, rj)):
-                return CheckResult(False, "AXIOM_R_BRACKET", (i, j),
-                                   _flatten(r_b), _flatten(_commutator(li, rj)))
-            if not matrices_equal(rj @ li, (rj @ ri).scale(Scalar.of(-1))):
-                return CheckResult(False, "AXIOM_R_COMPOSE", (i, j),
-                                   _flatten(rj @ li),
-                                   _flatten((rj @ ri).scale(Scalar.of(-1))))
-    return OK
+    ls, rs = R.left_maps, R.right_maps
+    minus_one = Scalar.of(-1)
+
+    def sides(i, j):
+        bij = A.bracket_basis(i, j)
+        yield ("AXIOM_L_BRACKET", _flatten(R.left_of(bij)),
+               _flatten(_commutator(ls[i], ls[j])))
+        yield ("AXIOM_R_BRACKET", _flatten(R.right_of(bij)),
+               _flatten(_commutator(ls[i], rs[j])))
+        yield ("AXIOM_R_COMPOSE", _flatten(rs[j] @ ls[i]),
+               _flatten((rs[j] @ rs[i]).scale(minus_one)))
+
+    return first_failure(A.dim, 2, sides)
 
 
 def regular_rep(A: LeibnizAlgebra) -> Representation:
@@ -109,13 +104,7 @@ def semidirect_product(R: Representation) -> LeibnizAlgebra:
     """[x+u, y+v] = [x,y] + l_x(v) + r_y(u) on the space E + V."""
     A = R.algebra
     n, m = A.dim, R.rep_dim
-    brackets = {}
-    for i in range(n):
-        for j in range(n):
-            value = {k: A.constants[i][j][k] for k in range(n)
-                     if not A.constants[i][j][k].is_zero()}
-            if value:
-                brackets[(i, j)] = value
+    brackets = sparse_brackets(A.constants)
     for i in range(n):
         for b in range(m):
             col = R.left_maps[i].col(b)
@@ -142,41 +131,22 @@ def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
     gaussian = A.gaussian
     zero_n = [Scalar.zero(gaussian)] * n
     zero_m = [Scalar.zero(gaussian)] * m
-
-    def t_of(u):
-        return T.apply(u)
-
     tensor = []
     for p in range(n + m):
         plane = []
         for q in range(n + m):
             x, u = (A.basis_vector(p), zero_m) if p < n else \
-                   (list(zero_n), _unit(m, p - n, gaussian))
+                   (zero_n, unit(m, p - n, gaussian))
             y, v = (A.basis_vector(q), zero_m) if q < n else \
-                   (list(zero_n), _unit(m, q - n, gaussian))
-            e_part = A.bracket(x, y)
-            tu, tv = t_of(u), t_of(v)
-            e_part = _vadd(e_part, A.bracket(tu, y))
-            e_part = _vsub(e_part, t_of(R.right_of(y).apply(u)))
-            e_part = _vadd(e_part, A.bracket(x, tv))
-            e_part = _vsub(e_part, t_of(R.left_of(x).apply(v)))
-            v_part = _vadd(R.left_of(tu).apply(v), R.right_of(tv).apply(u))
-            v_part = _vadd(v_part, R.left_of(x).apply(v))
-            v_part = _vadd(v_part, R.right_of(y).apply(u))
+                   (zero_n, unit(m, q - n, gaussian))
+            tu, tv = T.apply(u), T.apply(v)
+            e_part = vadd(A.bracket(x, y), A.bracket(tu, y))
+            e_part = vsub(e_part, T.apply(R.right_of(y).apply(u)))
+            e_part = vadd(e_part, A.bracket(x, tv))
+            e_part = vsub(e_part, T.apply(R.left_of(x).apply(v)))
+            v_part = vadd(R.left_of(tu).apply(v), R.right_of(tv).apply(u))
+            v_part = vadd(v_part, R.left_of(x).apply(v))
+            v_part = vadd(v_part, R.right_of(y).apply(u))
             plane.append(tuple(e_part + v_part))
         tensor.append(tuple(plane))
     return LeibnizAlgebra.from_constants(tensor, A.field)
-
-
-def _unit(m, b, gaussian):
-    u = [Scalar.zero(gaussian) for _ in range(m)]
-    u[b] = Scalar.one(gaussian)
-    return u
-
-
-def _vadd(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def _vsub(x, y):
-    return [a - b for a, b in zip(x, y)]

@@ -117,19 +117,6 @@ class Scalar:
         return "Scalar(%s)" % format_scalar(self)
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch-style entry point matching the documented operation table."""
-    if op == "ADD":
-        return a + b
-    if op == "SUB":
-        return a - b
-    if op == "MUL":
-        return a * b
-    if op == "DIV":
-        return a / b
-    raise ValueError("unknown op %r" % op)
-
-
 def _format_fraction(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)

@@ -8,7 +8,8 @@ from .dendriform import DendriformAlgebra
 from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
                      NotComplexStructure, NotDirectSum, NotInvolution,
                      NotSubalgebra, PhiIdentityFails, TooLarge, WrongField)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, is_subalgebra)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, first_failure,
+                      is_subalgebra, vadd, vsub)
 from .linalg import (Matrix, column_span_matrix, eigenspace, in_span, invert,
                      matrices_equal, rank)
 from .scalars import GAUSSIAN, RATIONAL, Scalar
@@ -47,27 +48,38 @@ def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
     """[Nx, Ny] = N([Nx,y] + [x,Ny] - N[x,y]) on all basis pairs."""
     if N.rows != A.dim or N.cols != A.dim:
         raise DimensionMismatch("operator must be %d x %d" % (A.dim, A.dim))
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        nx = N.apply(x)
-        for j in range(A.dim):
-            y = A.basis_vector(j)
-            ny = N.apply(y)
-            lhs = A.bracket(nx, ny)
-            inner = _add(A.bracket(nx, y), A.bracket(x, ny))
-            inner = _sub(inner, N.apply(A.bracket_basis(i, j)))
-            rhs = N.apply(inner)
-            if lhs != rhs:
-                return CheckResult(False, "NIJENHUIS_FAILS", (i, j), lhs, rhs)
-    return OK
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    ne = [N.apply(x) for x in e]
+
+    def sides(i, j):
+        inner = vsub(vadd(A.bracket(ne[i], e[j]), A.bracket(e[i], ne[j])),
+                     N.apply(A.bracket_basis(i, j)))
+        yield "NIJENHUIS_FAILS", A.bracket(ne[i], ne[j]), N.apply(inner)
+
+    return first_failure(A.dim, 2, sides)
 
 
-def _add(x, y):
-    return [a + b for a, b in zip(x, y)]
+def _strict_abelian(A: LeibnizAlgebra, M: Matrix, sign: int):
+    """(strict, abelian) for an operator M on all basis pairs.
 
+    Strict: M[x,y] = [Mx,y] = [x,My].  Abelian: [x,y] = sign * [Mx,My],
+    with sign -1 for product and +1 for complex structures.
+    """
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    me = [M.apply(x) for x in e]
 
-def _sub(x, y):
-    return [a - b for a, b in zip(x, y)]
+    def strict(i, j):
+        m_of_bracket = M.apply(A.bracket_basis(i, j))
+        yield "STRICT", m_of_bracket, A.bracket(me[i], e[j])
+        yield "STRICT", m_of_bracket, A.bracket(e[i], me[j])
+
+    def abelian(i, j):
+        rhs = A.bracket(me[i], me[j])
+        yield "ABELIAN", A.bracket_basis(i, j), (
+            rhs if sign > 0 else [-c for c in rhs])
+
+    return (first_failure(A.dim, 2, strict).ok,
+            first_failure(A.dim, 2, abelian).ok)
 
 
 def _subspace_from_columns(columns) -> Subspace:
@@ -79,21 +91,7 @@ def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
     if not _is_involution(E):
         raise NotInvolution("E^2 != I")
     nijenhuis = verify_nijenhuis(A, E).ok
-    strict = True
-    abelian = True
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        ex = E.apply(x)
-        for j in range(A.dim):
-            y = A.basis_vector(j)
-            ey = E.apply(y)
-            e_of_bracket = E.apply(A.bracket_basis(i, j))
-            if strict and (e_of_bracket != A.bracket(ex, y)
-                           or e_of_bracket != A.bracket(x, ey)):
-                strict = False
-            if abelian and A.bracket_basis(i, j) != [
-                    -c for c in A.bracket(ex, ey)]:
-                abelian = False
+    strict, abelian = _strict_abelian(A, E, -1)
     plus = _subspace_from_columns(eigenspace(E, Scalar.one(A.gaussian)))
     minus = _subspace_from_columns(eigenspace(E, Scalar.of(-1)))
     return StructureReport(
@@ -150,19 +148,15 @@ def complexify(A: LeibnizAlgebra) -> LeibnizAlgebra:
 
 def complex_integrability(A: LeibnizAlgebra, J: Matrix) -> CheckResult:
     """J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy] on all basis pairs."""
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        jx = J.apply(x)
-        for j in range(A.dim):
-            y = A.basis_vector(j)
-            jy = J.apply(y)
-            lhs = J.apply(A.bracket_basis(i, j))
-            rhs = _add(_add(A.bracket(jx, y), A.bracket(x, jy)),
-                       J.apply(A.bracket(jx, jy)))
-            if lhs != rhs:
-                return CheckResult(False, "INTEGRABILITY_FAILS", (i, j),
-                                   lhs, rhs)
-    return OK
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    je = [J.apply(x) for x in e]
+
+    def sides(i, j):
+        yield ("INTEGRABILITY_FAILS", J.apply(A.bracket_basis(i, j)),
+               vadd(vadd(A.bracket(je[i], e[j]), A.bracket(e[i], je[j])),
+                    J.apply(A.bracket(je[i], je[j]))))
+
+    return first_failure(A.dim, 2, sides)
 
 
 def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
@@ -172,20 +166,7 @@ def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
     if not _is_anti_involution(J):
         raise NotAntiInvolution("J^2 != -I")
     integrable = complex_integrability(A, J).ok
-    strict = True
-    abelian = True
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        jx = J.apply(x)
-        for j in range(A.dim):
-            y = A.basis_vector(j)
-            jy = J.apply(y)
-            j_of_bracket = J.apply(A.bracket_basis(i, j))
-            if strict and (j_of_bracket != A.bracket(jx, y)
-                           or j_of_bracket != A.bracket(x, jy)):
-                strict = False
-            if abelian and A.bracket_basis(i, j) != A.bracket(jx, jy):
-                abelian = False
+    strict, abelian = _strict_abelian(A, J, 1)
     jc = J.promote()
     eigen_i = _subspace_from_columns(eigenspace(jc, Scalar.i()))
     eigen_minus_i = _subspace_from_columns(
@@ -193,22 +174,22 @@ def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
     return ComplexReport(integrable, strict, abelian, eigen_i, eigen_minus_i)
 
 
-def phi_map(J: Matrix) -> Matrix:
-    """phi(x) = (x - i Jx)/2, a map into the +i eigenspace."""
+def _half_shift(J: Matrix, c: Scalar) -> Matrix:
+    """x -> (x + c Jx)/2 over the Gaussian field, for J^2 = -I."""
     if not _is_anti_involution(J):
         raise NotAntiInvolution("J^2 != -I")
     half = Scalar.one() / Scalar.of(2)
-    return (Matrix.identity(J.rows, True)
-            - J.promote().scale(Scalar.i())).scale(half)
+    return (Matrix.identity(J.rows, True) + J.promote().scale(c)).scale(half)
+
+
+def phi_map(J: Matrix) -> Matrix:
+    """phi(x) = (x - i Jx)/2, a map into the +i eigenspace."""
+    return _half_shift(J, -Scalar.i())
 
 
 def psi_map(J: Matrix) -> Matrix:
     """psi(x) = (x + i Jx)/2, the conjugate companion of phi."""
-    if not _is_anti_involution(J):
-        raise NotAntiInvolution("J^2 != -I")
-    half = Scalar.one() / Scalar.of(2)
-    return (Matrix.identity(J.rows, True)
-            + J.promote().scale(Scalar.i())).scale(half)
+    return _half_shift(J, Scalar.i())
 
 
 def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
@@ -226,7 +207,7 @@ def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
         for j in range(n):
             y = A.basis_vector(j)
             jy = J.apply(y)
-            value = _sub(A.bracket_basis(i, j), A.bracket(jx, jy))
+            value = vsub(A.bracket_basis(i, j), A.bracket(jx, jy))
             plane.append(tuple(half * c for c in value))
         tensor.append(tuple(plane))
     return LeibnizAlgebra.from_constants(tensor, A.field)
@@ -284,18 +265,18 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
     J = column_span_matrix(images) @ invert(U)
     # The defining identity for phi, checked on plus-eigenspace basis pairs:
     # phi[x1,x2] = [phi x1, x2] + [x1, phi x2] - phi^{-1}[phi x1, phi x2].
-    for a in range(k):
-        x1 = list(p_cols[a].col(0))
-        for b in range(k):
-            x2 = list(p_cols[b].col(0))
-            bracket = A.bracket(x1, x2)
-            lhs = J.apply(bracket)
-            q1, q2 = list(q_cols[a].col(0)), list(q_cols[b].col(0))
-            rhs = _add(A.bracket(q1, x2), A.bracket(x1, q2))
-            rhs = _add(rhs, J.apply(A.bracket(q1, q2)))
-            if lhs != rhs:
-                raise PhiIdentityFails("identity fails at pair (%d, %d)"
-                                       % (a, b))
+    ps = [list(col.col(0)) for col in p_cols]
+    qs = [list(col.col(0)) for col in q_cols]
+
+    def sides(a, b):
+        yield ("PHI_IDENTITY_FAILS", J.apply(A.bracket(ps[a], ps[b])),
+               vadd(vadd(A.bracket(qs[a], ps[b]), A.bracket(ps[a], qs[b])),
+                    J.apply(A.bracket(qs[a], qs[b]))))
+
+    check = first_failure(k, 2, sides)
+    if not check.ok:
+        raise PhiIdentityFails("identity fails at pair (%d, %d)"
+                               % check.indices)
     return J
 
 

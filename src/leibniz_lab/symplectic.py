@@ -3,57 +3,55 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from typing import Optional, Sequence
 
 from .dendriform import (DendriformAlgebra, dendriform_rep,
                          verify_quadratic_dendriform)
 from .errors import (DegenerateForm, DimensionMismatch, NotQuadratic,
                      NotSymmetric, NotSymplectic)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, is_subalgebra,
-                      tensors_equal, verify_leibniz)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, first_failure,
+                      form_value, is_subalgebra, verify_leibniz)
 from .linalg import (Matrix, column_span_matrix, invert, is_singular,
                      kernel_basis, rank)
-from .representations import Representation, dual_rep, semidirect_product
+from .representations import dual_rep, semidirect_product
 from .scalars import Scalar
 
 
-def form_value(B: Matrix, x, y) -> Scalar:
-    acc = Scalar.zero()
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if not yj.is_zero():
-                acc = acc + xi * yj * B[i, j]
-    return acc
+def _identity_terms(i, j, k):
+    """The symplectic identity at x, y, z = e_i, e_j, e_k as (lhs, rhs).
+
+    B(z,[x,y]) = -B(y,[x,z]) + B(x,[y,z]) + B(x,[z,y]); each term
+    (sign, p, (a, b)) stands for sign * B(e_p, [e_a, e_b]).
+    """
+    return (((1, k, (i, j)),),
+            ((-1, j, (i, k)), (1, i, (j, k)), (1, i, (k, j))))
 
 
 def verify_symplectic(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
-    """Symmetry, nondegeneracy and the defining trilinear identity.
-
-    B(z,[x,y]) = -B(y,[x,z]) + B(x,[y,z]) + B(x,[z,y]) on all basis triples.
-    """
+    """Symmetry, nondegeneracy and the defining trilinear identity on all
+    basis triples (see :func:`_identity_terms`)."""
     if B.rows != A.dim or B.cols != A.dim:
         raise DimensionMismatch("form must be %d x %d" % (A.dim, A.dim))
     if B != B.transpose():
         return CheckResult(False, "NOT_SYMMETRIC")
     if is_singular(B):
         return CheckResult(False, "DEGENERATE")
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        for j in range(A.dim):
-            y = A.basis_vector(j)
-            for k in range(A.dim):
-                z = A.basis_vector(k)
-                lhs = form_value(B, z, A.bracket(x, y))
-                rhs = (-form_value(B, y, A.bracket(x, z))
-                       + form_value(B, x, A.bracket(y, z))
-                       + form_value(B, x, A.bracket(z, y)))
-                if lhs != rhs:
-                    return CheckResult(False, "IDENTITY_FAILS", (i, j, k),
-                                       [lhs], [rhs])
-    return OK
+    e = [A.basis_vector(p) for p in range(A.dim)]
+
+    def value(terms):
+        acc = Scalar.zero()
+        for sign, p, (a, b) in terms:
+            v = form_value(B, e[p], A.bracket_basis(a, b))
+            acc = acc + v if sign > 0 else acc - v
+        return acc
+
+    def sides(i, j, k):
+        lhs, rhs = _identity_terms(i, j, k)
+        yield "IDENTITY_FAILS", [value(lhs)], [value(rhs)]
+
+    return first_failure(A.dim, 3, sides)
 
 
 def _sym_index_pairs(n: int):
@@ -78,34 +76,24 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     n = A.dim
     pairs = _sym_index_pairs(n)
     pair_index = {pq: t for t, pq in enumerate(pairs)}
-    # One linear constraint per basis triple, unknowns = upper-triangle of B.
+    # One linear constraint lhs - rhs = 0 per basis triple, unknowns =
+    # upper-triangle of B.
     constraint_rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [Scalar.zero(A.gaussian) for _ in pairs]
-
-                def accumulate(p, bracket, sign):
-                    for m, c in enumerate(bracket):
-                        if not c.is_zero():
-                            t = pair_index[(min(p, m), max(p, m))]
-                            row[t] = row[t] + (c if sign > 0 else -c)
-
-                accumulate(k, A.bracket_basis(i, j), +1)   # B(z, [x,y])
-                accumulate(j, A.bracket_basis(i, k), +1)   # + B(y, [x,z])
-                accumulate(i, A.bracket_basis(j, k), -1)   # - B(x, [y,z])
-                accumulate(i, A.bracket_basis(k, j), -1)   # - B(x, [z,y])
-                if any(not c.is_zero() for c in row):
-                    constraint_rows.append(row)
-    if constraint_rows:
-        kernel = kernel_basis(Matrix.from_rows(constraint_rows))
-        basis = [_form_from_sym_coords(n, col.col(0), A.gaussian)
-                 for col in kernel]
-    else:
-        basis = [_form_from_sym_coords(
-            n, [Scalar.one(A.gaussian) if t == s else Scalar.zero(A.gaussian)
-                for t in range(len(pairs))], A.gaussian)
-            for s in range(len(pairs))]
+    for i, j, k in product(range(n), repeat=3):
+        row = [Scalar.zero(A.gaussian)] * len(pairs)
+        lhs, rhs = _identity_terms(i, j, k)
+        for side, terms in ((1, lhs), (-1, rhs)):
+            for sign, p, (a, b) in terms:
+                for m, c in enumerate(A.bracket_basis(a, b)):
+                    if not c.is_zero():
+                        t = pair_index[(min(p, m), max(p, m))]
+                        row[t] = row[t] + c if side * sign > 0 else row[t] - c
+        if any(not c.is_zero() for c in row):
+            constraint_rows.append(row)
+    constraints = (Matrix.from_rows(constraint_rows) if constraint_rows
+                   else Matrix.zero(1, len(pairs), A.gaussian))
+    basis = [_form_from_sym_coords(n, col.col(0), A.gaussian)
+             for col in kernel_basis(constraints)]
     sample = sample_nondegenerate(basis, seed=seed)
     return basis, sample
 
@@ -141,20 +129,15 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
         raise NotSymplectic("form fails the symplectic check: %s" % check.reason)
     n = A.dim
     b_inv = invert(B)
+    e = [A.basis_vector(p) for p in range(n)]
+    br = A.bracket_basis
     left = [[None] * n for _ in range(n)]
     right = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            y = A.basis_vector(j)
-            lhs_left = [Scalar.zero(A.gaussian) for _ in range(n)]
-            lhs_right = [Scalar.zero(A.gaussian) for _ in range(n)]
-            for k in range(n):
-                z = A.basis_vector(k)
-                lhs_left[k] = -form_value(B, y, A.bracket_basis(i, k))
-                lhs_right[k] = (form_value(B, A.basis_vector(i),
-                                           A.bracket_basis(j, k))
-                                + form_value(B, A.basis_vector(i),
-                                             A.bracket_basis(k, j)))
+            lhs_left = [-form_value(B, e[j], br(i, k)) for k in range(n)]
+            lhs_right = [form_value(B, e[i], br(j, k))
+                         + form_value(B, e[i], br(k, j)) for k in range(n)]
             # B(v, e_k) = (B v)_k for symmetric B, so v = B^{-1} * functional.
             left[i][j] = tuple(b_inv.apply(lhs_left))
             right[i][j] = tuple(b_inv.apply(lhs_right))
@@ -187,6 +170,19 @@ class PhaseSpace:
              for i in range(self.base_dim, 2 * self.base_dim)])
 
 
+def _non_isotropic_pair(B: Matrix, W: Subspace) -> Optional[tuple]:
+    """The first basis pair (a, b) of W with B(w_a, w_b) != 0, or None."""
+    return next(((a, b) for a, b in product(range(W.dim), repeat=2)
+                 if not form_value(B, W.basis[a], W.basis[b]).is_zero()),
+                None)
+
+
+def _is_direct_sum(dim: int, W1: Subspace, W2: Subspace) -> bool:
+    """Whether the dim-dimensional space is the direct sum of W1 and W2."""
+    return W1.dim + W2.dim == dim and (dim == 0 or rank(column_span_matrix(
+        W1.columns() + W2.columns())) == dim)
+
+
 def build_phase_space(D: DendriformAlgebra) -> PhaseSpace:
     """Semidirect product with the dual of the tautological representation."""
     total = semidirect_product(dual_rep(dendriform_rep(D)))
@@ -200,25 +196,19 @@ def verify_phase_space(P: PhaseSpace, base: Subspace,
         raise DimensionMismatch("both blocks must have dimension %d" % n)
     check = verify_leibniz(P.total)
     if not check.ok:
-        return CheckResult(False, "LEIBNIZ_FAILS", check.indices,
-                           check.lhs, check.rhs)
+        return check
     check = verify_symplectic(P.total, P.form)
     if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
+        return replace(check, reason="SYMPLECTIC_FAILS")
     if not is_subalgebra(P.total, base) or not is_subalgebra(P.total, dual):
         return CheckResult(False, "SUBALGEBRA_FAILS")
     # The two blocks must pair canonically: isotropic against themselves,
     # dual bases against each other.
-    for a, u in enumerate(base.basis):
-        for b, v in enumerate(base.basis):
-            if not form_value(P.form, list(u), list(v)).is_zero():
-                return CheckResult(False, "PAIRING_FAILS", (a, b))
-    for a, u in enumerate(dual.basis):
-        for b, v in enumerate(dual.basis):
-            if not form_value(P.form, list(u), list(v)).is_zero():
-                return CheckResult(False, "PAIRING_FAILS", (a, b))
-    pairing = Matrix.from_rows([[form_value(P.form, list(u), list(v))
+    for W in (base, dual):
+        pair = _non_isotropic_pair(P.form, W)
+        if pair is not None:
+            return CheckResult(False, "PAIRING_FAILS", pair)
+    pairing = Matrix.from_rows([[form_value(P.form, u, v)
                                  for v in dual.basis] for u in base.basis])
     if rank(pairing) != n:
         return CheckResult(False, "PAIRING_FAILS")
@@ -235,11 +225,8 @@ def verify_manin_triple(D: DendriformAlgebra, B: Matrix, W1: Subspace,
     if not check.ok:
         raise NotQuadratic("the ambient pair is not quadratic: %s"
                            % check.reason)
-    for W in (W1, W2):
-        for u in W.basis:
-            for v in W.basis:
-                if not form_value(B, list(u), list(v)).is_zero():
-                    return CheckResult(False, "ISOTROPY_FAILS")
+    if any(_non_isotropic_pair(B, W) is not None for W in (W1, W2)):
+        return CheckResult(False, "ISOTROPY_FAILS")
     for W in (W1, W2):
         for u in W.basis:
             for v in W.basis:
@@ -247,9 +234,6 @@ def verify_manin_triple(D: DendriformAlgebra, B: Matrix, W1: Subspace,
                     return CheckResult(False, "SUBALGEBRA_FAILS")
                 if not W.contains(D.right(list(u), list(v))):
                     return CheckResult(False, "SUBALGEBRA_FAILS")
-    if W1.dim + W2.dim != D.dim:
-        return CheckResult(False, "DIRECT_SUM_FAILS")
-    combined = column_span_matrix(W1.columns() + W2.columns())
-    if rank(combined) != D.dim:
+    if not _is_direct_sum(D.dim, W1, W2):
         return CheckResult(False, "DIRECT_SUM_FAILS")
     return OK

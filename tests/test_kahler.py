@@ -217,6 +217,26 @@ def test_pseudo_kahler_basics():
         S_from_B_J(A, diag(1, 2), J)
 
 
+def test_pseudo_kahler_complex_fails_without_integrable_anti_involution():
+    A = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: Scalar.of(1)}})
+    B = mat([[0, 1], [1, 0]])
+    assert verify_symplectic(A, B).ok
+    # not an anti-involution: J^2 = I, and J not square
+    for J in (diag(1, -1), mat([[0, 1]])):
+        check = check_pseudo_kahler(A, B, J)
+        assert not check.ok and check.reason == "COMPLEX_FAILS"
+    # an anti-involution that fails integrability at (e1, e1)
+    check = check_pseudo_kahler(A, B, mat([[0, -1], [1, 0]]))
+    assert not check.ok and check.reason == "COMPLEX_FAILS"
+
+
+def test_pseudo_kahler_rejects_gaussian_input():
+    A = LeibnizAlgebra.abelian(2, "Q(i)")
+    J = mat([[0, -1], [1, 0]]).promote()
+    with pytest.raises(WrongField):
+        check_pseudo_kahler(A, Matrix.identity(2, True), J)
+
+
 def test_omega_to_J_structure():
     D = DendriformAlgebra.zero(2)
     omega = mat([[0, 1], [-1, 0]])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from leibniz_lab.errors import DivisionByZero, ParseError, WrongField
 from leibniz_lab.scalars import (GAUSSIAN, RATIONAL, Scalar, format_scalar,
-                                 parse_scalar, scalar_arith)
+                                 parse_scalar)
 
 fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
                       st.integers(1, 10 ** 4))
@@ -63,16 +63,6 @@ def test_rational_rejects_imaginary_part():
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         Scalar.of(1) / Scalar.zero()
-
-
-def test_arith_dispatch():
-    a, b = Scalar.of(3, 1), Scalar.of(1, -2)
-    assert scalar_arith(a, b, "ADD") == a + b
-    assert scalar_arith(a, b, "SUB") == a - b
-    assert scalar_arith(a, b, "MUL") == a * b
-    assert scalar_arith(a, b, "DIV") == a / b
-    with pytest.raises(ValueError):
-        scalar_arith(a, b, "POW")
 
 
 def test_mixed_field_arithmetic_promotes():

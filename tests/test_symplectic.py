@@ -157,3 +157,13 @@ def test_manin_triple_requires_quadratic(sl2):
     W = Subspace.from_vectors([[Scalar.of(1), Scalar.zero()]])
     with pytest.raises(NotQuadratic):
         verify_manin_triple(Z, mat([[1, 0], [0, 0]]), W, W)
+
+
+def test_manin_triple_zero_dimensional():
+    # {0} = {0} + {0}: the direct-sum check must not need a nonempty basis.
+    from leibniz_lab import Subspace
+    from leibniz_lab.linalg import Matrix
+    W = Subspace.from_vectors([])
+    check = verify_manin_triple(DendriformAlgebra.zero(0),
+                                Matrix.from_rows([]), W, W)
+    assert check.ok
