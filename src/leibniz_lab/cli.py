@@ -332,8 +332,14 @@ def run_command(argv):
 def main(argv=None) -> int:
     verdict, status = run_command(sys.argv[1:] if argv is None else argv)
     if verdict is not None:
-        json.dump(verdict, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        try:
+            json.dump(verdict, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone (``| head``).  Point stdout at devnull so
+            # that the flush at interpreter exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

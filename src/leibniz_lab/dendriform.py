@@ -10,7 +10,7 @@ from .leibniz import (CheckResult, LeibnizAlgebra, first_failure, form_value,
                       tensor_product, unit, vadd, vsub)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
-from .scalars import GAUSSIAN, RATIONAL, Scalar
+from .scalars import RATIONAL, Scalar
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,21 @@ class DendriformAlgebra:
 
     @staticmethod
     def zero(dim: int, field: str = RATIONAL) -> "DendriformAlgebra":
-        z = Scalar.zero(field == GAUSSIAN)
+        z = Scalar.zero()
         t = tuple(tuple(tuple(z for _ in range(dim)) for _ in range(dim))
                   for _ in range(dim))
         return DendriformAlgebra(dim, t, t, field)
 
-    @property
-    def gaussian(self) -> bool:
-        return self.field == GAUSSIAN
-
     def basis_vector(self, i: int):
-        return unit(self.dim, i, self.gaussian)
+        return unit(self.dim, i)
 
     def left(self, x, y):
         """x left-product y."""
-        return tensor_product(self.left_constants, x, y, self.gaussian)
+        return tensor_product(self.left_constants, x, y)
 
     def right(self, x, y):
         """x right-product y."""
-        return tensor_product(self.right_constants, x, y, self.gaussian)
+        return tensor_product(self.right_constants, x, y)
 
     def both(self, x, y):
         """The sub-adjacent bracket value x<y + x>y."""
@@ -112,7 +108,7 @@ def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
         raise DimensionMismatch("T must map the %d-dim module into the algebra"
                                 % R.rep_dim)
     m = R.rep_dim
-    us = [unit(m, a, A.gaussian) for a in range(m)]
+    us = [unit(m, a) for a in range(m)]
     tus = [T.apply(u) for u in us]
     lefts = [R.left_of(tu) for tu in tus]
     rights = [R.right_of(tu) for tu in tus]
@@ -134,7 +130,7 @@ def rb_to_dendriform(A: LeibnizAlgebra, R: Representation,
                      T: Matrix) -> DendriformAlgebra:
     """Dendriform structure on V: u<v = l(Tu)v, u>v = r(Tv)u."""
     _require_rota_baxter(A, R, T)
-    us = [unit(R.rep_dim, a, A.gaussian) for a in range(R.rep_dim)]
+    us = [unit(R.rep_dim, a) for a in range(R.rep_dim)]
     tus = [T.apply(u) for u in us]
     left = [[R.left_of(tu).apply(v) for v in us] for tu in tus]
     right = [[R.right_of(tv).apply(u) for tv in tus] for u in us]

@@ -13,7 +13,7 @@ class FieldMismatch(LeibnizLabError):
     pass
 
 
-class DivisionByZero(LeibnizLabError):
+class DivisionByZero(LeibnizLabError, ZeroDivisionError):
     pass
 
 

@@ -43,9 +43,24 @@ def load_json(path: str):
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ParseError("%s: JSON object expected" % where)
     if key not in doc:
         raise ParseError("%s: missing key %r" % (where, key))
     return doc[key]
+
+
+def _natural(value, bound=None) -> bool:
+    """A JSON integer (never a bool) that is >= 0 and below ``bound``."""
+    return (type(value) is int and value >= 0
+            and (bound is None or value < bound))
+
+
+def _size(doc: dict, key: str, where: str) -> int:
+    value = _require(doc, key, where)
+    if not _natural(value):
+        raise ParseError("%s: %s must be a nonnegative integer" % (where, key))
+    return value
 
 
 def _field_of(doc: dict, where: str) -> str:
@@ -55,14 +70,14 @@ def _field_of(doc: dict, where: str) -> str:
     return field
 
 
-def _scalar(text, field: str, where: str) -> Scalar:
+def _scalar(text, field: str, where: str):
     if not isinstance(text, str):
         raise ParseError("%s: scalar must be a string, got %r" % (where, text))
     value = parse_scalar(text)
-    if field == RATIONAL and value.im != 0:
+    if field == RATIONAL and value.imag:
         raise ParseError("%s: imaginary scalar %r in a rational document"
                          % (where, text))
-    return value.promote() if field == GAUSSIAN else value
+    return value
 
 
 def _bracket_map(entries, dim: int, field: str, where: str) -> dict:
@@ -74,22 +89,21 @@ def _bracket_map(entries, dim: int, field: str, where: str) -> dict:
         i = _require(entry, "i", spot)
         j = _require(entry, "j", spot)
         value = _require(entry, "value", spot)
-        if not (isinstance(i, int) and isinstance(j, int)
-                and 0 <= i < dim and 0 <= j < dim):
+        if not (_natural(i, dim) and _natural(j, dim)):
             raise ParseError("%s: indices out of range" % spot)
+        if not isinstance(value, list):
+            raise ParseError("%s: value list expected" % spot)
         target = brackets.setdefault((i, j), {})
         for term in value:
             k = _require(term, "k", spot)
-            if not (isinstance(k, int) and 0 <= k < dim):
+            if not _natural(k, dim):
                 raise ParseError("%s: k out of range" % spot)
             target[k] = _scalar(_require(term, "c", spot), field, spot)
     return brackets
 
 
 def _bracket_tensor(entries, dim: int, field: str, where: str):
-    gaussian = field == GAUSSIAN
-    zero = Scalar.zero(gaussian)
-    tensor = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    tensor = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), value in _bracket_map(entries, dim, field, where).items():
         for k, c in value.items():
             tensor[i][j][k] = c
@@ -97,11 +111,12 @@ def _bracket_tensor(entries, dim: int, field: str, where: str):
 
 
 def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
-    dim = _require(doc, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 0:
-        raise ParseError("algebra: dim must be a nonnegative integer")
+    dim = _size(doc, "dim", "algebra")
     field = _field_of(doc, "algebra")
     labels = doc.get("basis")
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(labels) == dim):
+        raise ParseError("algebra: basis must be a list of %d labels" % dim)
     brackets = _bracket_map(doc.get("brackets", []), dim, field,
                             "algebra.brackets")
     algebra = LeibnizAlgebra.from_brackets(dim, brackets, field, labels)
@@ -114,9 +129,7 @@ def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
 
 
 def parse_dendriform(doc: dict, validate: bool = None) -> DendriformAlgebra:
-    dim = _require(doc, "dim", "dendriform")
-    if not isinstance(dim, int) or dim < 0:
-        raise ParseError("dendriform: dim must be a nonnegative integer")
+    dim = _size(doc, "dim", "dendriform")
     field = _field_of(doc, "dendriform")
     left = _bracket_tensor(_require(doc, "left", "dendriform"), dim, field,
                            "dendriform.left")
@@ -151,6 +164,10 @@ def parse_matrix(doc, field: str = None, where: str = "matrix") -> Matrix:
 
 def parse_subspace(doc: dict, where: str = "subspace") -> Subspace:
     vectors = _require(doc, "vectors", where)
+    if not (isinstance(vectors, list)
+            and all(isinstance(v, list) and len(v) == len(vectors[0])
+                    for v in vectors)):
+        raise ParseError("%s: array of equal-length vectors expected" % where)
     field = _field_of(doc, where)
     parsed = [[_scalar(entry, field, "%s[%d][%d]" % (where, i, j))
                for j, entry in enumerate(vec)]
@@ -163,9 +180,7 @@ def parse_representation(doc: dict, validate: bool = None) -> Representation:
     if isinstance(algebra_doc, str):
         algebra_doc = load_json(algebra_doc)
     algebra = parse_algebra(algebra_doc, validate)
-    m = _require(doc, "repDim", "representation")
-    if not isinstance(m, int) or m < 0:
-        raise ParseError("representation: repDim must be a nonnegative integer")
+    m = _size(doc, "repDim", "representation")
     lefts = _matrix_list(_require(doc, "left", "representation"),
                          algebra, m, "representation.left")
     rights = _matrix_list(_require(doc, "right", "representation"),

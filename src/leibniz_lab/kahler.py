@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
@@ -102,7 +103,7 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
     if is_singular(S):
         raise DegenerateForm("form is singular")
     s_inv = invert(S)
-    half = Scalar.one(A.gaussian) / Scalar.of(2)
+    half = Fraction(1, 2)
     star = []
     starstar = []
     for i in range(n):
@@ -161,7 +162,7 @@ def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     n = D.dim
     sharp = omega.transpose()
     sharp_inv = invert(sharp)
-    z = Matrix.zero(n, n, D.gaussian)
+    z = Matrix.zero(n, n)
     top = z.hstack(sharp_inv.scale(Scalar.of(-1)))
     bottom = sharp.hstack(z)
     return P, Matrix.from_rows(top.entries + bottom.entries)
@@ -180,9 +181,7 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
     if not check.ok:
         raise NotParaKahler("triple fails: %s" % check.reason)
     n = A.dim
-    one = Scalar.one(True)
-    i_unit = Scalar.i()
-    units = [one] * n + [i_unit] * n
+    units = [Scalar.one()] * n + [Scalar.i()] * n
     tensor = []
     for a in range(2 * n):
         plane = []
@@ -190,8 +189,8 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
             coeffs = [Scalar.zero()] * (2 * n)
             for k in range(n):
                 value = units[a] * units[b] * A.constants[a % n][b % n][k]
-                coeffs[k] = Scalar.of(value.re)
-                coeffs[k + n] = Scalar.of(value.im)
+                coeffs[k] = Scalar.of(value.real)
+                coeffs[k + n] = Scalar.of(value.imag)
             plane.append(tuple(coeffs))
         tensor.append(tuple(plane))
     algebra = LeibnizAlgebra.from_constants(tensor, RATIONAL)
@@ -201,14 +200,14 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
         row = []
         for b in range(2 * n):
             value = units[a] * units[b] * B[a % n, b % n]
-            row.append(Scalar.of(value.re))
+            row.append(Scalar.of(value.real))
         b_rows.append(row)
     b_real = Matrix.from_rows(b_rows)
 
     # J' realifies multiplication by i*E:  (P + iQ) splits into blocks
     # [[-Q, -P], [P, -Q]] once premultiplied by i.
-    p_rows = [[Scalar.of(E[r, c].re) for c in range(n)] for r in range(n)]
-    q_rows = [[Scalar.of(E[r, c].im) for c in range(n)] for r in range(n)]
+    p_rows = [[Scalar.of(E[r, c].real) for c in range(n)] for r in range(n)]
+    q_rows = [[Scalar.of(E[r, c].imag) for c in range(n)] for r in range(n)]
     P_mat = Matrix.from_rows(p_rows)
     Q_mat = Matrix.from_rows(q_rows)
     top = Q_mat.scale(Scalar.of(-1)).hstack(P_mat.scale(Scalar.of(-1)))
@@ -223,7 +222,4 @@ def complexify_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix):
     check = check_pseudo_kahler(A, B, J)
     if not check.ok:
         raise NotPseudoKahler("triple fails: %s" % check.reason)
-    algebra = LeibnizAlgebra.from_constants(A.constants, GAUSSIAN, A.labels)
-    b_c = B.promote()
-    E = J.promote().scale(-Scalar.i())
-    return algebra, b_c, E
+    return replace(A, field=GAUSSIAN), B, J.scale(-Scalar.i())

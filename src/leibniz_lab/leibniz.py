@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Matrix, column_span_matrix, in_span, rank, trace
-from .scalars import GAUSSIAN, RATIONAL, Scalar
+from .scalars import RATIONAL, Scalar
 
-Vector = list  # coordinate list of Scalar relative to the ambient basis
+Vector = list  # coordinate list of field elements in the ambient basis
 
 
 @dataclass(frozen=True)
@@ -62,25 +62,25 @@ def vsub(x: Vector, y: Vector) -> Vector:
     return [a - b for a, b in zip(x, y)]
 
 
-def unit(n: int, i: int, gaussian: bool = False) -> Vector:
+def unit(n: int, i: int) -> Vector:
     """The i-th standard basis vector of length n."""
-    v = [Scalar.zero(gaussian)] * n
-    v[i] = Scalar.one(gaussian)
+    v = [Scalar.zero()] * n
+    v[i] = Scalar.one()
     return v
 
 
-def tensor_product(tensor, x: Vector, y: Vector, gaussian: bool) -> Vector:
+def tensor_product(tensor, x: Vector, y: Vector) -> Vector:
     """sum_ijk x_i y_j c[i][j][k] e_k for a dense n x n x n tensor c."""
-    out = [Scalar.zero(gaussian)] * len(tensor)
+    out = [Scalar.zero()] * len(tensor)
     for i, xi in enumerate(x):
-        if xi.is_zero():
+        if not xi:
             continue
         for j, yj in enumerate(y):
-            if yj.is_zero():
+            if not yj:
                 continue
             f = xi * yj
             for k, c in enumerate(tensor[i][j]):
-                if not c.is_zero():
+                if c:
                     out[k] = out[k] + f * c
     return out
 
@@ -91,8 +91,7 @@ def sparse_brackets(tensor, offset: int = 0) -> dict:
     brackets = {}
     for i, plane in enumerate(tensor):
         for j, row in enumerate(plane):
-            value = {k + offset: c for k, c in enumerate(row)
-                     if not c.is_zero()}
+            value = {k + offset: c for k, c in enumerate(row) if c}
             if value:
                 brackets[(i + offset, j + offset)] = value
     return brackets
@@ -102,10 +101,10 @@ def form_value(B: Matrix, x: Vector, y: Vector) -> Scalar:
     """The bilinear form B(x, y) = sum_ij x_i y_j B[i, j]."""
     acc = Scalar.zero()
     for i, xi in enumerate(x):
-        if xi.is_zero():
+        if not xi:
             continue
         for j, yj in enumerate(y):
-            if not yj.is_zero():
+            if yj:
                 acc = acc + xi * yj * B[i, j]
     return acc
 
@@ -153,11 +152,8 @@ class LeibnizAlgebra:
         for plane in constants:
             if len(plane) != n or any(len(row) != n for row in plane):
                 raise DimensionMismatch("structure tensor must be n x n x n")
-        gaussian = field == GAUSSIAN
-        tensor = tuple(
-            tuple(tuple(c if not gaussian else c.promote() for c in row)
-                  for row in plane)
-            for plane in constants)
+        tensor = tuple(tuple(tuple(row) for row in plane)
+                       for plane in constants)
         return LeibnizAlgebra(n, tensor,
                               field, tuple(labels) if labels else None)
 
@@ -165,30 +161,24 @@ class LeibnizAlgebra:
     def from_brackets(dim: int, brackets: dict, field: str = RATIONAL,
                       labels=None) -> "LeibnizAlgebra":
         """Build from a sparse map (i, j) -> {k: Scalar}."""
-        gaussian = field == GAUSSIAN
-        zero = Scalar.zero(gaussian)
-        tensor = [[[zero for _ in range(dim)] for _ in range(dim)]
+        tensor = [[[Scalar.zero()] * dim for _ in range(dim)]
                   for _ in range(dim)]
         for (i, j), value in brackets.items():
             for k, c in value.items():
-                tensor[i][j][k] = c.promote() if gaussian else c
+                tensor[i][j][k] = c
         return LeibnizAlgebra.from_constants(tensor, field, labels)
 
     @staticmethod
     def abelian(dim: int, field: str = RATIONAL) -> "LeibnizAlgebra":
         return LeibnizAlgebra.from_brackets(dim, {}, field)
 
-    @property
-    def gaussian(self) -> bool:
-        return self.field == GAUSSIAN
-
     def basis_vector(self, i: int) -> Vector:
-        return unit(self.dim, i, self.gaussian)
+        return unit(self.dim, i)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vectors of length %d expected" % self.dim)
-        return tensor_product(self.constants, x, y, self.gaussian)
+        return tensor_product(self.constants, x, y)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return list(self.constants[i][j])
@@ -244,8 +234,8 @@ def is_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
 
 def is_abelian_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
     _check_ambient(A, W)
-    return all(c.is_zero() for u in W.basis for v in W.basis
-               for c in A.bracket(list(u), list(v)))
+    return not any(c for u in W.basis for v in W.basis
+                   for c in A.bracket(list(u), list(v)))
 
 
 def is_two_sided_ideal(A: LeibnizAlgebra, W: Subspace) -> bool:

@@ -1,13 +1,15 @@
 """Exact linear algebra over Q and Q(i).
 
-Matrices are immutable, row-major tuples of :class:`Scalar`.  Everything
-goes through Gauss-Jordan elimination on exact field elements, so results
-are exact and there is no tolerance parameter anywhere.
+Matrices are immutable, row-major tuples of exact field elements
+(``Fraction`` or :class:`Scalar`, see :mod:`scalars`).  Everything goes
+through Gauss-Jordan elimination, so results are exact and there is no
+tolerance parameter anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -30,14 +32,14 @@ class Matrix:
         return Matrix(r, c, tuple(tuple(row) for row in rows))
 
     @staticmethod
-    def zero(rows: int, cols: int, gaussian: bool = False) -> "Matrix":
-        z = Scalar.zero(gaussian)
+    def zero(rows: int, cols: int) -> "Matrix":
+        z = Scalar.zero()
         return Matrix(rows, cols, tuple(tuple(z for _ in range(cols))
                                         for _ in range(rows)))
 
     @staticmethod
-    def identity(n: int, gaussian: bool = False) -> "Matrix":
-        z, o = Scalar.zero(gaussian), Scalar.one(gaussian)
+    def identity(n: int) -> "Matrix":
+        z, o = Scalar.zero(), Scalar.one()
         return Matrix(n, n, tuple(tuple(o if i == j else z for j in range(n))
                                   for i in range(n)))
 
@@ -48,7 +50,7 @@ class Matrix:
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
         n = len(values)
-        z = Scalar.zero(any(v.gaussian for v in values))
+        z = Scalar.zero()
         return Matrix(n, n, tuple(tuple(values[i] if i == j else z
                                         for j in range(n)) for i in range(n)))
 
@@ -66,7 +68,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(e for row in self.entries for e in row)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -103,10 +105,6 @@ class Matrix:
         return Matrix.from_rows([[e.conjugate() for e in row]
                                  for row in self.entries])
 
-    def promote(self) -> "Matrix":
-        return Matrix.from_rows([[e.promote() for e in row]
-                                 for row in self.entries])
-
     def apply(self, coords: Sequence[Scalar]) -> list:
         """Matrix-vector product returning a plain coordinate list."""
         if len(coords) != self.cols:
@@ -130,10 +128,7 @@ class Matrix:
 
 
 def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    acc = Scalar.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    return sum(map(mul, u, v), Scalar.zero())
 
 
 def _rref(rows: list) -> tuple:
@@ -143,15 +138,14 @@ def _rref(rows: list) -> tuple:
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()),
-                     None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = Scalar.one() / rows[r][c]
         rows[r] = [inv * e for e in rows[r]]
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -171,13 +165,12 @@ def kernel_basis(M: Matrix) -> list:
     rows = [list(r) for r in M.entries]
     pivots = _rref(rows)
     pivot_set = set(pivots)
-    gaussian = any(e.gaussian for row in M.entries for e in row)
     basis = []
     for free in range(M.cols):
         if free in pivot_set:
             continue
-        coords = [Scalar.zero(gaussian) for _ in range(M.cols)]
-        coords[free] = Scalar.one(gaussian)
+        coords = [Scalar.zero()] * M.cols
+        coords[free] = Scalar.one()
         for r_idx, p in enumerate(pivots):
             coords[p] = -rows[r_idx][free]
         basis.append(Matrix.column(coords))
@@ -201,8 +194,7 @@ def solve_linear(A: Matrix, b: Matrix):
     pivots = _rref(aug)
     if A.cols in pivots:
         return NO_SOLUTION
-    gaussian = any(e.gaussian for row in aug for e in row)
-    coords = [Scalar.zero(gaussian) for _ in range(A.cols)]
+    coords = [Scalar.zero()] * A.cols
     for r_idx, p in enumerate(pivots):
         coords[p] = aug[r_idx][A.cols]
     return Matrix.column(coords), kernel_basis(A)
@@ -252,10 +244,7 @@ def in_span(columns: Sequence[Matrix], v: Matrix) -> bool:
 def trace(M: Matrix) -> Scalar:
     if not M.is_square():
         raise DimensionMismatch("trace of a non-square matrix")
-    acc = Scalar.zero()
-    for i in range(M.rows):
-        acc = acc + M[i, i]
-    return acc
+    return sum((M[i, i] for i in range(M.rows)), Scalar.zero())
 
 
 def matrices_equal(A: Matrix, B: Matrix) -> bool:

@@ -32,15 +32,15 @@ class Representation:
 
     @staticmethod
     def zero(algebra: LeibnizAlgebra, rep_dim: int) -> "Representation":
-        z = Matrix.zero(rep_dim, rep_dim, algebra.gaussian)
+        z = Matrix.zero(rep_dim, rep_dim)
         return Representation(algebra, rep_dim,
                               tuple(z for _ in range(algebra.dim)),
                               tuple(z for _ in range(algebra.dim)))
 
     def _combine(self, maps, x) -> Matrix:
-        acc = Matrix.zero(self.rep_dim, self.rep_dim, self.algebra.gaussian)
+        acc = Matrix.zero(self.rep_dim, self.rep_dim)
         for i, xi in enumerate(x):
-            if not xi.is_zero():
+            if xi:
                 acc = acc + maps[i].scale(xi)
         return acc
 
@@ -108,11 +108,11 @@ def semidirect_product(R: Representation) -> LeibnizAlgebra:
     for i in range(n):
         for b in range(m):
             col = R.left_maps[i].col(b)
-            value = {n + k: col[k] for k in range(m) if not col[k].is_zero()}
+            value = {n + k: col[k] for k in range(m) if col[k]}
             if value:
                 brackets[(i, n + b)] = value
             col = R.right_maps[i].col(b)
-            value = {n + k: col[k] for k in range(m) if not col[k].is_zero()}
+            value = {n + k: col[k] for k in range(m) if col[k]}
             if value:
                 brackets[(n + b, i)] = value
     return LeibnizAlgebra.from_brackets(n + m, brackets, A.field)
@@ -128,17 +128,16 @@ def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
         raise NotRotaBaxter("T is not a relative Rota-Baxter operator: %s"
                             % (check.indices,))
     n, m = A.dim, R.rep_dim
-    gaussian = A.gaussian
-    zero_n = [Scalar.zero(gaussian)] * n
-    zero_m = [Scalar.zero(gaussian)] * m
+    zero_n = [Scalar.zero()] * n
+    zero_m = [Scalar.zero()] * m
     tensor = []
     for p in range(n + m):
         plane = []
         for q in range(n + m):
             x, u = (A.basis_vector(p), zero_m) if p < n else \
-                   (zero_n, unit(m, p - n, gaussian))
+                   (zero_n, unit(m, p - n))
             y, v = (A.basis_vector(q), zero_m) if q < n else \
-                   (zero_n, unit(m, q - n, gaussian))
+                   (zero_n, unit(m, q - n))
             tu, tv = T.apply(u), T.apply(v)
             e_part = vadd(A.bracket(x, y), A.bracket(tu, y))
             e_part = vsub(e_part, T.apply(R.right_of(y).apply(u)))

@@ -1,114 +1,143 @@
-"""Exact field elements: rationals and Gaussian rationals.
+"""Exact field elements of Q and Q(i).
 
-A scalar is a pair of :class:`fractions.Fraction` components plus a field
-tag.  Rational scalars are forced to have zero imaginary part; arithmetic
-promotes to the Gaussian field whenever either operand is Gaussian.  All
-operations are exact, there is no rounding anywhere in the package.
+The field is a property of an algebra or a document (its ``field``
+string), not of each number.  A rational value is a plain
+:class:`fractions.Fraction`; a Gaussian rational with a nonzero imaginary
+part is a :class:`Scalar` ``real + imag*i``.  Both expose ``real`` and
+``imag``, mixed arithmetic is exact in either operand order, and every
+result whose imaginary part vanishes comes back as a ``Fraction``, so
+each value has exactly one representation.  There is no rounding anywhere
+in the package.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, ParseError, WrongField
+from .errors import DivisionByZero, ParseError
 
 RATIONAL = "Q"
 GAUSSIAN = "Q(i)"
 
+_RATIONALS = (Fraction, int)
 
-@dataclass(frozen=True)
+
+def _make(real, imag):
+    """real + imag*i: a Fraction when imag vanishes, else a Scalar."""
+    return Scalar(real, imag) if imag else real
+
+
 class Scalar:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-    gaussian: bool = False
+    """A Gaussian rational ``real + imag*i`` with ``imag != 0``, immutable."""
 
-    def __post_init__(self):
-        if not self.gaussian and self.im != 0:
-            raise WrongField("rational scalar with nonzero imaginary part")
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        if not imag:
+            raise ValueError("a Scalar has a nonzero imaginary part; "
+                             "use Scalar.of for rationals")
+        object.__setattr__(self, "real",
+                           real if type(real) is Fraction else Fraction(real))
+        object.__setattr__(self, "imag",
+                           imag if type(imag) is Fraction else Fraction(imag))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def of(re, im=0, gaussian=None) -> "Scalar":
-        re = Fraction(re)
-        im = Fraction(im)
-        if gaussian is None:
-            gaussian = im != 0
-        return Scalar(re, im, gaussian)
+    def of(re, im=0):
+        """re + im*i; a Fraction when im == 0."""
+        return _make(Fraction(re), Fraction(im))
 
     @staticmethod
-    def zero(gaussian: bool = False) -> "Scalar":
-        return Scalar(Fraction(0), Fraction(0), gaussian)
+    def zero() -> Fraction:
+        return Fraction(0)
 
     @staticmethod
-    def one(gaussian: bool = False) -> "Scalar":
-        return Scalar(Fraction(1), Fraction(0), gaussian)
+    def one() -> Fraction:
+        return Fraction(1)
 
     @staticmethod
     def i() -> "Scalar":
-        return Scalar(Fraction(0), Fraction(1), True)
+        return Scalar(Fraction(0), Fraction(1))
 
-    # -- predicates ------------------------------------------------------
+    # -- arithmetic: the other operand is a Scalar or a rational ----------
 
-    @property
-    def field_tag(self) -> str:
-        return GAUSSIAN if self.gaussian else RATIONAL
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im,
-                      self.gaussian or other.gaussian)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im,
-                      self.gaussian or other.gaussian)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im, self.gaussian)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re,
-                      self.gaussian or other.gaussian)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        if other.is_zero():
-            raise DivisionByZero("division by zero scalar")
-        norm = other.re * other.re + other.im * other.im
-        return Scalar((self.re * other.re + self.im * other.im) / norm,
-                      (self.im * other.re - self.re * other.im) / norm,
-                      self.gaussian or other.gaussian)
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im, self.gaussian)
-
-    def promote(self) -> "Scalar":
-        """The same value viewed in the Gaussian field."""
-        return Scalar(self.re, self.im, True)
-
-    def demote(self) -> "Scalar":
-        """The same value viewed in the rational field (imaginary part must vanish)."""
-        if self.im != 0:
-            raise WrongField("cannot view %s as a rational" % self)
-        return Scalar(self.re, Fraction(0), False)
-
-    # -- equality ignores the field tag: 1 in Q equals 1 in Q(i) ----------
-
-    def __eq__(self, other) -> bool:
+    def __add__(self, other):
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return _make(self.real + other.real, self.imag + other.imag)
+        if isinstance(other, _RATIONALS):
+            return Scalar(self.real + other, self.imag)
         return NotImplemented
 
+    def __radd__(self, other):
+        if isinstance(other, _RATIONALS):
+            return Scalar(other + self.real, self.imag)
+        return NotImplemented
+
+    def __sub__(self, other):
+        if isinstance(other, Scalar):
+            return _make(self.real - other.real, self.imag - other.imag)
+        if isinstance(other, _RATIONALS):
+            return Scalar(self.real - other, self.imag)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _RATIONALS):
+            return Scalar(other - self.real, -self.imag)
+        return NotImplemented
+
+    def __neg__(self) -> "Scalar":
+        return Scalar(-self.real, -self.imag)
+
+    def __mul__(self, other):
+        if isinstance(other, Scalar):
+            a, b, c, d = self.real, self.imag, other.real, other.imag
+            return _make(a * c - b * d, a * d + b * c)
+        if isinstance(other, _RATIONALS):
+            return _make(self.real * other, self.imag * other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, _RATIONALS):
+            return _make(other * self.real, other * self.imag)
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, Scalar):
+            return self * other._inverse()
+        if isinstance(other, _RATIONALS):
+            if not other:
+                raise DivisionByZero("division by zero scalar")
+            return Scalar(self.real / other, self.imag / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _RATIONALS):
+            return self._inverse() * other
+        return NotImplemented
+
+    def _inverse(self) -> "Scalar":
+        norm = self.real * self.real + self.imag * self.imag
+        return Scalar(self.real / norm, -self.imag / norm)
+
+    def conjugate(self) -> "Scalar":
+        return Scalar(self.real, -self.imag)
+
+    # -- equality: a Scalar never equals a rational ----------------------
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Scalar) and self.real == other.real
+                and self.imag == other.imag)
+
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.real, self.imag))
+
+    def __bool__(self) -> bool:
+        return True  # the imaginary part is nonzero
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -123,18 +152,18 @@ def _format_fraction(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def format_scalar(a: Scalar) -> str:
+def format_scalar(a) -> str:
     """Serialize to the canonical string form, e.g. ``-5/7+1/3*i``."""
-    if a.im == 0:
-        return _format_fraction(a.re)
-    mag = abs(a.im)
+    if not a.imag:
+        return _format_fraction(a)
+    mag = abs(a.imag)
     imag = "i" if mag == 1 else "%s*i" % _format_fraction(mag)
-    sign = "-" if a.im < 0 else ""
-    if a.re == 0:
+    sign = "-" if a.imag < 0 else ""
+    if a.real == 0:
         return sign + imag
     if not sign:
         sign = "+"
-    return _format_fraction(a.re) + sign + imag
+    return _format_fraction(a.real) + sign + imag
 
 
 _FRACTION = r"[+-]?\d+(?:/\d+)?"
@@ -143,7 +172,7 @@ _SCALAR_RE = _re.compile(
     r"^(?:(?P<real>%s))?%s?$" % (_FRACTION, _IMAG))
 
 
-def parse_scalar(text: str) -> Scalar:
+def parse_scalar(text: str):
     """Parse the serialized form.  Round-trips :func:`format_scalar` exactly."""
     s = text.strip().replace(" ", "")
     if not s:
@@ -156,10 +185,9 @@ def parse_scalar(text: str) -> Scalar:
         raise ParseError("missing sign before imaginary part in %r" % text)
     try:
         re_part = Fraction(m.group("real")) if m.group("real") else Fraction(0)
-        if "i" in s:
-            mag = Fraction(m.group("imag")) if m.group("imag") else Fraction(1)
-            im_part = -mag if m.group("isign") == "-" else mag
-            return Scalar(re_part, im_part, True)
-        return Scalar(re_part, Fraction(0), False)
+        if "i" not in s:
+            return re_part
+        mag = Fraction(m.group("imag")) if m.group("imag") else Fraction(1)
+        return _make(re_part, -mag if m.group("isign") == "-" else mag)
     except ZeroDivisionError:
         raise ParseError("zero denominator in scalar %r" % text) from None

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .dendriform import DendriformAlgebra
 from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
@@ -92,7 +93,7 @@ def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
         raise NotInvolution("E^2 != I")
     nijenhuis = verify_nijenhuis(A, E).ok
     strict, abelian = _strict_abelian(A, E, -1)
-    plus = _subspace_from_columns(eigenspace(E, Scalar.one(A.gaussian)))
+    plus = _subspace_from_columns(eigenspace(E, Scalar.one()))
     minus = _subspace_from_columns(eigenspace(E, Scalar.of(-1)))
     return StructureReport(
         is_nijenhuis=nijenhuis,
@@ -115,7 +116,7 @@ def product_from_decomposition(A: LeibnizAlgebra, w_plus: Subspace,
     U = column_span_matrix(columns)
     if rank(U) != A.dim:
         raise NotDirectSum("summands intersect nontrivially")
-    signs = ([Scalar.one(A.gaussian)] * w_plus.dim
+    signs = ([Scalar.one()] * w_plus.dim
              + [Scalar.of(-1)] * w_minus.dim)
     return U @ Matrix.diagonal(signs) @ invert(U)
 
@@ -130,7 +131,7 @@ def enumerate_diagonal_products(A: LeibnizAlgebra):
         raise TooLarge("sign enumeration is capped at dimension 24")
     results = []
     for pattern in range(2 ** A.dim):
-        signs = [Scalar.of(-1) if (pattern >> i) & 1 else Scalar.one(A.gaussian)
+        signs = [Scalar.of(-1) if (pattern >> i) & 1 else Scalar.one()
                  for i in range(A.dim)]
         E = Matrix.diagonal(signs)
         report = classify_product(A, E)
@@ -143,7 +144,7 @@ def complexify(A: LeibnizAlgebra) -> LeibnizAlgebra:
     """The same structure constants reinterpreted over the Gaussian field."""
     if A.field != RATIONAL:
         raise WrongField("only rational algebras complexify")
-    return LeibnizAlgebra.from_constants(A.constants, GAUSSIAN, A.labels)
+    return replace(A, field=GAUSSIAN)
 
 
 def complex_integrability(A: LeibnizAlgebra, J: Matrix) -> CheckResult:
@@ -167,10 +168,8 @@ def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
         raise NotAntiInvolution("J^2 != -I")
     integrable = complex_integrability(A, J).ok
     strict, abelian = _strict_abelian(A, J, 1)
-    jc = J.promote()
-    eigen_i = _subspace_from_columns(eigenspace(jc, Scalar.i()))
-    eigen_minus_i = _subspace_from_columns(
-        eigenspace(jc, -Scalar.i()))
+    eigen_i = _subspace_from_columns(eigenspace(J, Scalar.i()))
+    eigen_minus_i = _subspace_from_columns(eigenspace(J, -Scalar.i()))
     return ComplexReport(integrable, strict, abelian, eigen_i, eigen_minus_i)
 
 
@@ -178,8 +177,8 @@ def _half_shift(J: Matrix, c: Scalar) -> Matrix:
     """x -> (x + c Jx)/2 over the Gaussian field, for J^2 = -I."""
     if not _is_anti_involution(J):
         raise NotAntiInvolution("J^2 != -I")
-    half = Scalar.one() / Scalar.of(2)
-    return (Matrix.identity(J.rows, True) + J.promote().scale(c)).scale(half)
+    half = Fraction(1, 2)
+    return (Matrix.identity(J.rows) + J.scale(c)).scale(half)
 
 
 def phi_map(J: Matrix) -> Matrix:
@@ -197,7 +196,7 @@ def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
     report = classify_complex(A, J)
     if not report.is_complex:
         raise NotComplexStructure("J fails the integrability condition")
-    half = Scalar.one() / Scalar.of(2)
+    half = Fraction(1, 2)
     n = A.dim
     tensor = []
     for i in range(n):
@@ -284,7 +283,7 @@ def product_iff_iE(A: LeibnizAlgebra, E: Matrix):
     """J = iE on a Gaussian algebra; both integrability verdicts compared."""
     if A.field != GAUSSIAN:
         raise WrongField("the correspondence lives over the Gaussian field")
-    J = E.promote().scale(Scalar.i())
+    J = E.scale(Scalar.i())
     product_ok = classify_product(A, E).is_product
     complex_ok = (_is_anti_involution(J)
                   and complex_integrability(A, J).ok)

@@ -58,8 +58,8 @@ def _sym_index_pairs(n: int):
     return [(p, q) for p in range(n) for q in range(p, n)]
 
 
-def _form_from_sym_coords(n: int, coords, gaussian: bool) -> Matrix:
-    rows = [[Scalar.zero(gaussian)] * n for _ in range(n)]
+def _form_from_sym_coords(n: int, coords) -> Matrix:
+    rows = [[Scalar.zero()] * n for _ in range(n)]
     for (p, q), c in zip(_sym_index_pairs(n), coords):
         rows[p][q] = c
         rows[q][p] = c
@@ -80,19 +80,19 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     # upper-triangle of B.
     constraint_rows = []
     for i, j, k in product(range(n), repeat=3):
-        row = [Scalar.zero(A.gaussian)] * len(pairs)
+        row = [Scalar.zero()] * len(pairs)
         lhs, rhs = _identity_terms(i, j, k)
         for side, terms in ((1, lhs), (-1, rhs)):
             for sign, p, (a, b) in terms:
                 for m, c in enumerate(A.bracket_basis(a, b)):
-                    if not c.is_zero():
+                    if c:
                         t = pair_index[(min(p, m), max(p, m))]
                         row[t] = row[t] + c if side * sign > 0 else row[t] - c
-        if any(not c.is_zero() for c in row):
+        if any(row):
             constraint_rows.append(row)
     constraints = (Matrix.from_rows(constraint_rows) if constraint_rows
-                   else Matrix.zero(1, len(pairs), A.gaussian))
-    basis = [_form_from_sym_coords(n, col.col(0), A.gaussian)
+                   else Matrix.zero(1, len(pairs)))
+    basis = [_form_from_sym_coords(n, col.col(0))
              for col in kernel_basis(constraints)]
     sample = sample_nondegenerate(basis, seed=seed)
     return basis, sample
@@ -144,9 +144,9 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
     return DendriformAlgebra.from_constants(left, right, A.field)
 
 
-def canonical_pairing(n: int, gaussian: bool = False) -> Matrix:
+def canonical_pairing(n: int) -> Matrix:
     """The block form [[0, I], [I, 0]] on base + dual coordinates."""
-    z, o = Scalar.zero(gaussian), Scalar.one(gaussian)
+    z, o = Scalar.zero(), Scalar.one()
     return Matrix.from_rows(
         [[o if j == i + n else z for j in range(2 * n)] for i in range(n)]
         + [[o if j == i - n else z for j in range(2 * n)]
@@ -173,7 +173,7 @@ class PhaseSpace:
 def _non_isotropic_pair(B: Matrix, W: Subspace) -> Optional[tuple]:
     """The first basis pair (a, b) of W with B(w_a, w_b) != 0, or None."""
     return next(((a, b) for a, b in product(range(W.dim), repeat=2)
-                 if not form_value(B, W.basis[a], W.basis[b]).is_zero()),
+                 if form_value(B, W.basis[a], W.basis[b])),
                 None)
 
 
@@ -186,7 +186,7 @@ def _is_direct_sum(dim: int, W1: Subspace, W2: Subspace) -> bool:
 def build_phase_space(D: DendriformAlgebra) -> PhaseSpace:
     """Semidirect product with the dual of the tautological representation."""
     total = semidirect_product(dual_rep(dendriform_rep(D)))
-    return PhaseSpace(total, D.dim, canonical_pairing(D.dim, D.gaussian), D)
+    return PhaseSpace(total, D.dim, canonical_pairing(D.dim), D)
 
 
 def verify_phase_space(P: PhaseSpace, base: Subspace,

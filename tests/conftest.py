@@ -155,22 +155,22 @@ def invariant_skew_forms(D: DendriformAlgebra):
                     if product == "left":
                         # w(x<y, z) + w(y, x<z) = 0
                         for p, c in enumerate(D.left(x, y)):
-                            if not c.is_zero():
+                            if c:
                                 skew_entry(row, p, k, c)
                         for p, c in enumerate(D.left(x, z)):
-                            if not c.is_zero():
+                            if c:
                                 skew_entry(row, j, p, c)
                     else:
                         # w(x>y, z) - w(x, y<z + z>y) = 0
                         for p, c in enumerate(D.right(x, y)):
-                            if not c.is_zero():
+                            if c:
                                 skew_entry(row, p, k, c)
                         combo = [a + b for a, b in zip(D.left(y, z),
                                                        D.right(z, y))]
                         for p, c in enumerate(combo):
-                            if not c.is_zero():
+                            if c:
                                 skew_entry(row, i, p, -c)
-                    if any(not c.is_zero() for c in row):
+                    if any(row):
                         rows.append(row)
         return rows
 

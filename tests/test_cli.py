@@ -1,6 +1,9 @@
 """Command-line interface: verdicts, payload round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -204,3 +207,80 @@ def test_cli_math_precondition_failure_exits_1(write_doc):
     s = write_doc(endo([[1, 0], [0, 1]]))   # not skew
     verdict, status = run_command(["construct", "levi-civita", a, s])
     assert status == 1 and verdict["reason"] == "DegenerateForm"
+
+
+def _parse_error(write_doc, doc, command=("verify", "leibniz")):
+    verdict, status = run_command(list(command) + [write_doc(doc)])
+    return status == 2 and verdict["reason"] == "ParseError"
+
+
+def test_bracket_entry_not_an_object_is_a_parse_error(write_doc):
+    assert _parse_error(write_doc, {"dim": 2, "brackets": [5]})
+    assert _parse_error(write_doc, {"dim": 2, "brackets": [["i", "j"]]})
+
+
+def test_bracket_value_not_a_list_is_a_parse_error(write_doc):
+    assert _parse_error(write_doc, {"dim": 2, "brackets": [
+        {"i": 0, "j": 0, "value": 5}]})
+
+
+def test_bracket_term_not_an_object_is_a_parse_error(write_doc):
+    assert _parse_error(write_doc, {"dim": 2, "brackets": [
+        {"i": 0, "j": 0, "value": [7]}]})
+    assert _parse_error(write_doc, {"dim": 2, "left": [
+        {"i": 0, "j": 0, "value": ["k"]}], "right": []},
+        ("verify", "dendriform"))
+
+
+def test_basis_not_a_list_is_a_parse_error(write_doc):
+    assert _parse_error(write_doc, {"dim": 2, "basis": 7})
+
+
+def test_basis_length_must_match_dim(write_doc):
+    assert _parse_error(write_doc, {"dim": 2, "basis": ["e1"]})
+    assert _parse_error(write_doc, {"dim": 1, "basis": ["e1", "e2"]})
+    verdict, status = run_command(["verify", "leibniz", write_doc(
+        {"dim": 2, "basis": ["e1", "e2"]})])
+    assert status == 0
+
+
+def test_bool_dim_is_a_parse_error(write_doc):
+    assert _parse_error(write_doc, {"dim": True})
+    assert _parse_error(write_doc, {"dim": False, "left": [], "right": []},
+                        ("verify", "dendriform"))
+    rep_doc = serialize_representation(regular_rep(parse_algebra(ALGEBRA_DOC)))
+    assert _parse_error(write_doc, dict(rep_doc, repDim=True),
+                        ("verify", "rep"))
+
+
+def test_bool_index_is_a_parse_error(write_doc):
+    for entry in ({"i": True, "j": 0, "value": []},
+                  {"i": 0, "j": True, "value": []},
+                  {"i": 0, "j": 0, "value": [{"k": True, "c": "1"}]}):
+        assert _parse_error(write_doc, {"dim": 2, "brackets": [entry]})
+
+
+def test_subspace_vectors_must_be_equal_length_lists():
+    for vectors in (5, [5], [["1", "0"], ["1"]]):
+        with pytest.raises(ParseError):
+            parse_document({"vectors": vectors})
+
+
+def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
+    """``leibniz-lab ... | head -c 10``: no traceback, the verdict's status."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    good = write_doc(ALGEBRA_DOC)
+    bad = write_doc({"dim": 2, "brackets": [
+        {"i": 0, "j": 1, "value": [{"k": 0, "c": "1"}]},
+        {"i": 1, "j": 0, "value": [{"k": 1, "c": "1"}]}]})
+    for argv, expected in ((["solve", "symplectic", good], 0),
+                           (["verify", "leibniz", bad], 1)):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from leibniz_lab.cli import "
+             "main; sys.exit(main())"] + argv,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()   # the reader is gone before anything is written
+        stderr = proc.stderr.read()
+        assert (proc.wait(), stderr) == (expected, b"")

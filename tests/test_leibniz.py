@@ -80,7 +80,7 @@ def test_direct_sum_block_structure(sl2, heisenberg_like):
     assert verify_leibniz(total).ok
     assert total.bracket_basis(0, 1)[1] == 2      # sl2 block survives
     assert total.bracket_basis(3, 5)[6] == 2      # shifted second block
-    assert all(c.is_zero() for c in total.bracket_basis(0, 4))
+    assert not any(total.bracket_basis(0, 4))
 
 
 def test_direct_sum_field_mismatch(sl2):

@@ -80,10 +80,10 @@ def test_eigenspace_exact():
 
 def test_gaussian_matrices():
     i = Scalar.i()
-    J = Matrix.from_rows([[Scalar.zero(True), -i], [i.conjugate(), i * i]])
+    J = Matrix.from_rows([[Scalar.zero(), -i], [i.conjugate(), i * i]])
     assert J.conjugate()[0, 1] == i
     assert rank(J) == 2
-    assert matrices_equal(J @ invert(J), Matrix.identity(2, True))
+    assert matrices_equal(J @ invert(J), Matrix.identity(2))
     ev = eigenspace(Matrix.diagonal([i, -i]), i)
     assert len(ev) == 1
 

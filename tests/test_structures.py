@@ -64,7 +64,7 @@ def test_classify_product_requires_involution(sl2):
 
 def test_enumerate_diagonal_products(heisenberg_like):
     found = enumerate_diagonal_products(heisenberg_like)
-    diagonals = {tuple(int(E[i, i].re) for i in range(4)) for E, _ in found}
+    diagonals = {tuple(int(E[i, i].real) for i in range(4)) for E, _ in found}
     for signs in [(1, 1, -1, -1), (-1, -1, 1, 1), (1, -1, -1, 1),
                   (1, -1, -1, -1), (1, -1, 1, 1), (-1, 1, -1, -1)]:
         assert signs in diagonals
@@ -126,15 +126,14 @@ def test_complexify(sl2):
 def test_phi_psi_projections(squares_algebra):
     J = J_BLOCKS[0]
     phi, psi = phi_map(J), psi_map(J)
-    I = Matrix.identity(4, True)
+    I = Matrix.identity(4)
     assert matrices_equal(phi + psi, I)
     assert matrices_equal(phi @ phi, phi)   # idempotent projections
     assert matrices_equal(psi @ psi, psi)
-    assert matrices_equal(phi @ psi, Matrix.zero(4, 4, True))
+    assert matrices_equal(phi @ psi, Matrix.zero(4, 4))
     # phi lands in the +i eigenspace of J
-    Jg = J.promote()
-    assert matrices_equal(Jg @ phi, phi.scale(Scalar.i()))
-    assert matrices_equal(Jg @ psi, psi.scale(-Scalar.i()))
+    assert matrices_equal(J @ phi, phi.scale(Scalar.i()))
+    assert matrices_equal(J @ psi, psi.scale(-Scalar.i()))
 
 
 def test_bracket_J_is_leibniz(squares_algebra):
@@ -154,7 +153,7 @@ def test_product_iff_iE_correspondence():
     for _ in range(10):
         A = complexify(random_leibniz(rng, rng.randint(2, 3)))
         signs = [rng.choice((1, -1)) for _ in range(A.dim)]
-        J, agree, p_ok, c_ok = product_iff_iE(A, diag(*signs).promote())
+        J, agree, p_ok, c_ok = product_iff_iE(A, diag(*signs))
         assert agree  # the two integrability conditions are equivalent
     with pytest.raises(WrongField):
         product_iff_iE(LeibnizAlgebra.abelian(2), diag(1, -1))

@@ -1,0 +1,65 @@
+"""The benchmark's tracer still finds every library name it wraps.
+
+``perfbench/spans.py`` wraps public functions, a few methods and the
+``Scalar`` operators from outside the package, and its per-layer metrics
+look spans up by name.  A rename in the library would silently empty a
+metric, so the tracer is loaded here (from source, without importing or
+writing anything under ``perfbench/``), installed, checked and removed.
+"""
+
+import pathlib
+import types
+
+from leibniz_lab import linalg
+from leibniz_lab.scalars import Scalar
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+# Span names that ``layer_metrics`` reads besides HOOKS, ELIMINATIONS and
+# METHODS.
+READ_BY_METRICS = {"linalg.is_singular", "structures.classify_product",
+                   "structures.classify_complex", "cli.run_command",
+                   "leibniz.verify_leibniz"}
+
+
+def load_spans():
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_install_spans_finds_every_wrapped_name():
+    spans = load_spans()
+    rank, apply = linalg.rank, vars(linalg.Matrix)["apply"]
+    tracer = spans.Tracer()
+    tracer.install_spans()
+    try:
+        wrapped_rank = linalg.rank
+        names = set(tracer.names)
+    finally:
+        tracer.uninstall()
+    methods = {"%s.%s.%s" % (layer, cls, meth)
+               for layer, cls, meths in spans.METHODS for meth in meths}
+    expected = (set(spans.HOOKS) | set(spans.ELIMINATIONS) | methods
+                | READ_BY_METRICS)
+    assert expected - names == set()
+    assert {name.partition(".")[0] for name in names} == set(spans.LAYERS)
+    assert wrapped_rank is not rank
+    assert linalg.rank is rank and vars(linalg.Matrix)["apply"] is apply
+
+
+def test_install_counting_counts_gaussian_operations():
+    spans = load_spans()
+    originals = {op: vars(Scalar)[op] for op in spans.SCALAR_OPS}
+    tracer = spans.Tracer()
+    tracer.install_counting()
+    try:
+        tracer.on = True
+        i = Scalar.i()
+        _ = [i + i, i - 1, i * i, i / 2, -i]
+        tracer.on = False
+    finally:
+        tracer.uninstall()
+    assert tracer.ops == len(spans.SCALAR_OPS)
+    assert {op: vars(Scalar)[op] for op in spans.SCALAR_OPS} == originals
