@@ -20,7 +20,7 @@ from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  serialize_matrix, serialize_representation)
 from .kahler import (check_para_kahler, check_pseudo_kahler,
                      complexify_pseudo_kahler, levi_civita, realify)
-from .leibniz import verify_leibniz
+from .leibniz import OK, CheckResult, verify_leibniz
 from .representations import (bowtie_algebra, dual_rep, semidirect_product,
                               verify_representation)
 from .scalars import format_scalar
@@ -43,13 +43,6 @@ def _verdict(command: str, check, payload=None) -> dict:
     doc = {"command": command, "ok": bool(check),
            "reason": None if check.ok else check.reason,
            "witnesses": _witnesses(check)}
-    if payload is not None:
-        doc["payload"] = payload
-    return doc
-
-
-def _ok_verdict(command: str, payload=None) -> dict:
-    doc = {"command": command, "ok": True, "reason": None, "witnesses": []}
     if payload is not None:
         doc["payload"] = payload
     return doc
@@ -137,11 +130,9 @@ def cmd_classify(args):
         ok = report.is_complex
     else:
         raise UsageError("unknown classify target %r" % args.kind)
-    doc = _ok_verdict("classify %s" % args.kind, payload)
-    doc["ok"] = ok
-    if not ok:
-        doc["reason"] = "INTEGRABILITY_FAILS"
-    return doc
+    return _verdict("classify %s" % args.kind,
+                    OK if ok else CheckResult(False, "INTEGRABILITY_FAILS"),
+                    payload)
 
 
 def cmd_enumerate(args):
@@ -152,7 +143,7 @@ def cmd_enumerate(args):
     payload = {"count": len(found),
                "diagonals": [[format_scalar(E[i, i]) for i in range(A.dim)]
                              for E, _ in found]}
-    return _ok_verdict("enumerate products", payload)
+    return _verdict("enumerate products", OK, payload)
 
 
 def cmd_solve(args):
@@ -164,7 +155,7 @@ def cmd_solve(args):
                "basis": [serialize_matrix(B)["matrix"] for B in basis],
                "sampleNondegenerate":
                    serialize_matrix(sample)["matrix"] if sample else None}
-    return _ok_verdict("solve symplectic", payload)
+    return _verdict("solve symplectic", OK, payload)
 
 
 def cmd_construct(args):
@@ -179,16 +170,16 @@ def cmd_construct(args):
         return _verdict("construct phase-space", check, payload)
     if kind == "subadjacent":
         D = _dendriform(args.paths[0])
-        return _ok_verdict("construct subadjacent",
-                           serialize_algebra(subadjacent(D)))
+        return _verdict("construct subadjacent", OK,
+                        serialize_algebra(subadjacent(D)))
     if kind == "semidirect":
         rep = parse_representation(load_json(args.paths[0]))
-        return _ok_verdict("construct semidirect",
-                           serialize_algebra(semidirect_product(rep)))
+        return _verdict("construct semidirect", OK,
+                        serialize_algebra(semidirect_product(rep)))
     if kind == "dual-rep":
         rep = parse_representation(load_json(args.paths[0]))
-        return _ok_verdict("construct dual-rep",
-                           serialize_representation(dual_rep(rep)))
+        return _verdict("construct dual-rep", OK,
+                        serialize_representation(dual_rep(rep)))
     if kind == "levi-civita":
         A = _algebra(args.paths[0])
         S = _matrix(args.paths[1], A.field)
@@ -196,33 +187,32 @@ def cmd_construct(args):
         def tensor_doc(t):
             return [[[format_scalar(c) for c in t[i][j]]
                      for j in range(A.dim)] for i in range(A.dim)]
-        return _ok_verdict("construct levi-civita",
-                           {"star": tensor_doc(pair.star),
-                            "starstar": tensor_doc(pair.starstar)})
+        return _verdict("construct levi-civita", OK,
+                        {"star": tensor_doc(pair.star),
+                         "starstar": tensor_doc(pair.starstar)})
     if kind == "complexify":
         A = _algebra(args.paths[0])
         B = _matrix(args.paths[1], A.field)
         J = _matrix(args.paths[2], A.field)
         algebra, b_c, E = complexify_pseudo_kahler(A, B, J)
-        return _ok_verdict("construct complexify",
-                           {"algebra": serialize_algebra(algebra),
-                            "form": serialize_matrix(b_c)["matrix"],
-                            "product": serialize_matrix(E)["matrix"]})
+        return _verdict("construct complexify", OK,
+                        {"algebra": serialize_algebra(algebra),
+                         "form": serialize_matrix(b_c)["matrix"],
+                         "product": serialize_matrix(E)["matrix"]})
     if kind == "realify":
         A = _algebra(args.paths[0])
         B = _matrix(args.paths[1], A.field)
         E = _matrix(args.paths[2], A.field)
         algebra, b_r, J = realify(A, B, E)
-        return _ok_verdict("construct realify",
-                           {"algebra": serialize_algebra(algebra),
-                            "form": serialize_matrix(b_r)["matrix"],
-                            "complex": serialize_matrix(J)["matrix"]})
+        return _verdict("construct realify", OK,
+                        {"algebra": serialize_algebra(algebra),
+                         "form": serialize_matrix(b_r)["matrix"],
+                         "complex": serialize_matrix(J)["matrix"]})
     if kind == "bowtie":
         rep = parse_representation(load_json(args.paths[0]))
         T = _matrix(args.paths[1], rep.algebra.field)
-        return _ok_verdict("construct bowtie",
-                           serialize_algebra(
-                               bowtie_algebra(rep.algebra, rep, T)))
+        return _verdict("construct bowtie", OK,
+                        serialize_algebra(bowtie_algebra(rep.algebra, rep, T)))
     raise UsageError("unknown construct target %r" % kind)
 
 
@@ -297,6 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(key, reason: str, error: str = None) -> dict:
+    doc = {"command": " ".join(key), "ok": False, "reason": reason,
+           "witnesses": []}
+    if error is not None:
+        doc["error"] = error
+    return doc
+
+
 def run_command(argv):
     """Parse argv, run the command, return (verdict-dict, exit-status)."""
     parser = build_parser()
@@ -306,26 +304,15 @@ def run_command(argv):
         return None, (2 if exc.code else 0)
     key = (args.group, args.kind)
     if key not in _ARITIES:
-        verdict = {"command": " ".join(key), "ok": False,
-                   "reason": "USAGE", "witnesses": []}
-        return verdict, 2
+        return _failure(key, "USAGE"), 2
     if len(args.paths) != _ARITIES[key]:
-        verdict = {"command": " ".join(key), "ok": False, "reason": "USAGE",
-                   "witnesses": [],
-                   "error": "expected %d path argument(s)" % _ARITIES[key]}
-        return verdict, 2
+        return _failure(key, "USAGE", "expected %d path argument(s)"
+                        % _ARITIES[key]), 2
     try:
         verdict = _HANDLERS[args.group](args)
-    except (ParseError, ValidationError, UsageError) as exc:
-        verdict = {"command": " ".join(key), "ok": False,
-                   "reason": type(exc).__name__, "witnesses": [],
-                   "error": str(exc)}
-        return verdict, 2
     except LeibnizLabError as exc:
-        verdict = {"command": " ".join(key), "ok": False,
-                   "reason": type(exc).__name__, "witnesses": [],
-                   "error": str(exc)}
-        return verdict, 1
+        bad_input = isinstance(exc, (ParseError, ValidationError, UsageError))
+        return _failure(key, type(exc).__name__, str(exc)), 2 if bad_input else 1
     return verdict, 0 if verdict["ok"] else 1
 
 

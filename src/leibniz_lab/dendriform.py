@@ -34,9 +34,7 @@ class DendriformAlgebra:
 
     @staticmethod
     def zero(dim: int, field: str = RATIONAL) -> "DendriformAlgebra":
-        z = Scalar.zero()
-        t = tuple(tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-                  for _ in range(dim))
+        t = (((Scalar.zero(),) * dim,) * dim,) * dim
         return DendriformAlgebra(dim, t, t, field)
 
     def basis_vector(self, i: int):

@@ -25,7 +25,7 @@ from .leibniz import (LeibnizAlgebra, Subspace, sparse_brackets,
                       verify_leibniz)
 from .linalg import Matrix
 from .representations import Representation, verify_representation
-from .scalars import (GAUSSIAN, RATIONAL, Scalar, format_scalar, parse_scalar)
+from .scalars import GAUSSIAN, RATIONAL, format_scalar, parse_scalar
 
 
 def load_json(path: str):
@@ -103,11 +103,9 @@ def _bracket_map(entries, dim: int, field: str, where: str) -> dict:
 
 
 def _bracket_tensor(entries, dim: int, field: str, where: str):
-    tensor = [[[Scalar.zero()] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), value in _bracket_map(entries, dim, field, where).items():
-        for k, c in value.items():
-            tensor[i][j][k] = c
-    return tensor
+    """The dense tensor of a bracket list."""
+    return LeibnizAlgebra.from_brackets(
+        dim, _bracket_map(entries, dim, field, where)).constants
 
 
 def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:

@@ -182,36 +182,29 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
         raise NotParaKahler("triple fails: %s" % check.reason)
     n = A.dim
     units = [Scalar.one()] * n + [Scalar.i()] * n
-    tensor = []
-    for a in range(2 * n):
-        plane = []
-        for b in range(2 * n):
-            coeffs = [Scalar.zero()] * (2 * n)
-            for k in range(n):
-                value = units[a] * units[b] * A.constants[a % n][b % n][k]
-                coeffs[k] = Scalar.of(value.real)
-                coeffs[k + n] = Scalar.of(value.imag)
-            plane.append(tuple(coeffs))
-        tensor.append(tuple(plane))
-    algebra = LeibnizAlgebra.from_constants(tensor, RATIONAL)
+    doubled = range(2 * n)
 
-    b_rows = []
-    for a in range(2 * n):
-        row = []
-        for b in range(2 * n):
-            value = units[a] * units[b] * B[a % n, b % n]
-            row.append(Scalar.of(value.real))
-        b_rows.append(row)
-    b_real = Matrix.from_rows(b_rows)
+    def real(values):
+        return [Scalar.of(v.real) for v in values]
 
+    def imag(values):
+        return [Scalar.of(v.imag) for v in values]
+
+    # [u_a e_a, u_b e_b] = u_a u_b [e_a, e_b] with u = 1 or i: the real part
+    # of each coefficient lands on e_k, the imaginary part on i*e_k.
+    products = [[[units[a] * units[b] * c for c in A.constants[a % n][b % n]]
+                 for b in doubled] for a in doubled]
+    algebra = LeibnizAlgebra.from_constants(
+        [[real(v) + imag(v) for v in plane] for plane in products], RATIONAL)
+    b_real = Matrix.from_rows(
+        [real([units[a] * units[b] * B[a % n, b % n] for b in doubled])
+         for a in doubled])
     # J' realifies multiplication by i*E:  (P + iQ) splits into blocks
     # [[-Q, -P], [P, -Q]] once premultiplied by i.
-    p_rows = [[Scalar.of(E[r, c].real) for c in range(n)] for r in range(n)]
-    q_rows = [[Scalar.of(E[r, c].imag) for c in range(n)] for r in range(n)]
-    P_mat = Matrix.from_rows(p_rows)
-    Q_mat = Matrix.from_rows(q_rows)
-    top = Q_mat.scale(Scalar.of(-1)).hstack(P_mat.scale(Scalar.of(-1)))
-    bottom = P_mat.hstack(Q_mat.scale(Scalar.of(-1)))
+    P_mat = Matrix.from_rows([real(row) for row in E.entries])
+    Q_mat = Matrix.from_rows([imag(row) for row in E.entries])
+    top = (-Q_mat).hstack(-P_mat)
+    bottom = P_mat.hstack(-Q_mat)
     return algebra, b_real, Matrix.from_rows(top.entries + bottom.entries)
 
 

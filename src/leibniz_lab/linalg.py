@@ -20,7 +20,7 @@ from .scalars import Scalar
 class Matrix:
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples of Scalar
+    entries: tuple  # tuple of row tuples of field elements
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
@@ -33,15 +33,11 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        z = Scalar.zero()
-        return Matrix(rows, cols, tuple(tuple(z for _ in range(cols))
-                                        for _ in range(rows)))
+        return Matrix(rows, cols, ((Scalar.zero(),) * cols,) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        z, o = Scalar.zero(), Scalar.one()
-        return Matrix(n, n, tuple(tuple(o if i == j else z for j in range(n))
-                                  for i in range(n)))
+        return Matrix.diagonal([Scalar.one()] * n)
 
     @staticmethod
     def column(coords: Sequence[Scalar]) -> "Matrix":

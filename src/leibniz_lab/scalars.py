@@ -73,10 +73,7 @@ class Scalar:
             return Scalar(self.real + other, self.imag)
         return NotImplemented
 
-    def __radd__(self, other):
-        if isinstance(other, _RATIONALS):
-            return Scalar(other + self.real, self.imag)
-        return NotImplemented
+    __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Scalar):
@@ -101,10 +98,7 @@ class Scalar:
             return _make(self.real * other, self.imag * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _RATIONALS):
-            return _make(other * self.real, other * self.imag)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Scalar):
