@@ -1,7 +1,8 @@
 """Command-line front end: JSON verdicts, exit 0/1/2.
 
 Exit status 0 means the check passed (or the construction succeeded),
-1 means a mathematical violation, 2 means an input or usage error.
+1 means a mathematical violation, 2 means an input or usage error (including
+inputs whose sizes do not match).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import sys
 from .dendriform import (subadjacent, verify_dendriform,
                          verify_invariant_form, verify_quadratic_dendriform,
                          verify_rota_baxter)
-from .errors import LeibnizLabError, ParseError, UsageError, ValidationError
+from .errors import (DimensionMismatch, LeibnizLabError, ParseError,
+                     UsageError, ValidationError)
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  parse_representation, parse_subspace, serialize_algebra,
                  serialize_matrix, serialize_representation)
@@ -48,21 +50,12 @@ def _verdict(command: str, check, payload=None) -> dict:
     return doc
 
 
-def _algebra(path):
-    return parse_algebra(load_json(path))
+def _algebra(path, validate=None):
+    return parse_algebra(load_json(path), validate)
 
 
-def _algebra_raw(path):
-    """An algebra parsed without the Leibniz validation (for verify leibniz)."""
-    return parse_algebra(load_json(path), validate=False)
-
-
-def _dendriform(path):
-    return parse_dendriform(load_json(path))
-
-
-def _dendriform_raw(path):
-    return parse_dendriform(load_json(path), validate=False)
+def _dendriform(path, validate=None):
+    return parse_dendriform(load_json(path), validate)
 
 
 def _matrix(path, field=None):
@@ -81,13 +74,14 @@ def _seed(args) -> int:
 def cmd_verify(args):
     kind = args.kind
     if kind == "leibniz":
-        return _verdict("verify leibniz", verify_leibniz(_algebra_raw(args.paths[0])))
+        return _verdict("verify leibniz",
+                        verify_leibniz(_algebra(args.paths[0], False)))
     if kind == "rep":
         rep = parse_representation(load_json(args.paths[0]), validate=False)
         return _verdict("verify rep", verify_representation(rep))
     if kind == "dendriform":
         return _verdict("verify dendriform",
-                        verify_dendriform(_dendriform_raw(args.paths[0])))
+                        verify_dendriform(_dendriform(args.paths[0], False)))
     if kind == "symplectic":
         A = _algebra(args.paths[0])
         B = _matrix(args.paths[1], A.field)
@@ -311,7 +305,8 @@ def run_command(argv):
     try:
         verdict = _HANDLERS[args.group](args)
     except LeibnizLabError as exc:
-        bad_input = isinstance(exc, (ParseError, ValidationError, UsageError))
+        bad_input = isinstance(exc, (ParseError, ValidationError, UsageError,
+                                     DimensionMismatch))
         return _failure(key, type(exc).__name__, str(exc)), 2 if bad_input else 1
     return verdict, 0 if verdict["ok"] else 1
 

@@ -6,47 +6,50 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
                      NotSymmetric, SingularMatrix)
-from .leibniz import (CheckResult, LeibnizAlgebra, first_failure, form_value,
-                      tensor_product, unit, vadd, vsub)
+from .leibniz import (CheckResult, LeibnizAlgebra, _checked_tensor,
+                      _dense_tensor, _mult_matrix, _require_square,
+                      first_failure, form_value, tensor_from, tensor_product,
+                      unit, vadd, vsub)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
-from .scalars import RATIONAL, Scalar
+from .scalars import RATIONAL
 
 
 @dataclass(frozen=True)
 class DendriformAlgebra:
     dim: int
-    left_constants: tuple   # tensor for the left product
-    right_constants: tuple  # tensor for the right product
+    left_brackets: dict   # sparse tensor {(i, j): {k: c}} of the left product
+    right_brackets: dict  # sparse tensor of the right product
     field: str = RATIONAL
 
     @staticmethod
     def from_constants(left, right, field: str = RATIONAL) -> "DendriformAlgebra":
+        """Build from two dense n x n x n lists c[i][j][k]."""
         n = len(left)
-        for tensor in (left, right):
-            if len(tensor) != n or any(
-                    len(plane) != n or any(len(row) != n for row in plane)
-                    for plane in tensor):
-                raise DimensionMismatch("product tensors must be n x n x n")
-        freeze = lambda t: tuple(tuple(tuple(row) for row in plane)
-                                 for plane in t)
-        return DendriformAlgebra(n, freeze(left), freeze(right), field)
+        return DendriformAlgebra(n, _dense_tensor(left, n),
+                                 _dense_tensor(right, n), field)
+
+    @staticmethod
+    def from_brackets(dim: int, left: dict, right: dict,
+                      field: str = RATIONAL) -> "DendriformAlgebra":
+        """Build from two sparse maps (i, j) -> {k: Scalar}."""
+        return DendriformAlgebra(dim, _checked_tensor(dim, left),
+                                 _checked_tensor(dim, right), field)
 
     @staticmethod
     def zero(dim: int, field: str = RATIONAL) -> "DendriformAlgebra":
-        t = (((Scalar.zero(),) * dim,) * dim,) * dim
-        return DendriformAlgebra(dim, t, t, field)
+        return DendriformAlgebra.from_brackets(dim, {}, {}, field)
 
     def basis_vector(self, i: int):
         return unit(self.dim, i)
 
     def left(self, x, y):
         """x left-product y."""
-        return tensor_product(self.left_constants, x, y)
+        return tensor_product(self.left_brackets, x, y)
 
     def right(self, x, y):
         """x right-product y."""
-        return tensor_product(self.right_constants, x, y)
+        return tensor_product(self.right_brackets, x, y)
 
     def both(self, x, y):
         """The sub-adjacent bracket value x<y + x>y."""
@@ -54,9 +57,8 @@ class DendriformAlgebra:
 
 
 def dendriforms_equal(D1: DendriformAlgebra, D2: DendriformAlgebra) -> bool:
-    return (D1.dim == D2.dim
-            and D1.left_constants == D2.left_constants
-            and D1.right_constants == D2.right_constants)
+    return (D1.dim == D2.dim and D1.left_brackets == D2.left_brackets
+            and D1.right_brackets == D2.right_brackets)
 
 
 def verify_dendriform(D: DendriformAlgebra) -> CheckResult:
@@ -78,25 +80,21 @@ def verify_dendriform(D: DendriformAlgebra) -> CheckResult:
 
 def subadjacent(D: DendriformAlgebra) -> LeibnizAlgebra:
     """The Leibniz algebra with bracket x<y + x>y."""
-    tensor = [[[D.left_constants[i][j][k] + D.right_constants[i][j][k]
-                for k in range(D.dim)]
-               for j in range(D.dim)]
-              for i in range(D.dim)]
-    return LeibnizAlgebra.from_constants(tensor, D.field)
+    n = D.dim
+    e = [D.basis_vector(i) for i in range(n)]
+    return LeibnizAlgebra(n, tensor_from(n, lambda i, j: D.both(e[i], e[j])),
+                          D.field)
 
 
 def dendriform_rep(D: DendriformAlgebra) -> Representation:
     """(L, l, r) with l(x)y = x<y and r(x)y = y>x, over the sub-adjacent algebra."""
-    A = subadjacent(D)
-    lefts, rights = [], []
-    for i in range(D.dim):
-        lefts.append(Matrix.from_rows(
-            [[D.left_constants[i][j][k] for j in range(D.dim)]
-             for k in range(D.dim)]))
-        rights.append(Matrix.from_rows(
-            [[D.right_constants[j][i][k] for j in range(D.dim)]
-             for k in range(D.dim)]))
-    return Representation.build(A, lefts, rights)
+    n = D.dim
+    return Representation.build(
+        subadjacent(D),
+        [_mult_matrix(D.left_brackets, n, [(i, j) for j in range(n)])
+         for i in range(n)],
+        [_mult_matrix(D.right_brackets, n, [(j, i) for j in range(n)])
+         for i in range(n)])
 
 
 def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
@@ -128,11 +126,14 @@ def rb_to_dendriform(A: LeibnizAlgebra, R: Representation,
                      T: Matrix) -> DendriformAlgebra:
     """Dendriform structure on V: u<v = l(Tu)v, u>v = r(Tv)u."""
     _require_rota_baxter(A, R, T)
-    us = [unit(R.rep_dim, a) for a in range(R.rep_dim)]
+    m = R.rep_dim
+    us = [unit(m, a) for a in range(m)]
     tus = [T.apply(u) for u in us]
-    left = [[R.left_of(tu).apply(v) for v in us] for tu in tus]
-    right = [[R.right_of(tv).apply(u) for tv in tus] for u in us]
-    return DendriformAlgebra.from_constants(left, right, A.field)
+    lefts = [R.left_of(tu) for tu in tus]
+    rights = [R.right_of(tu) for tu in tus]
+    return DendriformAlgebra(
+        m, tensor_from(m, lambda a, b: lefts[a].apply(us[b])),
+        tensor_from(m, lambda a, b: rights[b].apply(us[a])), A.field)
 
 
 def compatible_dendriform_from_invertible_rb(
@@ -142,16 +143,19 @@ def compatible_dendriform_from_invertible_rb(
         raise SingularMatrix("invertible T must be square")
     t_inv = invert(T)
     _require_rota_baxter(A, R, T)
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    left = [[T.apply(R.left_of(x).apply(t_inv.apply(y))) for y in e]
-            for x in e]
-    right = [[T.apply(R.right_of(y).apply(t_inv.apply(x))) for y in e]
-             for x in e]
-    return DendriformAlgebra.from_constants(left, right, A.field)
+    n = A.dim
+    e = [A.basis_vector(i) for i in range(n)]
+    t_inv_e = [t_inv.apply(x) for x in e]
+    return DendriformAlgebra(
+        n, tensor_from(n, lambda i, j: T.apply(
+            R.left_of(e[i]).apply(t_inv_e[j]))),
+        tensor_from(n, lambda i, j: T.apply(
+            R.right_of(e[j]).apply(t_inv_e[i]))), A.field)
 
 
 def verify_invariant_form(D: DendriformAlgebra, omega: Matrix) -> CheckResult:
     """Invariance of a nondegenerate form with respect to both products."""
+    _require_square(omega, D.dim)
     if is_singular(omega):
         raise DegenerateForm("invariant forms must be nondegenerate")
     e = [D.basis_vector(i) for i in range(D.dim)]
@@ -170,6 +174,7 @@ def verify_invariant_form(D: DendriformAlgebra, omega: Matrix) -> CheckResult:
 def verify_quadratic_dendriform(D: DendriformAlgebra,
                                 B: Matrix) -> CheckResult:
     """Invariance conditions tying the products to the sub-adjacent bracket."""
+    _require_square(B, D.dim)
     if B != B.transpose():
         raise NotSymmetric("quadratic forms must be symmetric")
     if is_singular(B):

@@ -21,8 +21,7 @@ import sys
 
 from .dendriform import DendriformAlgebra, verify_dendriform
 from .errors import ParseError, ValidationError
-from .leibniz import (LeibnizAlgebra, Subspace, sparse_brackets,
-                      verify_leibniz)
+from .leibniz import LeibnizAlgebra, Subspace, verify_leibniz
 from .linalg import Matrix
 from .representations import Representation, verify_representation
 from .scalars import GAUSSIAN, RATIONAL, format_scalar, parse_scalar
@@ -102,12 +101,6 @@ def _bracket_map(entries, dim: int, field: str, where: str) -> dict:
     return brackets
 
 
-def _bracket_tensor(entries, dim: int, field: str, where: str):
-    """The dense tensor of a bracket list."""
-    return LeibnizAlgebra.from_brackets(
-        dim, _bracket_map(entries, dim, field, where)).constants
-
-
 def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
     dim = _size(doc, "dim", "algebra")
     field = _field_of(doc, "algebra")
@@ -129,11 +122,11 @@ def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
 def parse_dendriform(doc: dict, validate: bool = None) -> DendriformAlgebra:
     dim = _size(doc, "dim", "dendriform")
     field = _field_of(doc, "dendriform")
-    left = _bracket_tensor(_require(doc, "left", "dendriform"), dim, field,
-                           "dendriform.left")
-    right = _bracket_tensor(_require(doc, "right", "dendriform"), dim, field,
-                            "dendriform.right")
-    algebra = DendriformAlgebra.from_constants(left, right, field)
+    left = _bracket_map(_require(doc, "left", "dendriform"), dim, field,
+                        "dendriform.left")
+    right = _bracket_map(_require(doc, "right", "dendriform"), dim, field,
+                         "dendriform.right")
+    algebra = DendriformAlgebra.from_brackets(dim, left, right, field)
     if _should_validate(doc, validate):
         check = verify_dendriform(algebra)
         if not check.ok:
@@ -231,15 +224,16 @@ def parse_document(doc: dict):
 # -- serialization ---------------------------------------------------------
 
 
-def _bracket_entries(tensor):
+def _bracket_entries(tensor: dict):
+    """A sparse tensor as a bracket list, sorted by (i, j) and then k."""
     return [{"i": i, "j": j, "value": [{"k": k, "c": format_scalar(c)}
-                                       for k, c in value.items()]}
-            for (i, j), value in sparse_brackets(tensor).items()]
+                                       for k, c in sorted(value.items())]}
+            for (i, j), value in sorted(tensor.items())]
 
 
 def serialize_algebra(A: LeibnizAlgebra) -> dict:
     doc = {"dim": A.dim, "field": A.field,
-           "brackets": _bracket_entries(A.constants)}
+           "brackets": _bracket_entries(A.brackets)}
     if A.labels:
         doc["basis"] = list(A.labels)
     return doc
@@ -247,8 +241,8 @@ def serialize_algebra(A: LeibnizAlgebra) -> dict:
 
 def serialize_dendriform(D: DendriformAlgebra) -> dict:
     return {"dim": D.dim, "field": D.field,
-            "left": _bracket_entries(D.left_constants),
-            "right": _bracket_entries(D.right_constants)}
+            "left": _bracket_entries(D.left_brackets),
+            "right": _bracket_entries(D.right_brackets)}
 
 
 def serialize_matrix(M: Matrix, field: str = None) -> dict:

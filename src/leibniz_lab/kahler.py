@@ -8,8 +8,9 @@ from fractions import Fraction
 from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
                      NotPseudoKahler, WrongField)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, form_value,
-                      is_subalgebra)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
+                      _require_square, form_value, is_subalgebra, tensor_from,
+                      vadd, vsub)
 from .linalg import Matrix, invert, is_singular, matrices_equal
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 from .structures import (_is_anti_involution, classify_product,
@@ -96,40 +97,28 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
     so each product vector is -S^{-1} w / 2 for the right-hand side w.
     """
     n = A.dim
-    if S.rows != n or S.cols != n:
-        raise DegenerateForm("form must be %d x %d" % (n, n))
+    _require_square(S, n)
     if not matrices_equal(S.transpose(), S.scale(Scalar.of(-1))):
         raise DegenerateForm("form must be skew-symmetric")
     if is_singular(S):
         raise DegenerateForm("form is singular")
     s_inv = invert(S)
     half = Fraction(1, 2)
-    star = []
-    starstar = []
-    for i in range(n):
-        x = A.basis_vector(i)
-        star_row = []
-        starstar_row = []
-        for j in range(n):
-            y = A.basis_vector(j)
-            bxy = A.bracket_basis(i, j)
-            w_star = []
-            w_starstar = []
-            for k in range(n):
-                z = A.basis_vector(k)
-                first = form_value(S, bxy, z)
-                rest = (form_value(S, A.bracket(y, z), x)
-                        + form_value(S, A.bracket(z, y), x)
-                        + form_value(S, A.bracket(x, z), y))
-                w_star.append(first + rest)
-                w_starstar.append(first - rest)
-            star_row.append(tuple(
-                -half * c for c in s_inv.apply(w_star)))
-            starstar_row.append(tuple(
-                -half * c for c in s_inv.apply(w_starstar)))
-        star.append(tuple(star_row))
-        starstar.append(tuple(starstar_row))
-    return LeviCivitaPair(tuple(star), tuple(starstar))
+    e = [A.basis_vector(i) for i in range(n)]
+
+    def products(i, j):
+        """(e_i * e_j, e_i ** e_j)."""
+        x, y = e[i], e[j]
+        first = [form_value(S, A.bracket_basis(i, j), z) for z in e]
+        rest = [form_value(S, A.bracket(y, z), x)
+                + form_value(S, A.bracket(z, y), x)
+                + form_value(S, A.bracket(x, z), y) for z in e]
+        return [tuple(-half * c for c in s_inv.apply(w))
+                for w in (vadd(first, rest), vsub(first, rest))]
+
+    table = [[products(i, j) for j in range(n)] for i in range(n)]
+    return LeviCivitaPair(*(tuple(tuple(p[t] for p in row) for row in table)
+                            for t in (0, 1)))
 
 
 def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
@@ -156,8 +145,6 @@ def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     check = verify_invariant_form(D, omega)
     if not check.ok:
         raise NotInvariant("form fails invariance: %s" % check.reason)
-    if is_singular(omega):
-        raise DegenerateForm("form is singular")
     P = build_phase_space(D)
     n = D.dim
     sharp = omega.transpose()
@@ -192,10 +179,11 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
 
     # [u_a e_a, u_b e_b] = u_a u_b [e_a, e_b] with u = 1 or i: the real part
     # of each coefficient lands on e_k, the imaginary part on i*e_k.
-    products = [[[units[a] * units[b] * c for c in A.constants[a % n][b % n]]
-                 for b in doubled] for a in doubled]
-    algebra = LeibnizAlgebra.from_constants(
-        [[real(v) + imag(v) for v in plane] for plane in products], RATIONAL)
+    def product(a, b):
+        v = [units[a] * units[b] * c for c in A.bracket_basis(a % n, b % n)]
+        return real(v) + imag(v)
+
+    algebra = LeibnizAlgebra(2 * n, tensor_from(2 * n, product), RATIONAL)
     b_real = Matrix.from_rows(
         [real([units[a] * units[b] * B[a % n, b % n] for b in doubled])
          for a in doubled])

@@ -1,10 +1,20 @@
 """Leibniz algebras as exact structure-constant tensors.
 
 This module also holds the tensor core that every other module builds on:
-the bilinear kernel :func:`tensor_product`, :func:`form_value`, the vector
-helpers :func:`vadd`, :func:`vsub` and :func:`unit`,
-:func:`sparse_brackets`, and :func:`first_failure`, the one loop that runs
-an identity over basis tuples.
+the builder :func:`tensor_from`, the bilinear kernel :func:`tensor_product`,
+:func:`form_value`, the vector helpers :func:`vadd`, :func:`vsub` and
+:func:`unit`, and :func:`first_failure`, the one loop that runs an
+identity over basis tuples.
+
+Structure tensors: every product (the bracket, both dendriform products,
+every construction) is one sparse map ``{(i, j): {k: c}}``, meaning
+``e_i . e_j = sum_k c e_k``, holding nonzero ``c`` only, so tensors are
+equal exactly when their maps are.  Constructions build one with
+:func:`tensor_from`; callers pass one to ``from_brackets`` or a dense
+``c[i][j][k]`` list to ``from_constants``.  Stored maps are never mutated.
+Code reads a tensor through ``bracket``, ``bracket_basis`` and the
+multiplication matrices; only :mod:`io` serialization, :func:`direct_sum`
+and ``semidirect_product`` iterate ``.brackets``.
 
 Adding an identity: write a ``sides(*idx)`` generator that yields
 ``(reason, lhs, rhs)`` for the basis tuple ``idx``, one triple per
@@ -69,32 +79,65 @@ def unit(n: int, i: int) -> Vector:
     return v
 
 
-def tensor_product(tensor, x: Vector, y: Vector) -> Vector:
-    """sum_ijk x_i y_j c[i][j][k] e_k for a dense n x n x n tensor c."""
-    out = [Scalar.zero()] * len(tensor)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            f = xi * yj
-            for k, c in enumerate(tensor[i][j]):
-                if c:
+def tensor_from(dim: int, product) -> dict:
+    """The sparse tensor {(i, j): {k: c}} of a bilinear map given on basis
+    pairs as ``product(i, j) -> coordinate list``; zeros are dropped."""
+    tensor = {}
+    for i in range(dim):
+        for j in range(dim):
+            value = {k: c for k, c in enumerate(product(i, j)) if c}
+            if value:
+                tensor[(i, j)] = value
+    return tensor
+
+
+def _dense_tensor(dense, dim: int) -> dict:
+    """The sparse form of a dense dim x dim x dim list c[i][j][k]."""
+    if len(dense) != dim or any(len(plane) != dim or any(
+            len(row) != dim for row in plane) for plane in dense):
+        raise DimensionMismatch("structure tensor must be n x n x n")
+    return tensor_from(dim, lambda i, j: dense[i][j])
+
+
+def _checked_tensor(dim: int, brackets: dict) -> dict:
+    """A fresh copy of a sparse tensor without zeros; every index must lie
+    in range(dim)."""
+    tensor = {}
+    for (i, j), value in brackets.items():
+        if not all(0 <= t < dim for t in (i, j, *value)):
+            raise DimensionMismatch("bracket index outside range(%d)" % dim)
+        value = {k: c for k, c in value.items() if c}
+        if value:
+            tensor[(i, j)] = value
+    return tensor
+
+
+def tensor_product(tensor: dict, x: Vector, y: Vector) -> Vector:
+    """sum x_i y_j c e_k over the stored entries (i, j): {k: c}."""
+    out = [Scalar.zero()] * len(x)
+    for (i, j), value in tensor.items():
+        xi = x[i]
+        if xi:
+            yj = y[j]
+            if yj:
+                f = xi * yj
+                for k, c in value.items():
                     out[k] = out[k] + f * c
     return out
 
 
-def sparse_brackets(tensor, offset: int = 0) -> dict:
-    """The nonzero entries of a dense tensor as {(i, j): {k: c}}, in index
-    order, with every index shifted by ``offset``."""
-    brackets = {}
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            value = {k + offset: c for k, c in enumerate(row) if c}
-            if value:
-                brackets[(i + offset, j + offset)] = value
-    return brackets
+def _mult_matrix(tensor: dict, dim: int, keys) -> Matrix:
+    """The dim x dim matrix whose column j holds the entry tensor[keys[j]]."""
+    rows = [[Scalar.zero()] * dim for _ in range(dim)]
+    for j, key in enumerate(keys):
+        for k, c in tensor.get(key, {}).items():
+            rows[k][j] = c
+    return Matrix.from_rows(rows)
+
+
+def _require_square(M: Matrix, dim: int, what: str = "form"):
+    if M.rows != dim or M.cols != dim:
+        raise DimensionMismatch("%s must be %d x %d" % (what, dim, dim))
 
 
 def form_value(B: Matrix, x: Vector, y: Vector) -> Scalar:
@@ -141,32 +184,24 @@ class Subspace:
 @dataclass(frozen=True)
 class LeibnizAlgebra:
     dim: int
-    constants: tuple  # c[i][j][k], tuple of tuples of tuples of Scalar
+    brackets: dict  # sparse structure tensor {(i, j): {k: c}}, c nonzero
     field: str = RATIONAL
     labels: Optional[tuple] = None
 
     @staticmethod
     def from_constants(constants, field: str = RATIONAL,
                        labels=None) -> "LeibnizAlgebra":
+        """Build from a dense n x n x n list c[i][j][k]."""
         n = len(constants)
-        for plane in constants:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise DimensionMismatch("structure tensor must be n x n x n")
-        tensor = tuple(tuple(tuple(row) for row in plane)
-                       for plane in constants)
-        return LeibnizAlgebra(n, tensor,
-                              field, tuple(labels) if labels else None)
+        return LeibnizAlgebra(n, _dense_tensor(constants, n), field,
+                              tuple(labels) if labels else None)
 
     @staticmethod
     def from_brackets(dim: int, brackets: dict, field: str = RATIONAL,
                       labels=None) -> "LeibnizAlgebra":
         """Build from a sparse map (i, j) -> {k: Scalar}."""
-        tensor = [[[Scalar.zero()] * dim for _ in range(dim)]
-                  for _ in range(dim)]
-        for (i, j), value in brackets.items():
-            for k, c in value.items():
-                tensor[i][j][k] = c
-        return LeibnizAlgebra.from_constants(tensor, field, labels)
+        return LeibnizAlgebra(dim, _checked_tensor(dim, brackets), field,
+                              tuple(labels) if labels else None)
 
     @staticmethod
     def abelian(dim: int, field: str = RATIONAL) -> "LeibnizAlgebra":
@@ -178,22 +213,23 @@ class LeibnizAlgebra:
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vectors of length %d expected" % self.dim)
-        return tensor_product(self.constants, x, y)
+        return tensor_product(self.brackets, x, y)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return list(self.constants[i][j])
+        out = [Scalar.zero()] * self.dim
+        for k, c in self.brackets.get((i, j), {}).items():
+            out[k] = c
+        return out
 
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of y -> [e_i, y]."""
-        return Matrix.from_rows([[self.constants[i][j][k]
-                                  for j in range(self.dim)]
-                                 for k in range(self.dim)])
+        return _mult_matrix(self.brackets, self.dim,
+                            [(i, j) for j in range(self.dim)])
 
     def right_mult_matrix(self, i: int) -> Matrix:
         """Matrix of y -> [y, e_i]."""
-        return Matrix.from_rows([[self.constants[j][i][k]
-                                  for j in range(self.dim)]
-                                 for k in range(self.dim)])
+        return _mult_matrix(self.brackets, self.dim,
+                            [(j, i) for j in range(self.dim)])
 
     def full_subspace(self) -> Subspace:
         return Subspace.from_vectors([self.basis_vector(i)
@@ -201,9 +237,7 @@ class LeibnizAlgebra:
 
 
 def tensors_equal(A: LeibnizAlgebra, B: LeibnizAlgebra) -> bool:
-    return A.dim == B.dim and all(
-        A.constants[i][j][k] == B.constants[i][j][k]
-        for i in range(A.dim) for j in range(A.dim) for k in range(A.dim))
+    return A.dim == B.dim and A.brackets == B.brackets
 
 
 def verify_leibniz(A: LeibnizAlgebra) -> CheckResult:
@@ -221,7 +255,8 @@ def verify_leibniz(A: LeibnizAlgebra) -> CheckResult:
     return first_failure(A.dim, 3, sides)
 
 
-def _check_ambient(A: LeibnizAlgebra, W: Subspace):
+def _check_ambient(A, W: Subspace):
+    """W must live in the space of the algebra ``A`` (anything with a dim)."""
     if W.basis and W.ambient_dim != A.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
 
@@ -248,9 +283,11 @@ def is_two_sided_ideal(A: LeibnizAlgebra, W: Subspace) -> bool:
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
     if A.field != B.field:
         raise FieldMismatch("direct sum of algebras over different fields")
-    brackets = sparse_brackets(A.constants)
-    brackets.update(sparse_brackets(B.constants, A.dim))
-    return LeibnizAlgebra.from_brackets(A.dim + B.dim, brackets, A.field)
+    n = A.dim
+    brackets = dict(A.brackets)
+    brackets.update({(i + n, j + n): {k + n: c for k, c in value.items()}
+                     for (i, j), value in B.brackets.items()})
+    return LeibnizAlgebra.from_brackets(n + B.dim, brackets, A.field)
 
 
 def killing_form(A: LeibnizAlgebra) -> Matrix:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotRotaBaxter
 from .leibniz import (CheckResult, LeibnizAlgebra, first_failure,
-                      sparse_brackets, unit, vadd, vsub)
+                      tensor_from, unit, vadd, vsub)
 from .linalg import Matrix
 from .scalars import Scalar
 
@@ -104,17 +104,12 @@ def semidirect_product(R: Representation) -> LeibnizAlgebra:
     """[x+u, y+v] = [x,y] + l_x(v) + r_y(u) on the space E + V."""
     A = R.algebra
     n, m = A.dim, R.rep_dim
-    brackets = sparse_brackets(A.constants)
+    brackets = dict(A.brackets)
     for i in range(n):
         for b in range(m):
-            col = R.left_maps[i].col(b)
-            value = {n + k: col[k] for k in range(m) if col[k]}
-            if value:
-                brackets[(i, n + b)] = value
-            col = R.right_maps[i].col(b)
-            value = {n + k: col[k] for k in range(m) if col[k]}
-            if value:
-                brackets[(n + b, i)] = value
+            for key, M in (((i, n + b), R.left_maps[i]),
+                           ((n + b, i), R.right_maps[i])):
+                brackets[key] = {n + k: c for k, c in enumerate(M.col(b))}
     return LeibnizAlgebra.from_brackets(n + m, brackets, A.field)
 
 
@@ -130,22 +125,20 @@ def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
     n, m = A.dim, R.rep_dim
     zero_n = [Scalar.zero()] * n
     zero_m = [Scalar.zero()] * m
-    tensor = []
-    for p in range(n + m):
-        plane = []
-        for q in range(n + m):
-            x, u = (A.basis_vector(p), zero_m) if p < n else \
-                   (zero_n, unit(m, p - n))
-            y, v = (A.basis_vector(q), zero_m) if q < n else \
-                   (zero_n, unit(m, q - n))
-            tu, tv = T.apply(u), T.apply(v)
-            e_part = vadd(A.bracket(x, y), A.bracket(tu, y))
-            e_part = vsub(e_part, T.apply(R.right_of(y).apply(u)))
-            e_part = vadd(e_part, A.bracket(x, tv))
-            e_part = vsub(e_part, T.apply(R.left_of(x).apply(v)))
-            v_part = vadd(R.left_of(tu).apply(v), R.right_of(tv).apply(u))
-            v_part = vadd(v_part, R.left_of(x).apply(v))
-            v_part = vadd(v_part, R.right_of(y).apply(u))
-            plane.append(tuple(e_part + v_part))
-        tensor.append(tuple(plane))
-    return LeibnizAlgebra.from_constants(tensor, A.field)
+    # Each basis vector of E + V as its pair (x, u) of components.
+    parts = ([(A.basis_vector(p), zero_m) for p in range(n)]
+             + [(zero_n, unit(m, a)) for a in range(m)])
+
+    def product(p, q):
+        (x, u), (y, v) = parts[p], parts[q]
+        tu, tv = T.apply(u), T.apply(v)
+        e_part = vadd(A.bracket(x, y), A.bracket(tu, y))
+        e_part = vsub(e_part, T.apply(R.right_of(y).apply(u)))
+        e_part = vadd(e_part, A.bracket(x, tv))
+        e_part = vsub(e_part, T.apply(R.left_of(x).apply(v)))
+        v_part = vadd(R.left_of(tu).apply(v), R.right_of(tv).apply(u))
+        v_part = vadd(v_part, R.left_of(x).apply(v))
+        v_part = vadd(v_part, R.right_of(y).apply(u))
+        return e_part + v_part
+
+    return LeibnizAlgebra(n + m, tensor_from(n + m, product), A.field)

@@ -9,8 +9,9 @@ from .dendriform import DendriformAlgebra
 from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
                      NotComplexStructure, NotDirectSum, NotInvolution,
                      NotSubalgebra, PhiIdentityFails, TooLarge, WrongField)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, first_failure,
-                      is_subalgebra, vadd, vsub)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
+                      _require_square, first_failure, is_subalgebra,
+                      tensor_from, vadd, vsub)
 from .linalg import (Matrix, column_span_matrix, eigenspace, in_span, invert,
                      matrices_equal, rank)
 from .scalars import GAUSSIAN, RATIONAL, Scalar
@@ -47,8 +48,7 @@ def _is_anti_involution(M: Matrix) -> bool:
 
 def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
     """[Nx, Ny] = N([Nx,y] + [x,Ny] - N[x,y]) on all basis pairs."""
-    if N.rows != A.dim or N.cols != A.dim:
-        raise DimensionMismatch("operator must be %d x %d" % (A.dim, A.dim))
+    _require_square(N, A.dim, "operator")
     e = [A.basis_vector(i) for i in range(A.dim)]
     ne = [N.apply(x) for x in e]
 
@@ -160,12 +160,17 @@ def complex_integrability(A: LeibnizAlgebra, J: Matrix) -> CheckResult:
     return first_failure(A.dim, 2, sides)
 
 
-def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
-    """Integrability report plus eigenspaces inside the complexification."""
+def _require_complex_candidate(A: LeibnizAlgebra, J: Matrix):
+    """A complex structure needs a rational algebra and J^2 = -I."""
     if A.field != RATIONAL:
         raise WrongField("complex structures live on rational ('real') algebras")
     if not _is_anti_involution(J):
         raise NotAntiInvolution("J^2 != -I")
+
+
+def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
+    """Integrability report plus eigenspaces inside the complexification."""
+    _require_complex_candidate(A, J)
     integrable = complex_integrability(A, J).ok
     strict, abelian = _strict_abelian(A, J, 1)
     eigen_i = _subspace_from_columns(eigenspace(J, Scalar.i()))
@@ -193,33 +198,24 @@ def psi_map(J: Matrix) -> Matrix:
 
 def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
     """The halved difference bracket [x,y]_J = ([x,y] - [Jx,Jy]) / 2."""
-    report = classify_complex(A, J)
-    if not report.is_complex:
+    _require_complex_candidate(A, J)
+    if not complex_integrability(A, J).ok:
         raise NotComplexStructure("J fails the integrability condition")
     half = Fraction(1, 2)
-    n = A.dim
-    tensor = []
-    for i in range(n):
-        x = A.basis_vector(i)
-        jx = J.apply(x)
-        plane = []
-        for j in range(n):
-            y = A.basis_vector(j)
-            jy = J.apply(y)
-            value = vsub(A.bracket_basis(i, j), A.bracket(jx, jy))
-            plane.append(tuple(half * c for c in value))
-        tensor.append(tuple(plane))
-    return LeibnizAlgebra.from_constants(tensor, A.field)
+    je = [J.apply(A.basis_vector(i)) for i in range(A.dim)]
+    return LeibnizAlgebra(A.dim, tensor_from(A.dim, lambda i, j: [
+        half * c for c in vsub(A.bracket_basis(i, j), A.bracket(je[i], je[j]))]),
+        A.field)
 
 
 def check_complex_product_pair(A: LeibnizAlgebra, J: Matrix,
                                E: Matrix) -> CheckResult:
     """Complex structure + product structure + anticommutation."""
     try:
-        complex_report = classify_complex(A, J)
+        _require_complex_candidate(A, J)
     except NotAntiInvolution:
         return CheckResult(False, "NOT_ANTI_INVOLUTION")
-    if not complex_report.is_complex:
+    if not complex_integrability(A, J).ok:
         return CheckResult(False, "COMPLEX_FAILS")
     try:
         product_report = classify_product(A, E)
@@ -251,8 +247,7 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
     if plus.dim != minus.dim:
         raise DimensionMismatch("eigenspaces of different dimensions")
     k = plus.dim
-    if phi.rows != k or phi.cols != k:
-        raise DimensionMismatch("phi must be %d x %d" % (k, k))
+    _require_square(phi, k, "phi")
     invert(phi)  # raises SingularMatrix when phi is not an isomorphism
     p_cols = plus.columns()
     minus_mat = column_span_matrix(minus.columns()) if k else None
@@ -320,19 +315,16 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
     pi_plus, pi_minus, sel_plus, sel_minus = _projections(plus, minus, n)
 
     def build(space: Subspace, pi: Matrix, sel: Matrix) -> DendriformAlgebra:
+        xs = [list(x) for x in space.basis]
+        jxs = [J.apply(x) for x in xs]
+
+        def project(v):
+            return sel.apply(pi.apply([-c for c in J.apply(v)]))
+
         k = space.dim
-        left = [[None] * k for _ in range(k)]
-        right = [[None] * k for _ in range(k)]
-        for a in range(k):
-            x1 = list(space.basis[a])
-            jx1 = J.apply(x1)
-            for b in range(k):
-                x2 = list(space.basis[b])
-                jx2 = J.apply(x2)
-                lv = [-c for c in J.apply(A.bracket(x1, jx2))]
-                rv = [-c for c in J.apply(A.bracket(jx1, x2))]
-                left[a][b] = tuple(sel.apply(pi.apply(lv)))
-                right[a][b] = tuple(sel.apply(pi.apply(rv)))
-        return DendriformAlgebra.from_constants(left, right, A.field)
+        return DendriformAlgebra(
+            k, tensor_from(k, lambda a, b: project(A.bracket(xs[a], jxs[b]))),
+            tensor_from(k, lambda a, b: project(A.bracket(jxs[a], xs[b]))),
+            A.field)
 
     return build(plus, pi_plus, sel_plus), build(minus, pi_minus, sel_minus)

@@ -11,8 +11,9 @@ from .dendriform import (DendriformAlgebra, dendriform_rep,
                          verify_quadratic_dendriform)
 from .errors import (DegenerateForm, DimensionMismatch, NotQuadratic,
                      NotSymmetric, NotSymplectic)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, first_failure,
-                      form_value, is_subalgebra, verify_leibniz)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
+                      _check_ambient, _require_square, first_failure,
+                      form_value, is_subalgebra, tensor_from, verify_leibniz)
 from .linalg import (Matrix, column_span_matrix, invert, is_singular,
                      kernel_basis, rank)
 from .representations import dual_rep, semidirect_product
@@ -32,8 +33,7 @@ def _identity_terms(i, j, k):
 def verify_symplectic(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
     """Symmetry, nondegeneracy and the defining trilinear identity on all
     basis triples (see :func:`_identity_terms`)."""
-    if B.rows != A.dim or B.cols != A.dim:
-        raise DimensionMismatch("form must be %d x %d" % (A.dim, A.dim))
+    _require_square(B, A.dim)
     if B != B.transpose():
         return CheckResult(False, "NOT_SYMMETRIC")
     if is_singular(B):
@@ -131,17 +131,13 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
     b_inv = invert(B)
     e = [A.basis_vector(p) for p in range(n)]
     br = A.bracket_basis
-    left = [[None] * n for _ in range(n)]
-    right = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs_left = [-form_value(B, e[j], br(i, k)) for k in range(n)]
-            lhs_right = [form_value(B, e[i], br(j, k))
-                         + form_value(B, e[i], br(k, j)) for k in range(n)]
-            # B(v, e_k) = (B v)_k for symmetric B, so v = B^{-1} * functional.
-            left[i][j] = tuple(b_inv.apply(lhs_left))
-            right[i][j] = tuple(b_inv.apply(lhs_right))
-    return DendriformAlgebra.from_constants(left, right, A.field)
+    # B(v, e_k) = (B v)_k for symmetric B, so v = B^{-1} * functional.
+    left = tensor_from(n, lambda i, j: b_inv.apply(
+        [-form_value(B, e[j], br(i, k)) for k in range(n)]))
+    right = tensor_from(n, lambda i, j: b_inv.apply(
+        [form_value(B, e[i], br(j, k)) + form_value(B, e[i], br(k, j))
+         for k in range(n)]))
+    return DendriformAlgebra(n, left, right, A.field)
 
 
 def canonical_pairing(n: int) -> Matrix:
@@ -225,15 +221,14 @@ def verify_manin_triple(D: DendriformAlgebra, B: Matrix, W1: Subspace,
     if not check.ok:
         raise NotQuadratic("the ambient pair is not quadratic: %s"
                            % check.reason)
+    for W in (W1, W2):
+        _check_ambient(D, W)
     if any(_non_isotropic_pair(B, W) is not None for W in (W1, W2)):
         return CheckResult(False, "ISOTROPY_FAILS")
-    for W in (W1, W2):
-        for u in W.basis:
-            for v in W.basis:
-                if not W.contains(D.left(list(u), list(v))):
-                    return CheckResult(False, "SUBALGEBRA_FAILS")
-                if not W.contains(D.right(list(u), list(v))):
-                    return CheckResult(False, "SUBALGEBRA_FAILS")
+    if not all(W.contains(product(list(u), list(v))) for W in (W1, W2)
+               for u in W.basis for v in W.basis
+               for product in (D.left, D.right)):
+        return CheckResult(False, "SUBALGEBRA_FAILS")
     if not _is_direct_sum(D.dim, W1, W2):
         return CheckResult(False, "DIRECT_SUM_FAILS")
     return OK

@@ -80,7 +80,7 @@ def test_parse_gaussian_document():
         {"i": 0, "j": 0, "value": [{"k": 0, "c": "1+2*i"}]}]}
     A = parse_algebra(doc, validate=False)
     assert A.field == "Q(i)"
-    assert A.constants[0][0][0] == Scalar.of(1, 2)
+    assert A.brackets[(0, 0)][0] == Scalar.of(1, 2)
 
 
 def test_parse_document_dispatch(write_doc):
@@ -111,7 +111,7 @@ def test_dendriform_roundtrip():
     assert tensors_equal(parse_algebra(serialize_algebra(subadjacent(D))),
                          LeibnizAlgebra.abelian(1))
     doc2 = serialize_dendriform(D)
-    assert parse_dendriform(doc2).left_constants == D.left_constants
+    assert parse_dendriform(doc2).left_brackets == D.left_brackets
 
 
 def test_cli_verify_ok(write_doc):
@@ -207,6 +207,47 @@ def test_cli_math_precondition_failure_exits_1(write_doc):
     s = write_doc(endo([[1, 0], [0, 1]]))   # not skew
     verdict, status = run_command(["construct", "levi-civita", a, s])
     assert status == 1 and verdict["reason"] == "DegenerateForm"
+
+
+I3 = endo([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+SWAP2 = endo([[0, 1], [1, 0]])
+
+
+def _misuse(write_doc, command, *docs):
+    """Inputs of mismatched sizes are misuse: exit 2, DimensionMismatch."""
+    verdict, status = run_command(list(command)
+                                  + [write_doc(doc) for doc in docs])
+    return status == 2 and verdict["reason"] == "DimensionMismatch"
+
+
+def test_symplectic_form_of_wrong_size_exits_2(write_doc):
+    assert _misuse(write_doc, ("verify", "symplectic"),
+                   {"dim": 2, "brackets": []}, I3)
+
+
+def test_classify_product_operator_of_wrong_size_exits_2(write_doc):
+    assert _misuse(write_doc, ("classify", "product"),
+                   {"dim": 2, "brackets": []}, I3)
+
+
+def test_manin_triple_subspace_in_wrong_space_exits_2(write_doc):
+    assert _misuse(write_doc, ("check", "manin-triple"), ZERO_DENDRIFORM_DOC,
+                   SWAP2, {"vectors": [["1", "0", "0"]]},
+                   {"vectors": [["0", "1"]]})
+
+
+def test_invariant_form_of_wrong_size_exits_2(write_doc):
+    assert _misuse(write_doc, ("verify", "invariant"),
+                   {"dim": 1, "left": [], "right": []}, endo([[1, 0], [0, 1]]))
+
+
+def test_quadratic_form_of_wrong_size_exits_2(write_doc):
+    assert _misuse(write_doc, ("verify", "quadratic"), ZERO_DENDRIFORM_DOC, I3)
+
+
+def test_levi_civita_form_of_wrong_size_exits_2(write_doc):
+    assert _misuse(write_doc, ("construct", "levi-civita"),
+                   {"dim": 2, "brackets": []}, I3)
 
 
 def _parse_error(write_doc, doc, command=("verify", "leibniz")):

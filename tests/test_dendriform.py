@@ -12,7 +12,8 @@ from leibniz_lab import (DendriformAlgebra,
                          verify_leibniz, verify_quadratic_dendriform,
                          verify_rota_baxter)
 from leibniz_lab.dendriform import dendriform_rep
-from leibniz_lab.errors import (DegenerateForm, NotRotaBaxter, NotSymmetric)
+from leibniz_lab.errors import (DegenerateForm, DimensionMismatch,
+                                NotRotaBaxter, NotSymmetric)
 from leibniz_lab.representations import verify_representation
 from leibniz_lab.scalars import Scalar
 
@@ -127,3 +128,14 @@ def test_quadratic_form_guards():
         verify_quadratic_dendriform(Z, mat([[0, 1], [-1, 0]]))
     with pytest.raises(DegenerateForm):
         verify_quadratic_dendriform(Z, mat([[0, 0], [0, 0]]))
+
+
+def test_invariant_form_must_match_dimension():
+    with pytest.raises(DimensionMismatch):
+        verify_invariant_form(DendriformAlgebra.zero(1), mat([[1, 0], [0, 1]]))
+
+
+def test_quadratic_form_must_match_dimension():
+    with pytest.raises(DimensionMismatch):
+        verify_quadratic_dendriform(DendriformAlgebra.zero(2), mat(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))

@@ -127,11 +127,11 @@ def test_rational_documents_hold_fractions(heisenberg_like):
         validate=False)
     basis, sample = solve_symplectic_space(heisenberg_like)
     phase = build_phase_space(dendriform)
-    entries = [c for plane in algebra.constants for row in plane for c in row]
-    entries += [c for plane in dendriform.left_constants for row in plane
-                for c in row]
-    entries += [c for plane in phase.total.constants for row in plane
-                for c in row]
+    entries = [c for T in (algebra.brackets, dendriform.left_brackets,
+                           phase.total.brackets)
+               for value in T.values() for c in value.values()]
+    entries += [c for A in (algebra, phase.total) for i in range(A.dim)
+                for j in range(A.dim) for c in A.bracket_basis(i, j)]
     for M in basis + [sample, phase.form, parse_matrix([["1/2", "0"]])]:
         entries += [c for row in M.entries for c in row]
     assert entries and all(type(c) is Fraction for c in entries)

@@ -148,6 +148,19 @@ def test_bracket_J_is_leibniz(squares_algebra):
         bracket_J(bad, mat([[0, -1], [1, 0]]))
 
 
+def test_complex_guards_without_a_full_report(sl2):
+    """bracket_J and check_complex_product_pair keep classify_complex's
+    guards and reasons while computing no eigenspaces."""
+    with pytest.raises(NotAntiInvolution):
+        bracket_J(sl2, Matrix.identity(3))
+    for check in (bracket_J, lambda A, J: check_complex_product_pair(A, J, J)):
+        with pytest.raises(WrongField):
+            check(complexify(sl2), Matrix.identity(3))
+    bad = LeibnizAlgebra.from_brackets(2, {(0, 0): {0: Scalar.of(1)}})
+    assert check_complex_product_pair(
+        bad, mat([[0, -1], [1, 0]]), diag(1, -1)).reason == "COMPLEX_FAILS"
+
+
 def test_product_iff_iE_correspondence():
     rng = random.Random(8)
     for _ in range(10):
