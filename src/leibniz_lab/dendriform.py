@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
                      NotSymmetric, SingularMatrix)
-from .leibniz import (CheckResult, LeibnizAlgebra, _checked_tensor,
-                      _dense_tensor, _mult_matrix, _require_square,
-                      first_failure, form_value, tensor_from, tensor_product,
+from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
+                      _checked_tensor, _dense_tensor, _mult_matrix,
+                      _require_square, first_failure, form_value, tensor_from,
                       unit, vadd, vsub)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
@@ -45,11 +45,11 @@ class DendriformAlgebra:
 
     def left(self, x, y):
         """x left-product y."""
-        return tensor_product(self.left_brackets, x, y)
+        return _checked_product(self.left_brackets, self.dim, x, y)
 
     def right(self, x, y):
         """x right-product y."""
-        return tensor_product(self.right_brackets, x, y)
+        return _checked_product(self.right_brackets, self.dim, x, y)
 
     def both(self, x, y):
         """The sub-adjacent bracket value x<y + x>y."""

@@ -29,7 +29,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Matrix, column_span_matrix, in_span, rank, trace
+from .linalg import Matrix, in_span, rank, trace
 from .scalars import RATIONAL, Scalar
 
 Vector = list  # coordinate list of field elements in the ambient basis
@@ -126,6 +126,12 @@ def tensor_product(tensor: dict, x: Vector, y: Vector) -> Vector:
     return out
 
 
+def _checked_product(tensor: dict, dim: int, x: Vector, y: Vector) -> Vector:
+    if len(x) != dim or len(y) != dim:
+        raise DimensionMismatch("vectors of length %d expected" % dim)
+    return tensor_product(tensor, x, y)
+
+
 def _mult_matrix(tensor: dict, dim: int, keys) -> Matrix:
     """The dim x dim matrix whose column j holds the entry tensor[keys[j]]."""
     rows = [[Scalar.zero()] * dim for _ in range(dim)]
@@ -160,10 +166,8 @@ class Subspace:
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
         vecs = tuple(tuple(v) for v in vectors)
-        if vecs:
-            cols = [Matrix.column(list(v)) for v in vecs]
-            if rank(column_span_matrix(cols)) != len(vecs):
-                raise DimensionMismatch("subspace basis is linearly dependent")
+        if vecs and rank(Matrix.from_rows(vecs)) != len(vecs):
+            raise DimensionMismatch("subspace basis is linearly dependent")
         return Subspace(vecs)
 
     @property
@@ -211,9 +215,7 @@ class LeibnizAlgebra:
         return unit(self.dim, i)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("vectors of length %d expected" % self.dim)
-        return tensor_product(self.brackets, x, y)
+        return _checked_product(self.brackets, self.dim, x, y)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         out = [Scalar.zero()] * self.dim

@@ -1,19 +1,21 @@
 """Exact linear algebra over Q and Q(i).
 
 Matrices are immutable, row-major tuples of exact field elements
-(``Fraction`` or :class:`Scalar`, see :mod:`scalars`).  Everything goes
-through Gauss-Jordan elimination, so results are exact and there is no
-tolerance parameter anywhere.
+(``Fraction`` or :class:`Scalar`, see :mod:`scalars`).  Rank, kernel,
+solve, inverse and singularity all read one sparse, incremental
+elimination (:func:`_echelon`), which returns the unique reduced row
+echelon form, so results are exact and there is no tolerance parameter
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, sub
 from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
-from .scalars import Scalar
+from .scalars import _ONE, _ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ class Matrix:
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
         n = len(values)
-        z = Scalar.zero()
-        return Matrix(n, n, tuple(tuple(values[i] if i == j else z
+        return Matrix(n, n, tuple(tuple(values[i] if i == j else _ZERO
                                         for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij) -> Scalar:
@@ -67,16 +68,10 @@ class Matrix:
         return not any(e for row in self.entries for e in row)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix.from_rows([[self[i, j] + other[i, j]
-                                  for j in range(self.cols)]
-                                 for i in range(self.rows)])
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix.from_rows([[self[i, j] - other[i, j]
-                                  for j in range(self.cols)]
-                                 for i in range(self.rows)])
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
         return self.scale(Scalar.of(-1))
@@ -114,9 +109,11 @@ class Matrix:
         return Matrix.from_rows([list(self.row(i)) + list(other.row(i))
                                  for i in range(self.rows)])
 
-    def _same_shape(self, other: "Matrix"):
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape mismatch")
+        return Matrix.from_rows([list(map(op, r, s)) for r, s
+                                 in zip(self.entries, other.entries)])
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -124,53 +121,69 @@ class Matrix:
 
 
 def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return sum(map(mul, u, v), Scalar.zero())
+    return sum([a * b for a, b in zip(u, v) if a and b], _ZERO)
 
 
-def _rref(rows: list) -> tuple:
-    """In-place reduced row echelon form; returns the pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Scalar.one() / rows[r][c]
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+def _subtract(row: dict, f: Scalar, pivot_row: dict):
+    """row -= f * pivot_row in place, dropping the zeros it leaves."""
+    for c, v in pivot_row.items():
+        row[c] = row.get(c, _ZERO) - f * v
+        if not row[c]:
+            del row[c]
+
+
+def _echelon(rows, ncols: int) -> dict:
+    """The unique reduced row echelon form of the span of ``rows`` (dense,
+    of length ``ncols``) as {pivot column: sparse row {column: value}}.
+
+    Rows are inserted one at a time, skipping zero and duplicate rows,
+    until every column has a pivot.  A new row is reduced by the pivot
+    rows it meets; what is left becomes a pivot row, scaled to 1 at its
+    leading column, which is then cleared from the other pivot rows.
+    """
+    pivots, seen = {}, set()
+    for dense in rows:
+        if len(pivots) == ncols:
             break
+        row = {c: v for c, v in enumerate(dense) if v}
+        key = tuple(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        for p in [p for p in row if p in pivots]:
+            _subtract(row, row[p], pivots[p])
+        if not row:
+            continue
+        lead = min(row)
+        inv = _ONE / row[lead]
+        row = {c: inv * v for c, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        pivots[lead] = row
     return pivots
 
 
+def _kernel(pivots: dict, ncols: int) -> list:
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        coords = [_ZERO] * ncols
+        coords[free] = _ONE
+        for p, row in pivots.items():
+            coords[p] = -row.get(free, _ZERO)
+        basis.append(Matrix.column(coords))
+    return basis
+
+
 def rank(M: Matrix) -> int:
-    rows = [list(r) for r in M.entries]
-    return len(_rref(rows))
+    return len(_echelon(M.entries, M.cols))
 
 
 def kernel_basis(M: Matrix) -> list:
     """Exact basis of ker(M) as column matrices, in free-column order."""
-    rows = [list(r) for r in M.entries]
-    pivots = _rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
-            continue
-        coords = [Scalar.zero()] * M.cols
-        coords[free] = Scalar.one()
-        for r_idx, p in enumerate(pivots):
-            coords[p] = -rows[r_idx][free]
-        basis.append(Matrix.column(coords))
-    return basis
+    return _kernel(_echelon(M.entries, M.cols), M.cols)
 
 
 NO_SOLUTION = "NO_SOLUTION"
@@ -186,26 +199,27 @@ def solve_linear(A: Matrix, b: Matrix):
     if b.rows != A.rows or b.cols != 1:
         raise DimensionMismatch("right-hand side must be a %d-row column"
                                 % A.rows)
-    aug = [list(A.row(i)) + [b[i, 0]] for i in range(A.rows)]
-    pivots = _rref(aug)
-    if A.cols in pivots:
+    n = A.cols
+    pivots = _echelon(A.hstack(b).entries, n + 1)
+    if n in pivots:
         return NO_SOLUTION
-    coords = [Scalar.zero()] * A.cols
-    for r_idx, p in enumerate(pivots):
-        coords[p] = aug[r_idx][A.cols]
-    return Matrix.column(coords), kernel_basis(A)
+    # With no pivot in the last column, the rest is the RREF of A.
+    coords = [_ZERO] * n
+    for p, row in pivots.items():
+        coords[p] = row.get(n, _ZERO)
+    return Matrix.column(coords), _kernel(pivots, n)
 
 
 def invert(M: Matrix) -> Matrix:
     if not M.is_square():
         raise DimensionMismatch("only square matrices invert")
     n = M.rows
-    aug = [list(M.row(i)) + list(Matrix.identity(n).row(i)) for i in range(n)]
-    pivots = _rref(aug)
+    pivots = _echelon(M.hstack(Matrix.identity(n)).entries, 2 * n)
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix("matrix of rank %d < %d" % (left_rank, n))
-    return Matrix.from_rows([row[n:] for row in aug])
+    return Matrix(n, n, tuple(tuple(pivots[p].get(n + j, _ZERO)
+                                    for j in range(n)) for p in range(n)))
 
 
 def is_singular(M: Matrix) -> bool:
@@ -216,8 +230,7 @@ def eigenspace(M: Matrix, lam: Scalar) -> list:
     """Exact basis of ker(M - lam*I); empty iff lam is not an eigenvalue."""
     if not M.is_square():
         raise DimensionMismatch("eigenspace of a non-square matrix")
-    shifted = M - Matrix.identity(M.rows).scale(lam)
-    return kernel_basis(shifted)
+    return kernel_basis(M - Matrix.identity(M.rows).scale(lam))
 
 
 def column_span_matrix(columns: Sequence[Matrix]) -> Matrix:
@@ -231,10 +244,9 @@ def column_span_matrix(columns: Sequence[Matrix]) -> Matrix:
 
 def in_span(columns: Sequence[Matrix], v: Matrix) -> bool:
     """Exact membership of v in the span of the given columns."""
-    if not columns:
-        return v.is_zero()
-    S = column_span_matrix(columns)
-    return rank(S) == rank(S.hstack(v))
+    rows = [col.col(0) for col in columns]
+    return (rank(Matrix.from_rows(rows))
+            == rank(Matrix.from_rows(rows + [v.col(0)])))
 
 
 def trace(M: Matrix) -> Scalar:
@@ -244,5 +256,4 @@ def trace(M: Matrix) -> Scalar:
 
 
 def matrices_equal(A: Matrix, B: Matrix) -> bool:
-    return (A.rows, A.cols) == (B.rows, B.cols) and all(
-        A[i, j] == B[i, j] for i in range(A.rows) for j in range(A.cols))
+    return A == B  # the dataclass compares rows, cols and entries

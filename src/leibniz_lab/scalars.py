@@ -21,6 +21,8 @@ RATIONAL = "Q"
 GAUSSIAN = "Q(i)"
 
 _RATIONALS = (Fraction, int)
+# Shared by every caller: Fraction is immutable, so one of each will do.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _make(real, imag):
@@ -54,11 +56,11 @@ class Scalar:
 
     @staticmethod
     def zero() -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     @staticmethod
     def one() -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     @staticmethod
     def i() -> "Scalar":

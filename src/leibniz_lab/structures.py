@@ -211,26 +211,30 @@ def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
 def check_complex_product_pair(A: LeibnizAlgebra, J: Matrix,
                                E: Matrix) -> CheckResult:
     """Complex structure + product structure + anticommutation."""
+    return _complex_product_pair(A, J, E)[0]
+
+
+def _complex_product_pair(A: LeibnizAlgebra, J: Matrix, E: Matrix):
     try:
         _require_complex_candidate(A, J)
     except NotAntiInvolution:
-        return CheckResult(False, "NOT_ANTI_INVOLUTION")
+        return CheckResult(False, "NOT_ANTI_INVOLUTION"), None
     if not complex_integrability(A, J).ok:
-        return CheckResult(False, "COMPLEX_FAILS")
+        return CheckResult(False, "COMPLEX_FAILS"), None
     try:
-        product_report = classify_product(A, E)
+        report = classify_product(A, E)
     except NotInvolution:
-        return CheckResult(False, "NOT_INVOLUTION")
-    if not product_report.is_product:
-        return CheckResult(False, "PRODUCT_FAILS")
+        return CheckResult(False, "NOT_INVOLUTION"), None
+    if not report.is_product:
+        return CheckResult(False, "PRODUCT_FAILS"), report
     if not matrices_equal(J @ E, (E @ J).scale(Scalar.of(-1))):
-        return CheckResult(False, "ANTICOMMUTATION_FAILS")
+        return CheckResult(False, "ANTICOMMUTATION_FAILS"), report
     # J swaps the two eigenspaces, so the product structure is paracomplex.
-    minus_cols = product_report.minus_eigenspace.columns()
-    for v in product_report.plus_eigenspace.basis:
+    minus_cols = report.minus_eigenspace.columns()
+    for v in report.plus_eigenspace.basis:
         if not in_span(minus_cols, Matrix.column(J.apply(list(v)))):
-            return CheckResult(False, "EIGENSPACE_SWAP_FAILS")
-    return OK
+            return CheckResult(False, "EIGENSPACE_SWAP_FAILS"), report
+    return OK, report
 
 
 def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
@@ -306,10 +310,9 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
     x1 < x2 = -proj J[x1, J x2] and x1 > x2 = -proj J[J x1, x2], expressed
     in the eigenspace coordinates.
     """
-    check = check_complex_product_pair(A, J, E)
+    check, report = _complex_product_pair(A, J, E)
     if not check.ok:
         raise NotComplexProduct("pair fails: %s" % check.reason)
-    report = classify_product(A, E)
     plus, minus = report.plus_eigenspace, report.minus_eigenspace
     n = A.dim
     pi_plus, pi_minus, sel_plus, sel_minus = _projections(plus, minus, n)

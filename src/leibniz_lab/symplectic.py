@@ -94,25 +94,37 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
                    else Matrix.zero(1, len(pairs)))
     basis = [_form_from_sym_coords(n, col.col(0))
              for col in kernel_basis(constraints)]
-    sample = sample_nondegenerate(basis, seed=seed)
-    return basis, sample
+    return basis, sample_nondegenerate(basis, seed=seed)
+
+
+def form_space_radical(basis: Sequence[Matrix]) -> list:
+    """Kernel basis of the forms stacked vertically: the v with B v = 0 for
+    every B in the (nonempty) list, which all members of the span share."""
+    if not basis:
+        raise DimensionMismatch("an empty form list has no ambient space")
+    return kernel_basis(Matrix.from_rows(
+        [row for B in basis for row in B.entries]))
 
 
 def sample_nondegenerate(basis: Sequence[Matrix], seed: int = 0,
                          attempts: int = 32) -> Optional[Matrix]:
-    """Deterministic search for a nonsingular member of a form space."""
-    if not basis:
+    """Deterministic search for a nonsingular member of a form space.
+
+    An empty basis or a nonzero :func:`form_space_radical` makes every
+    member singular, so None then certifies that no nondegenerate form
+    exists, and nothing is sampled.  Otherwise the sum of the basis and
+    ``attempts`` seeded small-integer combinations are tried in turn.
+    """
+    if not basis or form_space_radical(basis):
         return None
-    candidate = basis[0]
-    for B in basis[1:]:
-        candidate = candidate + B
+    candidate = sum(basis[1:], basis[0])
     if not is_singular(candidate):
         return candidate
     rng = random.Random(seed)
+    zero = Matrix.zero(basis[0].rows, basis[0].cols)
     for _ in range(attempts):
-        candidate = Matrix.zero(basis[0].rows, basis[0].cols)
-        for B in basis:
-            candidate = candidate + B.scale(Scalar.of(rng.randint(-5, 5)))
+        candidate = sum((B.scale(Scalar.of(rng.randint(-5, 5)))
+                         for B in basis), zero)
         if not is_singular(candidate):
             return candidate
     return None

@@ -139,3 +139,15 @@ def test_quadratic_form_must_match_dimension():
     with pytest.raises(DimensionMismatch):
         verify_quadratic_dendriform(DendriformAlgebra.zero(2), mat(
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_products_reject_vectors_of_the_wrong_length():
+    # Like LeibnizAlgebra.bracket: a length-3 vector on the 2-dim zero
+    # dendriform used to give a length-3 product without complaint.
+    D = DendriformAlgebra.zero(2)
+    long = [Scalar.of(1)] * 3
+    for product in (D.left, D.right, D.both):
+        for x, y in ((long, long), (long, D.basis_vector(0)),
+                     (D.basis_vector(0), long)):
+            with pytest.raises(DimensionMismatch):
+                product(x, y)

@@ -1,8 +1,10 @@
 """Exact linear algebra: rank, kernel, solve, invert, eigenspaces."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mat
 from leibniz_lab.errors import DimensionMismatch, SingularMatrix
@@ -113,3 +115,165 @@ def test_transpose_hstack_column_ops():
     assert column_span_matrix([mat([[1], [2]]), mat([[3], [4]])])[1, 1] == 4
     assert M.apply([Scalar.of(1), Scalar.of(1)]) == [Scalar.of(3),
                                                      Scalar.of(7)]
+
+
+# -- differential tests: the sparse echelon core against dense Gauss-Jordan --
+
+
+def dense_rref(rows: list) -> list:
+    """Reference: in-place dense Gauss-Jordan elimination, pivot columns."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Scalar.one() / rows[r][c]
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def ref_rank(M):
+    return len(dense_rref([list(r) for r in M.entries]))
+
+
+def ref_kernel(M):
+    rows = [list(r) for r in M.entries]
+    pivots = dense_rref(rows)
+    basis = []
+    for free in range(M.cols):
+        if free in pivots:
+            continue
+        coords = [Scalar.zero()] * M.cols
+        coords[free] = Scalar.one()
+        for r_idx, p in enumerate(pivots):
+            coords[p] = -rows[r_idx][free]
+        basis.append(Matrix.column(coords))
+    return basis
+
+
+def ref_solve(A, b):
+    aug = [list(A.row(i)) + [b[i, 0]] for i in range(A.rows)]
+    pivots = dense_rref(aug)
+    if A.cols in pivots:
+        return NO_SOLUTION
+    coords = [Scalar.zero()] * A.cols
+    for r_idx, p in enumerate(pivots):
+        coords[p] = aug[r_idx][A.cols]
+    return Matrix.column(coords), ref_kernel(A)
+
+
+def ref_invert(M):
+    n = M.rows
+    aug = [list(M.row(i)) + list(Matrix.identity(n).row(i)) for i in range(n)]
+    pivots = dense_rref(aug)
+    left_rank = sum(1 for p in pivots if p < n)
+    if left_rank < n:
+        return "matrix of rank %d < %d" % (left_rank, n)
+    return Matrix.from_rows([row[n:] for row in aug])
+
+
+def ref_in_span(columns, v):
+    if not columns:
+        return v.is_zero()
+    S = column_span_matrix(columns)
+    return ref_rank(S) == ref_rank(S.hstack(v))
+
+
+def exact(value):
+    """A Matrix (or list of them) with the type of every entry, so that
+    equal values in another representation do not compare equal."""
+    if isinstance(value, list):
+        return [exact(M) for M in value]
+    return (value.rows, value.cols,
+            [[(type(e), e) for e in row] for row in value.entries])
+
+
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+entries = {False: st.just(Fraction(0)) | small,
+           True: st.just(Fraction(0)) | small | st.builds(Scalar.of, small,
+                                                          small)}
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Q or Q(i) matrices, tall, wide or square (0 rows included), often
+    with zero rows, repeated rows and sums of earlier rows; sometimes of
+    full column rank, so that the kernel is empty."""
+    entry = entries[draw(st.booleans())]
+    cols = draw(st.integers(0 if square else 1, 5))
+
+    def random_rows(lo, hi):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=lo, max_size=hi))
+
+    if draw(st.integers(0, 3)) == 0:
+        # Unit upper triangular on top: full column rank.
+        rows = [[Fraction(1) if j == i else draw(entry) if j > i
+                 else Fraction(0) for j in range(cols)] for i in range(cols)]
+        if not square:
+            rows += random_rows(0, 3)
+    else:
+        rows = random_rows(cols, cols) if square else random_rows(0, 7)
+        for t in range(1, len(rows)):
+            earlier, previous = rows[draw(st.integers(0, t - 1))], rows[t - 1]
+            rows[t] = draw(st.sampled_from((
+                rows[t], rows[t], [Fraction(0)] * cols, list(earlier),
+                [x + y for x, y in zip(earlier, previous)])))
+    rows = draw(st.permutations(rows))
+    return Matrix(len(rows), cols, tuple(tuple(r) for r in rows))
+
+
+def column(values):
+    return Matrix(len(values), 1, tuple((c,) for c in values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_dense_reference(M):
+    assert rank(M) == ref_rank(M)
+    assert exact(kernel_basis(M)) == exact(ref_kernel(M))
+    assert is_singular(M) == (not M.is_square() or ref_rank(M) < M.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.booleans(), st.data())
+def test_solve_and_span_match_dense_reference(A, consistent, data):
+    entry = entries[True]
+    if consistent:
+        b = column(A.apply(data.draw(st.lists(entry, min_size=A.cols,
+                                              max_size=A.cols))))
+    else:
+        b = column(data.draw(st.lists(entry, min_size=A.rows,
+                                      max_size=A.rows)))
+    got, want = solve_linear(A, b), ref_solve(A, b)
+    if want == NO_SOLUTION:
+        assert got == NO_SOLUTION
+    else:
+        assert exact(got[0]) == exact(want[0])
+        assert exact(got[1]) == exact(want[1])
+    columns = [column(A.col(j)) for j in range(A.cols)]
+    for k in (0, A.cols // 2, A.cols):
+        assert in_span(columns[:k], b) == ref_in_span(columns[:k], b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+def test_invert_matches_dense_reference(M):
+    want = ref_invert(M)
+    if isinstance(want, str):
+        with pytest.raises(SingularMatrix, match=want):
+            invert(M)
+    else:
+        assert exact(invert(M)) == exact(want)

@@ -1,11 +1,14 @@
 """Exact scalar arithmetic and string round-trips."""
 
+import ast
 import operator
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import leibniz_lab
 from leibniz_lab import build_phase_space, solve_symplectic_space
 from leibniz_lab.errors import DivisionByZero, ParseError
 from leibniz_lab.io import parse_algebra, parse_dendriform, parse_matrix
@@ -171,3 +174,40 @@ def test_equality_ignores_field_tag():
     assert Scalar.of(1) == Scalar.one()
     assert Scalar.of(Fraction(2, 1)) == 2
     assert Scalar.of(1, 1) != 1
+
+
+def test_zero_and_one_are_shared_fractions():
+    for shared, fresh in ((Scalar.zero(), Fraction(0)),
+                          (Scalar.one(), Fraction(1))):
+        assert shared == fresh and type(shared) is type(fresh) is Fraction
+        assert hash(shared) == hash(fresh) and str(shared) == str(fresh)
+    assert Scalar.zero() is Scalar.zero() and Scalar.one() is Scalar.one()
+
+
+def test_no_code_mutates_the_shared_constants():
+    """Scalar.zero() and Scalar.one() hand out one Fraction each, so the
+    package may not touch a Fraction's internals, set attributes on
+    anything but ``self``, or bind the constants anywhere but once at the
+    top of scalars.py."""
+    found, bindings = [], []
+    for path in sorted(pathlib.Path(leibniz_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("_numerator", "_denominator")):
+                found.append((path.name, node.lineno, node.attr))
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr",
+                                                         None))
+                    in ("setattr", "__setattr__")
+                    and ast.unparse(node.args[0]) != "self"):
+                found.append((path.name, node.lineno, "setattr"))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                if {"_ZERO", "_ONE"} & {n.id for t in targets
+                                        for n in ast.walk(t)
+                                        if isinstance(n, ast.Name)}:
+                    bindings.append((path.name, node in tree.body))
+    assert found == []
+    assert bindings == [("scalars.py", True)]

@@ -247,3 +247,22 @@ def test_J_from_phi_identity_guard(heisenberg_like):
     from leibniz_lab.errors import SingularMatrix
     with pytest.raises(SingularMatrix):
         J_from_phi(heisenberg_like, diag(1, 1, -1, -1), mat([[0, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_induced_dendriform_classifies_the_product_once(monkeypatch, seed):
+    from conftest import random_dendriform_with_skew
+    from leibniz_lab import omega_to_J, structures
+    D = random_dendriform_with_skew(random.Random(seed))
+    P, J = omega_to_J(D, mat([[0, 3], [-3, 0]]))
+    E = diag(1, 1, -1, -1)
+    calls = []
+
+    def counted(A, M):
+        calls.append(M)
+        return classify_product(A, M)
+
+    monkeypatch.setattr(structures, "classify_product", counted)
+    dp, dm = induced_dendriform_on_eigenspaces(P.total, J, E)
+    assert len(calls) == 1
+    assert verify_dendriform(dp).ok and verify_dendriform(dm).ok

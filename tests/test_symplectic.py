@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mat, random_dendriform, random_leibniz
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
@@ -11,9 +12,12 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
                          verify_dendriform, verify_manin_triple,
                          verify_phase_space, verify_quadratic_dendriform,
                          verify_symplectic)
-from leibniz_lab.errors import NotQuadratic, NotSymplectic
+from leibniz_lab import symplectic
+from leibniz_lab.errors import DimensionMismatch, NotQuadratic, NotSymplectic
+from leibniz_lab.linalg import Matrix, is_singular
 from leibniz_lab.scalars import Scalar
-from leibniz_lab.symplectic import form_value, sample_nondegenerate
+from leibniz_lab.symplectic import (form_space_radical, form_value,
+                                    sample_nondegenerate)
 
 
 def test_verify_symplectic_guards(heisenberg_like):
@@ -167,3 +171,92 @@ def test_manin_triple_zero_dimensional():
     check = verify_manin_triple(DendriformAlgebra.zero(0),
                                 Matrix.from_rows([]), W, W)
     assert check.ok
+
+
+# -- the common-radical certificate of sample_nondegenerate ------------------
+
+
+def count_is_singular(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return is_singular(M)
+
+    monkeypatch.setattr(symplectic, "is_singular", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+def test_degenerate_form_space_is_certified_without_sampling(monkeypatch,
+                                                             dim):
+    # On the nilpotent generator the identity forces the last column of
+    # every form to vanish, so the last basis vector spans the radical.
+    A = random_leibniz(random.Random(dim), dim)
+    basis, _ = solve_symplectic_space(A, seed=dim)
+    radical = form_space_radical(basis)
+    assert radical == [Matrix.column(A.basis_vector(dim - 1))]
+    for v in radical:
+        assert all((B @ v).is_zero() for B in basis)
+    calls = count_is_singular(monkeypatch)
+    assert sample_nondegenerate(basis, seed=dim) is None
+    assert calls == []
+
+
+# solve_symplectic_space(build_phase_space(random_dendriform(
+# random.Random(seed), dim)).total, seed=seed).sample, recorded before the
+# certificate existed; the (5, 2) sample comes from the seeded combinations.
+PHASE_SPACE_SAMPLES = {
+    (3, 1): [[1, 1], [1, 0]],
+    (5, 2): [[-2, 5, -5, -3], [5, -4, 0, 0], [-5, 0, 0, 0], [-3, 0, 0, 2]],
+    (8, 3): [[1, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1],
+             [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("seed, dim", sorted(PHASE_SPACE_SAMPLES))
+def test_phase_space_samples_are_unchanged(seed, dim):
+    P = build_phase_space(random_dendriform(random.Random(seed), dim))
+    basis, sample = solve_symplectic_space(P.total, seed=seed)
+    assert form_space_radical(basis) == []
+    assert sample == mat(PHASE_SPACE_SAMPLES[(seed, dim)])
+    assert verify_symplectic(P.total, sample).ok
+
+
+def test_radical_of_no_forms_is_an_error():
+    with pytest.raises(DimensionMismatch):
+        form_space_radical([])
+
+
+@st.composite
+def form_spaces(draw):
+    """Bases of solver form spaces, or of forms C_t K sharing ker K."""
+    dim = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        return solve_symplectic_space(random_leibniz(rng, dim))[0]
+    entry = st.integers(-2, 2)
+
+    def square():
+        return mat(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                 min_size=dim, max_size=dim)))
+
+    K = square()
+    return [square() @ K for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_spaces(), st.integers(0, 10 ** 6))
+def test_nonzero_radical_means_every_member_is_singular(basis, seed):
+    radical = form_space_radical(basis)
+    for v in radical:
+        assert all((B @ v).is_zero() for B in basis)
+    if not radical:
+        return
+    assert sample_nondegenerate(basis, seed=seed) is None
+    rng = random.Random(seed)
+    for _ in range(8):
+        member = Matrix.zero(basis[0].rows, basis[0].cols)
+        for B in basis:
+            member = member + B.scale(Scalar.of(rng.randint(-5, 5)))
+        assert is_singular(member)
