@@ -1,5 +1,12 @@
 """Command-line front end: JSON verdicts, exit 0/1/2.
 
+Every command is one entry of ``COMMANDS``: ``(group, kind)`` maps to the
+kinds of its path arguments and to the function that turns the parsed
+documents into a check, or into a ``(check, payload)`` pair.  The arity
+check, the argparse groups and the parsing of each document (in path
+order, with matrices read in the field of the first document) all derive
+from that table.
+
 Exit status 0 means the check passed (or the construction succeeded),
 1 means a mathematical violation, 2 means an input or usage error (including
 inputs whose sizes do not match).
@@ -16,7 +23,7 @@ from .dendriform import (subadjacent, verify_dendriform,
                          verify_invariant_form, verify_quadratic_dendriform,
                          verify_rota_baxter)
 from .errors import (DimensionMismatch, LeibnizLabError, ParseError,
-                     UsageError, ValidationError)
+                     ValidationError)
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  parse_representation, parse_subspace, serialize_algebra,
                  serialize_matrix, serialize_representation)
@@ -41,228 +48,148 @@ def _witnesses(check) -> list:
              "rhs": [format_scalar(c) for c in (check.rhs or [])]}]
 
 
-def _verdict(command: str, check, payload=None) -> dict:
-    doc = {"command": command, "ok": bool(check),
+def _verdict(key, check, **extra) -> dict:
+    """The verdict document; ``extra`` adds a payload or an error text."""
+    doc = {"command": " ".join(key), "ok": check.ok,
            "reason": None if check.ok else check.reason,
            "witnesses": _witnesses(check)}
-    if payload is not None:
-        doc["payload"] = payload
+    doc.update((name, value) for name, value in extra.items()
+               if value is not None)
     return doc
 
 
-def _algebra(path, validate=None):
-    return parse_algebra(load_json(path), validate)
+# The functions below and the lambdas of the tables call the library
+# through this module's globals at call time, never through a stored
+# function object, so a tracer that rebinds those globals sees every call.
+
+# How a path argument of each kind is parsed.  ``field`` is the field of
+# the first document, in which every matrix is read.  A "raw" document is
+# not validated on load, so that its verify command reports the violation.
+_PARSERS = {
+    "algebra": lambda doc, field: parse_algebra(doc),
+    "raw algebra": lambda doc, field: parse_algebra(doc, False),
+    "dendriform": lambda doc, field: parse_dendriform(doc),
+    "raw dendriform": lambda doc, field: parse_dendriform(doc, False),
+    "representation": lambda doc, field: parse_representation(doc),
+    "raw representation": lambda doc, field: parse_representation(doc, False),
+    "matrix": lambda doc, field: parse_matrix(doc, field),
+    "subspace": lambda doc, field: parse_subspace(doc),
+}
 
 
-def _dendriform(path, validate=None):
-    return parse_dendriform(load_json(path), validate)
+def _integrable(ok: bool, payload: dict):
+    return OK if ok else CheckResult(False, "INTEGRABILITY_FAILS"), payload
 
 
-def _matrix(path, field=None):
-    return parse_matrix(load_json(path), field)
+def _classify_product(A, E):
+    report = classify_product(A, E)
+    return _integrable(report.is_product, {
+        "isProduct": report.is_product, "isStrict": report.is_strict,
+        "isAbelian": report.is_abelian,
+        "isParacomplex": report.is_paracomplex,
+        "plusDim": report.plus_eigenspace.dim,
+        "minusDim": report.minus_eigenspace.dim})
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("LEIBNIZ_LAB_SEED", "0"))
+def _classify_complex(A, J):
+    report = classify_complex(A, J)
+    return _integrable(report.is_complex, {
+        "isComplex": report.is_complex, "isStrict": report.is_strict,
+        "isAbelian": report.is_abelian, "eigenIDim": report.eigen_i.dim,
+        "eigenMinusIDim": report.eigen_minus_i.dim})
 
 
-# -- command handlers -------------------------------------------------------
-
-
-def cmd_verify(args):
-    kind = args.kind
-    if kind == "leibniz":
-        return _verdict("verify leibniz",
-                        verify_leibniz(_algebra(args.paths[0], False)))
-    if kind == "rep":
-        rep = parse_representation(load_json(args.paths[0]), validate=False)
-        return _verdict("verify rep", verify_representation(rep))
-    if kind == "dendriform":
-        return _verdict("verify dendriform",
-                        verify_dendriform(_dendriform(args.paths[0], False)))
-    if kind == "symplectic":
-        A = _algebra(args.paths[0])
-        B = _matrix(args.paths[1], A.field)
-        return _verdict("verify symplectic", verify_symplectic(A, B))
-    if kind == "invariant":
-        D = _dendriform(args.paths[0])
-        omega = _matrix(args.paths[1], D.field)
-        return _verdict("verify invariant", verify_invariant_form(D, omega))
-    if kind == "quadratic":
-        D = _dendriform(args.paths[0])
-        B = _matrix(args.paths[1], D.field)
-        return _verdict("verify quadratic", verify_quadratic_dendriform(D, B))
-    if kind == "rota-baxter":
-        rep = parse_representation(load_json(args.paths[0]))
-        T = _matrix(args.paths[1], rep.algebra.field)
-        return _verdict("verify rota-baxter",
-                        verify_rota_baxter(rep.algebra, rep, T))
-    raise UsageError("unknown verify target %r" % kind)
-
-
-def cmd_classify(args):
-    A = _algebra(args.paths[0])
-    M = _matrix(args.paths[1], A.field)
-    if args.kind == "product":
-        report = classify_product(A, M)
-        payload = {"isProduct": report.is_product,
-                   "isStrict": report.is_strict,
-                   "isAbelian": report.is_abelian,
-                   "isParacomplex": report.is_paracomplex,
-                   "plusDim": report.plus_eigenspace.dim,
-                   "minusDim": report.minus_eigenspace.dim}
-        ok = report.is_product
-    elif args.kind == "complex":
-        report = classify_complex(A, M)
-        payload = {"isComplex": report.is_complex,
-                   "isStrict": report.is_strict,
-                   "isAbelian": report.is_abelian,
-                   "eigenIDim": report.eigen_i.dim,
-                   "eigenMinusIDim": report.eigen_minus_i.dim}
-        ok = report.is_complex
-    else:
-        raise UsageError("unknown classify target %r" % args.kind)
-    return _verdict("classify %s" % args.kind,
-                    OK if ok else CheckResult(False, "INTEGRABILITY_FAILS"),
-                    payload)
-
-
-def cmd_enumerate(args):
-    if args.kind != "products":
-        raise UsageError("unknown enumerate target %r" % args.kind)
-    A = _algebra(args.paths[0])
+def _enumerate_products(A):
     found = enumerate_diagonal_products(A)
-    payload = {"count": len(found),
-               "diagonals": [[format_scalar(E[i, i]) for i in range(A.dim)]
-                             for E, _ in found]}
-    return _verdict("enumerate products", OK, payload)
+    return OK, {"count": len(found),
+                "diagonals": [[format_scalar(E[i, i]) for i in range(A.dim)]
+                              for E, _ in found]}
 
 
-def cmd_solve(args):
-    if args.kind != "symplectic":
-        raise UsageError("unknown solve target %r" % args.kind)
-    A = _algebra(args.paths[0])
-    basis, sample = solve_symplectic_space(A, seed=_seed(args))
-    payload = {"dim": len(basis),
-               "basis": [serialize_matrix(B)["matrix"] for B in basis],
-               "sampleNondegenerate":
-                   serialize_matrix(sample)["matrix"] if sample else None}
-    return _verdict("solve symplectic", OK, payload)
+def _solve_symplectic(A, seed):
+    basis, sample = solve_symplectic_space(A, seed=seed)
+    return OK, {"dim": len(basis),
+                "basis": [serialize_matrix(B)["matrix"] for B in basis],
+                "sampleNondegenerate":
+                    serialize_matrix(sample)["matrix"] if sample else None}
 
 
-def cmd_construct(args):
-    kind = args.kind
-    if kind == "phase-space":
-        D = _dendriform(args.paths[0])
-        P = build_phase_space(D)
-        check = verify_phase_space(P, P.base_subspace(), P.dual_subspace())
-        payload = {"algebra": serialize_algebra(P.total),
+def _phase_space(D):
+    P = build_phase_space(D)
+    return P, verify_phase_space(P, P.base_subspace(), P.dual_subspace())
+
+
+def _construct_phase_space(D):
+    P, check = _phase_space(D)
+    return check, {"algebra": serialize_algebra(P.total),
                    "form": serialize_matrix(P.form)["matrix"],
                    "baseDim": P.base_dim}
-        return _verdict("construct phase-space", check, payload)
-    if kind == "subadjacent":
-        D = _dendriform(args.paths[0])
-        return _verdict("construct subadjacent", OK,
-                        serialize_algebra(subadjacent(D)))
-    if kind == "semidirect":
-        rep = parse_representation(load_json(args.paths[0]))
-        return _verdict("construct semidirect", OK,
-                        serialize_algebra(semidirect_product(rep)))
-    if kind == "dual-rep":
-        rep = parse_representation(load_json(args.paths[0]))
-        return _verdict("construct dual-rep", OK,
-                        serialize_representation(dual_rep(rep)))
-    if kind == "levi-civita":
-        A = _algebra(args.paths[0])
-        S = _matrix(args.paths[1], A.field)
-        pair = levi_civita(A, S)
-        def tensor_doc(t):
-            return [[[format_scalar(c) for c in t[i][j]]
-                     for j in range(A.dim)] for i in range(A.dim)]
-        return _verdict("construct levi-civita", OK,
-                        {"star": tensor_doc(pair.star),
-                         "starstar": tensor_doc(pair.starstar)})
-    if kind == "complexify":
-        A = _algebra(args.paths[0])
-        B = _matrix(args.paths[1], A.field)
-        J = _matrix(args.paths[2], A.field)
-        algebra, b_c, E = complexify_pseudo_kahler(A, B, J)
-        return _verdict("construct complexify", OK,
-                        {"algebra": serialize_algebra(algebra),
-                         "form": serialize_matrix(b_c)["matrix"],
-                         "product": serialize_matrix(E)["matrix"]})
-    if kind == "realify":
-        A = _algebra(args.paths[0])
-        B = _matrix(args.paths[1], A.field)
-        E = _matrix(args.paths[2], A.field)
-        algebra, b_r, J = realify(A, B, E)
-        return _verdict("construct realify", OK,
-                        {"algebra": serialize_algebra(algebra),
-                         "form": serialize_matrix(b_r)["matrix"],
-                         "complex": serialize_matrix(J)["matrix"]})
-    if kind == "bowtie":
-        rep = parse_representation(load_json(args.paths[0]))
-        T = _matrix(args.paths[1], rep.algebra.field)
-        return _verdict("construct bowtie", OK,
-                        serialize_algebra(bowtie_algebra(rep.algebra, rep, T)))
-    raise UsageError("unknown construct target %r" % kind)
 
 
-def cmd_check(args):
-    kind = args.kind
-    if kind == "para-kahler":
-        A = _algebra(args.paths[0])
-        B = _matrix(args.paths[1], A.field)
-        E = _matrix(args.paths[2], A.field)
-        return _verdict("check para-kahler", check_para_kahler(A, B, E))
-    if kind == "pseudo-kahler":
-        A = _algebra(args.paths[0])
-        B = _matrix(args.paths[1], A.field)
-        J = _matrix(args.paths[2], A.field)
-        return _verdict("check pseudo-kahler", check_pseudo_kahler(A, B, J))
-    if kind == "complex-product":
-        A = _algebra(args.paths[0])
-        J = _matrix(args.paths[1], A.field)
-        E = _matrix(args.paths[2], A.field)
-        return _verdict("check complex-product",
-                        check_complex_product_pair(A, J, E))
-    if kind == "manin-triple":
-        D = _dendriform(args.paths[0])
-        B = _matrix(args.paths[1], D.field)
-        W1 = parse_subspace(load_json(args.paths[2]))
-        W2 = parse_subspace(load_json(args.paths[3]))
-        return _verdict("check manin-triple",
-                        verify_manin_triple(D, B, W1, W2))
-    if kind == "phase-space":
-        D = _dendriform(args.paths[0])
-        P = build_phase_space(D)
-        return _verdict("check phase-space",
-                        verify_phase_space(P, P.base_subspace(),
-                                           P.dual_subspace()))
-    raise UsageError("unknown check target %r" % kind)
+def _levi_civita(A, S):
+    pair = levi_civita(A, S)
+
+    def tensor_doc(t):
+        return [[[format_scalar(c) for c in t[i][j]] for j in range(A.dim)]
+                for i in range(A.dim)]
+    return OK, {"star": tensor_doc(pair.star),
+                "starstar": tensor_doc(pair.starstar)}
 
 
-_HANDLERS = {"verify": cmd_verify, "classify": cmd_classify,
-             "enumerate": cmd_enumerate, "solve": cmd_solve,
-             "construct": cmd_construct, "check": cmd_check}
+def _bridge(algebra, form, operator, name):
+    return OK, {"algebra": serialize_algebra(algebra),
+                "form": serialize_matrix(form)["matrix"],
+                name: serialize_matrix(operator)["matrix"]}
 
-_ARITIES = {
-    ("verify", "leibniz"): 1, ("verify", "rep"): 1,
-    ("verify", "dendriform"): 1, ("verify", "symplectic"): 2,
-    ("verify", "invariant"): 2, ("verify", "quadratic"): 2,
-    ("verify", "rota-baxter"): 2,
-    ("classify", "product"): 2, ("classify", "complex"): 2,
-    ("enumerate", "products"): 1,
-    ("solve", "symplectic"): 1,
-    ("construct", "phase-space"): 1, ("construct", "subadjacent"): 1,
-    ("construct", "semidirect"): 1, ("construct", "dual-rep"): 1,
-    ("construct", "levi-civita"): 2, ("construct", "complexify"): 3,
-    ("construct", "realify"): 3, ("construct", "bowtie"): 2,
-    ("check", "para-kahler"): 3, ("check", "pseudo-kahler"): 3,
-    ("check", "complex-product"): 3, ("check", "manin-triple"): 4,
-    ("check", "phase-space"): 1,
+
+_FORM = ("algebra", "matrix")
+_TRIPLE = ("algebra", "matrix", "matrix")
+
+# (group, kind) -> (kinds of the path arguments, the function that computes
+# the check, or the check and its payload, from the parsed documents).  The
+# function of ``solve`` also takes the ``--seed``.
+COMMANDS = {
+    ("verify", "leibniz"): (("raw algebra",), lambda A: verify_leibniz(A)),
+    ("verify", "rep"): (("raw representation",),
+                        lambda R: verify_representation(R)),
+    ("verify", "dendriform"): (("raw dendriform",),
+                               lambda D: verify_dendriform(D)),
+    ("verify", "symplectic"): (_FORM, lambda A, B: verify_symplectic(A, B)),
+    ("verify", "invariant"): (("dendriform", "matrix"),
+                              lambda D, w: verify_invariant_form(D, w)),
+    ("verify", "quadratic"): (("dendriform", "matrix"),
+                              lambda D, B: verify_quadratic_dendriform(D, B)),
+    ("verify", "rota-baxter"): (("representation", "matrix"), lambda R, T:
+                                verify_rota_baxter(R.algebra, R, T)),
+    ("classify", "product"): (_FORM, _classify_product),
+    ("classify", "complex"): (_FORM, _classify_complex),
+    ("enumerate", "products"): (("algebra",), _enumerate_products),
+    ("solve", "symplectic"): (("algebra",), _solve_symplectic),
+    ("construct", "phase-space"): (("dendriform",), _construct_phase_space),
+    ("construct", "subadjacent"): (("dendriform",), lambda D: (
+        OK, serialize_algebra(subadjacent(D)))),
+    ("construct", "semidirect"): (("representation",), lambda R: (
+        OK, serialize_algebra(semidirect_product(R)))),
+    ("construct", "dual-rep"): (("representation",), lambda R: (
+        OK, serialize_representation(dual_rep(R)))),
+    ("construct", "levi-civita"): (_FORM, _levi_civita),
+    ("construct", "complexify"): (_TRIPLE, lambda A, B, J: _bridge(
+        *complexify_pseudo_kahler(A, B, J), "product")),
+    ("construct", "realify"): (_TRIPLE, lambda A, B, E: _bridge(
+        *realify(A, B, E), "complex")),
+    ("construct", "bowtie"): (("representation", "matrix"), lambda R, T: (
+        OK, serialize_algebra(bowtie_algebra(R.algebra, R, T)))),
+    ("check", "para-kahler"): (_TRIPLE,
+                               lambda A, B, E: check_para_kahler(A, B, E)),
+    ("check", "pseudo-kahler"): (_TRIPLE,
+                                 lambda A, B, J: check_pseudo_kahler(A, B, J)),
+    ("check", "complex-product"): (_TRIPLE, lambda A, J, E:
+                                   check_complex_product_pair(A, J, E)),
+    ("check", "manin-triple"): (("dendriform", "matrix", "subspace",
+                                 "subspace"), lambda D, B, W1, W2:
+                                verify_manin_triple(D, B, W1, W2)),
+    ("check", "phase-space"): (("dendriform",),
+                               lambda D: _phase_space(D)[1]),
 }
 
 
@@ -273,20 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras with symplectic, product and complex "
                     "structures.")
     sub = parser.add_subparsers(dest="group", required=True)
-    for group in _HANDLERS:
+    for group in dict.fromkeys(group for group, _ in COMMANDS):
         g = sub.add_parser(group)
         g.add_argument("kind")
         g.add_argument("paths", nargs="*")
-        g.add_argument("--seed", type=int, default=None)
+        g.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _failure(key, reason: str, error: str = None) -> dict:
-    doc = {"command": " ".join(key), "ok": False, "reason": reason,
-           "witnesses": []}
-    if error is not None:
-        doc["error"] = error
-    return doc
+def _parse_paths(kinds, paths) -> list:
+    docs = []
+    for kind, path in zip(kinds, paths):
+        # The first document is an algebra, a dendriform algebra or a
+        # representation, whose algebra carries the field.
+        field = getattr(docs[0], "algebra", docs[0]).field if docs else None
+        docs.append(_PARSERS[kind](load_json(path), field))
+    return docs
 
 
 def run_command(argv):
@@ -297,18 +226,24 @@ def run_command(argv):
     except SystemExit as exc:
         return None, (2 if exc.code else 0)
     key = (args.group, args.kind)
-    if key not in _ARITIES:
-        return _failure(key, "USAGE"), 2
-    if len(args.paths) != _ARITIES[key]:
-        return _failure(key, "USAGE", "expected %d path argument(s)"
-                        % _ARITIES[key]), 2
+    if key not in COMMANDS:
+        return _verdict(key, CheckResult(False, "USAGE")), 2
+    kinds, compute = COMMANDS[key]
+    if len(args.paths) != len(kinds):
+        return _verdict(key, CheckResult(False, "USAGE"),
+                        error="expected %d path argument(s)" % len(kinds)), 2
     try:
-        verdict = _HANDLERS[args.group](args)
+        docs = _parse_paths(kinds, args.paths)
+        if args.group == "solve":
+            docs.append(args.seed)
+        out = compute(*docs)
     except LeibnizLabError as exc:
-        bad_input = isinstance(exc, (ParseError, ValidationError, UsageError,
+        bad_input = isinstance(exc, (ParseError, ValidationError,
                                      DimensionMismatch))
-        return _failure(key, type(exc).__name__, str(exc)), 2 if bad_input else 1
-    return verdict, 0 if verdict["ok"] else 1
+        return (_verdict(key, CheckResult(False, type(exc).__name__),
+                         error=str(exc)), 2 if bad_input else 1)
+    check, payload = out if isinstance(out, tuple) else (out, None)
+    return _verdict(key, check, payload=payload), 0 if check.ok else 1
 
 
 def main(argv=None) -> int:

@@ -95,7 +95,3 @@ class ParseError(LeibnizLabError):
 
 class ValidationError(LeibnizLabError):
     pass
-
-
-class UsageError(LeibnizLabError):
-    pass

@@ -38,6 +38,7 @@ class LeviCivitaPair:
 
 def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
     """Symplectic form + paracomplex structure + B(Ex, Ey) = -B(x, y)."""
+    _require_square(E, A.dim, "operator")
     check = verify_symplectic(A, B)
     if not check.ok:
         return replace(check, reason="SYMPLECTIC_FAILS")
@@ -123,6 +124,7 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
 
 def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
     """Symplectic form + complex structure + B(Jx, Jy) = B(x, y)."""
+    _require_square(J, A.dim, "operator")
     if A.field != RATIONAL:
         raise WrongField("pseudo-Kahler structures live on rational ('real') "
                          "algebras")

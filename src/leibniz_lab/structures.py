@@ -38,7 +38,7 @@ class ComplexReport:
 
 
 def _is_involution(M: Matrix) -> bool:
-    return M.is_square() and matrices_equal(M @ M, Matrix.identity(M.rows))
+    return matrices_equal(M @ M, Matrix.identity(M.rows))
 
 
 def _is_anti_involution(M: Matrix) -> bool:
@@ -89,6 +89,7 @@ def _subspace_from_columns(columns) -> Subspace:
 
 def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
     """Full integrability/strict/abelian/paracomplex report for an involution."""
+    _require_square(E, A.dim, "operator")
     if not _is_involution(E):
         raise NotInvolution("E^2 != I")
     nijenhuis = verify_nijenhuis(A, E).ok
@@ -162,6 +163,7 @@ def complex_integrability(A: LeibnizAlgebra, J: Matrix) -> CheckResult:
 
 def _require_complex_candidate(A: LeibnizAlgebra, J: Matrix):
     """A complex structure needs a rational algebra and J^2 = -I."""
+    _require_square(J, A.dim, "operator")
     if A.field != RATIONAL:
         raise WrongField("complex structures live on rational ('real') algebras")
     if not _is_anti_involution(J):
@@ -215,6 +217,7 @@ def check_complex_product_pair(A: LeibnizAlgebra, J: Matrix,
 
 
 def _complex_product_pair(A: LeibnizAlgebra, J: Matrix, E: Matrix):
+    _require_square(E, A.dim, "operator")   # J: in the candidate check
     try:
         _require_complex_candidate(A, J)
     except NotAntiInvolution:

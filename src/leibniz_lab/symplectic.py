@@ -19,6 +19,8 @@ from .linalg import (Matrix, column_span_matrix, invert, is_singular,
 from .representations import dual_rep, semidirect_product
 from .scalars import Scalar
 
+SAMPLE_ATTEMPTS = 32   # seeded combinations tried after the basis sum
+
 
 def _identity_terms(i, j, k):
     """The symplectic identity at x, y, z = e_i, e_j, e_k as (lhs, rhs).
@@ -71,7 +73,7 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
 
     Nondegeneracy is an open condition and is not imposed; a deterministic
     sampling pass looks for one nonsingular member (sum of the basis first,
-    then seeded small-integer combinations, at most 32 attempts).
+    then ``SAMPLE_ATTEMPTS`` seeded small-integer combinations).
     """
     n = A.dim
     pairs = _sym_index_pairs(n)
@@ -106,14 +108,14 @@ def form_space_radical(basis: Sequence[Matrix]) -> list:
         [row for B in basis for row in B.entries]))
 
 
-def sample_nondegenerate(basis: Sequence[Matrix], seed: int = 0,
-                         attempts: int = 32) -> Optional[Matrix]:
+def sample_nondegenerate(basis: Sequence[Matrix],
+                         seed: int = 0) -> Optional[Matrix]:
     """Deterministic search for a nonsingular member of a form space.
 
     An empty basis or a nonzero :func:`form_space_radical` makes every
     member singular, so None then certifies that no nondegenerate form
     exists, and nothing is sampled.  Otherwise the sum of the basis and
-    ``attempts`` seeded small-integer combinations are tried in turn.
+    ``SAMPLE_ATTEMPTS`` seeded small-integer combinations are tried in turn.
     """
     if not basis or form_space_radical(basis):
         return None
@@ -122,7 +124,7 @@ def sample_nondegenerate(basis: Sequence[Matrix], seed: int = 0,
         return candidate
     rng = random.Random(seed)
     zero = Matrix.zero(basis[0].rows, basis[0].cols)
-    for _ in range(attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         candidate = sum((B.scale(Scalar.of(rng.randint(-5, 5)))
                          for B in basis), zero)
         if not is_singular(candidate):

@@ -325,3 +325,26 @@ def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
         proc.stdout.close()   # the reader is gone before anything is written
         stderr = proc.stderr.read()
         assert (proc.wait(), stderr) == (expected, b"")
+
+
+TWICE_I3 = endo([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+WIDE = endo([[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("bad", [TWICE_I3, WIDE], ids=["2I3", "2x3"])
+def test_operator_of_wrong_shape_exits_2(write_doc, bad):
+    """A wrongly shaped operator is misuse whether or not it happens to be
+    an involution: it never reaches a mathematical verdict."""
+    real = {"dim": 2, "brackets": []}
+    gaussian = {"dim": 2, "field": "Q(i)", "brackets": []}
+    J, E = endo([[0, -1], [1, 0]]), endo([[1, 0], [0, -1]])
+    cases = [(("classify", "product"), real, bad),
+             (("classify", "complex"), real, bad),
+             (("check", "para-kahler"), real, SWAP2, bad),
+             (("check", "complex-product"), real, bad, E),
+             (("check", "complex-product"), real, J, bad),
+             (("check", "pseudo-kahler"), real, SWAP2, bad),
+             (("construct", "complexify"), real, SWAP2, bad),
+             (("construct", "realify"), gaussian, SWAP2, bad)]
+    for command, *docs in cases:
+        assert _misuse(write_doc, command, *docs), command

@@ -14,8 +14,9 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, S_from_B_E,
                          omega_to_J, product_from_decomposition, realify,
                          solve_symplectic_space, symplectic_to_dendriform,
                          verify_symplectic)
-from leibniz_lab.errors import (DegenerateForm, NotInvariant, NotParaKahler,
-                                NotPseudoKahler, WrongField)
+from leibniz_lab.errors import (DegenerateForm, DimensionMismatch,
+                                NotInvariant, NotParaKahler, NotPseudoKahler,
+                                WrongField)
 from leibniz_lab.linalg import Matrix, matrices_equal
 from leibniz_lab.representations import dual_rep
 from leibniz_lab.dendriform import dendriform_rep
@@ -219,10 +220,12 @@ def test_pseudo_kahler_complex_fails_without_integrable_anti_involution():
     A = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: Scalar.of(1)}})
     B = mat([[0, 1], [1, 0]])
     assert verify_symplectic(A, B).ok
-    # not an anti-involution: J^2 = I, and J not square
-    for J in (diag(1, -1), mat([[0, 1]])):
-        check = check_pseudo_kahler(A, B, J)
-        assert not check.ok and check.reason == "COMPLEX_FAILS"
+    # not an anti-involution: J^2 = I
+    check = check_pseudo_kahler(A, B, diag(1, -1))
+    assert not check.ok and check.reason == "COMPLEX_FAILS"
+    # a J that is not even square is misuse, not a failed verdict
+    with pytest.raises(DimensionMismatch):
+        check_pseudo_kahler(A, B, mat([[0, 1]]))
     # an anti-involution that fails integrability at (e1, e1)
     check = check_pseudo_kahler(A, B, mat([[0, -1], [1, 0]]))
     assert not check.ok and check.reason == "COMPLEX_FAILS"
