@@ -9,7 +9,8 @@ from that table.
 
 Exit status 0 means the check passed (or the construction succeeded),
 1 means a mathematical violation, 2 means an input or usage error (including
-inputs whose sizes do not match).
+inputs whose sizes do not match, and an algebra over a field the command
+does not take).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import sys
 from .dendriform import (subadjacent, verify_dendriform,
                          verify_invariant_form, verify_quadratic_dendriform,
                          verify_rota_baxter)
-from .errors import (DimensionMismatch, LeibnizLabError, ParseError,
-                     ValidationError)
+from .errors import (DimensionMismatch, FieldMismatch, LeibnizLabError,
+                     ParseError, ValidationError, WrongField)
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  parse_representation, parse_subspace, serialize_algebra,
                  serialize_matrix, serialize_representation)
@@ -239,7 +240,8 @@ def run_command(argv):
         out = compute(*docs)
     except LeibnizLabError as exc:
         bad_input = isinstance(exc, (ParseError, ValidationError,
-                                     DimensionMismatch))
+                                     DimensionMismatch, WrongField,
+                                     FieldMismatch))
         return (_verdict(key, CheckResult(False, type(exc).__name__),
                          error=str(exc)), 2 if bad_input else 1)
     check, payload = out if isinstance(out, tuple) else (out, None)

@@ -8,8 +8,8 @@ from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
                      NotSymmetric, SingularMatrix)
 from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
                       _checked_tensor, _dense_tensor, _mult_matrix,
-                      _require_square, first_failure, form_value, tensor_from,
-                      unit, vadd, vsub)
+                      _require_square, first_defect, first_failure,
+                      form_tensor, tensor_from, tensor_sum, unit, vadd)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
 from .scalars import RATIONAL
@@ -61,28 +61,38 @@ def dendriforms_equal(D1: DendriformAlgebra, D2: DendriformAlgebra) -> bool:
             and D1.right_brackets == D2.right_brackets)
 
 
+# The three defining identities, with "<" and ">" the two products.
+DENDRIFORM = (
+    ("p1", ((1, "(x<y)<z"),),
+     ((1, "x<(y<z)"), (-1, "y<(x<z)"), (-1, "(x>y)<z"))),
+    ("p2", ((1, "x<(y>z)"),),
+     ((1, "(x<y)>z"), (1, "y>(x<z)"), (1, "y>(x>z)"))),
+    ("p3", ((1, "x>(y>z)"),),
+     ((1, "(x>y)>z"), (1, "y<(x>z)"), (-1, "x>(y<z)"))))
+
+# Invariance of a form "|" under both products.
+INVARIANT = (
+    ("INVARIANT_LEFT_FAILS", ((1, "(x<y)|z"),), ((-1, "y|(x<z)"),)),
+    ("INVARIANT_RIGHT_FAILS", ((1, "(x>y)|z"),),
+     ((1, "x|(y<z)"), (1, "x|(z>y)"))))
+
+# The products against the sub-adjacent bracket "*" (x*y = x<y + x>y).
+QUADRATIC = (
+    ("QUADRATIC_LEFT_FAILS", ((1, "(x<y)|z"),), ((-1, "y|(x*z)"),)),
+    ("QUADRATIC_RIGHT_FAILS", ((1, "(x>y)|z"),),
+     ((1, "x|(y*z)"), (1, "x|(z*y)"))))
+
+
 def verify_dendriform(D: DendriformAlgebra) -> CheckResult:
-    """Check the three defining identities on all basis triples."""
-    e = [D.basis_vector(i) for i in range(D.dim)]
-    L, R = D.left, D.right
-
-    def sides(i, j, k):
-        x, y, z = e[i], e[j], e[k]
-        yield ("p1", L(L(x, y), z),
-               vsub(vsub(L(x, L(y, z)), L(y, L(x, z))), L(R(x, y), z)))
-        yield ("p2", L(x, R(y, z)),
-               vadd(vadd(R(L(x, y), z), R(y, L(x, z))), R(y, R(x, z))))
-        yield ("p3", R(x, R(y, z)),
-               vsub(vadd(R(R(x, y), z), L(y, R(x, z))), R(x, L(y, z))))
-
-    return first_failure(D.dim, 3, sides)
+    """Check the three defining identities (:data:`DENDRIFORM`) on all
+    basis triples."""
+    return first_defect(D.dim, DENDRIFORM,
+                        {"<": D.left_brackets, ">": D.right_brackets})
 
 
 def subadjacent(D: DendriformAlgebra) -> LeibnizAlgebra:
     """The Leibniz algebra with bracket x<y + x>y."""
-    n = D.dim
-    e = [D.basis_vector(i) for i in range(n)]
-    return LeibnizAlgebra(n, tensor_from(n, lambda i, j: D.both(e[i], e[j])),
+    return LeibnizAlgebra(D.dim, tensor_sum(D.left_brackets, D.right_brackets),
                           D.field)
 
 
@@ -154,39 +164,25 @@ def compatible_dendriform_from_invertible_rb(
 
 
 def verify_invariant_form(D: DendriformAlgebra, omega: Matrix) -> CheckResult:
-    """Invariance of a nondegenerate form with respect to both products."""
+    """Invariance of a nondegenerate form with respect to both products
+    (:data:`INVARIANT`)."""
     _require_square(omega, D.dim)
     if is_singular(omega):
         raise DegenerateForm("invariant forms must be nondegenerate")
-    e = [D.basis_vector(i) for i in range(D.dim)]
-    L, R = D.left, D.right
-
-    def sides(i, j, k):
-        x, y, z = e[i], e[j], e[k]
-        yield ("INVARIANT_LEFT_FAILS", [form_value(omega, L(x, y), z)],
-               [-form_value(omega, y, L(x, z))])
-        yield ("INVARIANT_RIGHT_FAILS", [form_value(omega, R(x, y), z)],
-               [form_value(omega, x, vadd(L(y, z), R(z, y)))])
-
-    return first_failure(D.dim, 3, sides)
+    return first_defect(D.dim, INVARIANT, {
+        "<": D.left_brackets, ">": D.right_brackets, "|": form_tensor(omega)})
 
 
 def verify_quadratic_dendriform(D: DendriformAlgebra,
                                 B: Matrix) -> CheckResult:
-    """Invariance conditions tying the products to the sub-adjacent bracket."""
+    """Invariance conditions tying the products to the sub-adjacent bracket
+    (:data:`QUADRATIC`)."""
     _require_square(B, D.dim)
     if B != B.transpose():
         raise NotSymmetric("quadratic forms must be symmetric")
     if is_singular(B):
         raise DegenerateForm("quadratic forms must be nondegenerate")
-    e = [D.basis_vector(i) for i in range(D.dim)]
-
-    def sides(i, j, k):
-        x, y, z = e[i], e[j], e[k]
-        yield ("QUADRATIC_LEFT_FAILS", [form_value(B, D.left(x, y), z)],
-               [-form_value(B, y, D.both(x, z))])
-        yield ("QUADRATIC_RIGHT_FAILS", [form_value(B, D.right(x, y), z)],
-               [form_value(B, x, D.both(y, z))
-                + form_value(B, x, D.both(z, y))])
-
-    return first_failure(D.dim, 3, sides)
+    left, right = D.left_brackets, D.right_brackets
+    return first_defect(D.dim, QUADRATIC, {
+        "<": left, ">": right, "|": form_tensor(B),
+        "*": tensor_sum(left, right)})

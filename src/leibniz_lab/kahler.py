@@ -9,8 +9,8 @@ from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
                      NotPseudoKahler, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _require_square, form_value, is_subalgebra, tensor_from,
-                      vadd, vsub)
+                      _require_square, form_tensor, functionals, is_subalgebra,
+                      tensor_from)
 from .linalg import Matrix, invert, is_singular, matrices_equal
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 from .structures import (_is_anti_involution, classify_product,
@@ -105,21 +105,21 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
         raise DegenerateForm("form is singular")
     s_inv = invert(S)
     half = Fraction(1, 2)
-    e = [A.basis_vector(i) for i in range(n)]
+    tensors = {".": A.brackets, "|": form_tensor(S)}
+    first = ((1, "(x.y)|z"),)
+    rest = ((1, "(y.z)|x"), (1, "(z.y)|x"), (1, "(x.z)|y"))
+    zero = (Scalar.zero(),) * n
 
-    def products(i, j):
-        """(e_i * e_j, e_i ** e_j)."""
-        x, y = e[i], e[j]
-        first = [form_value(S, A.bracket_basis(i, j), z) for z in e]
-        rest = [form_value(S, A.bracket(y, z), x)
-                + form_value(S, A.bracket(z, y), x)
-                + form_value(S, A.bracket(x, z), y) for z in e]
-        return [tuple(-half * c for c in s_inv.apply(w))
-                for w in (vadd(first, rest), vsub(first, rest))]
+    def products(terms):
+        """{(i, j): -S^{-1} w / 2} over the nonzero functionals w."""
+        return {ij: tuple(-half * c for c in s_inv.apply(w))
+                for ij, w in functionals(n, terms, tensors).items()}
 
-    table = [[products(i, j) for j in range(n)] for i in range(n)]
-    return LeviCivitaPair(*(tuple(tuple(p[t] for p in row) for row in table)
-                            for t in (0, 1)))
+    tables = (products(first + rest),
+              products(first + tuple((-s, t) for s, t in rest)))
+    return LeviCivitaPair(*(tuple(tuple(table.get((i, j), zero)
+                                        for j in range(n)) for i in range(n))
+                            for table in tables))
 
 
 def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:

@@ -3,8 +3,8 @@
 This module also holds the tensor core that every other module builds on:
 the builder :func:`tensor_from`, the bilinear kernel :func:`tensor_product`,
 :func:`form_value`, the vector helpers :func:`vadd`, :func:`vsub` and
-:func:`unit`, and :func:`first_failure`, the one loop that runs an
-identity over basis tuples.
+:func:`unit`, the term evaluator :func:`contract` and the two loops that
+run an identity, :func:`first_defect` and :func:`first_failure`.
 
 Structure tensors: every product (the bracket, both dendriform products,
 every construction) is one sparse map ``{(i, j): {k: c}}``, meaning
@@ -13,13 +13,19 @@ equal exactly when their maps are.  Constructions build one with
 :func:`tensor_from`; callers pass one to ``from_brackets`` or a dense
 ``c[i][j][k]`` list to ``from_constants``.  Stored maps are never mutated.
 Code reads a tensor through ``bracket``, ``bracket_basis`` and the
-multiplication matrices; only :mod:`io` serialization, :func:`direct_sum`
-and ``semidirect_product`` iterate ``.brackets``.
+multiplication matrices; only :mod:`io` serialization, :func:`direct_sum`,
+``semidirect_product``, :func:`tensor_sum` and the term evaluator
+:func:`contract` iterate a stored map.
 
-Adding an identity: write a ``sides(*idx)`` generator that yields
-``(reason, lhs, rhs)`` for the basis tuple ``idx``, one triple per
-equation, and return ``first_failure(dim, arity, sides)``.  The first
-tuple in lexicographic order whose sides differ becomes the witness.
+Adding an identity over basis triples: write its term table, a tuple of
+``(reason, lhs, rhs)`` equations whose sides are signed terms over the
+slots x, y, z (syntax in :func:`contract`), and return
+``first_defect(dim, table, tensors)``.  A solver linear in a form
+contracts the same table with the form unknown, so the table is the
+identity's only encoding.  An identity over basis pairs writes a
+``sides(i, j)`` generator of ``(reason, lhs, rhs)`` triples and returns
+``first_failure(dim, 2, sides)``.  Either way the first failing tuple in
+lexicographic order, and in it the first failing equation, is the witness.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Matrix, in_span, rank, trace
-from .scalars import RATIONAL, Scalar
+from .scalars import _ZERO, RATIONAL, Scalar
 
 Vector = list  # coordinate list of field elements in the ambient basis
 
@@ -64,6 +70,87 @@ def first_failure(dim: int, arity: int, sides) -> CheckResult:
     return OK
 
 
+def _term(text: str):
+    """A term text as (outer, inner, inner first?, slots of the inner pair
+    and of the outer argument as places 0, 1, 2 of x, y, z)."""
+    if text[0] == "(":
+        a, inner, b, outer, c = text[1], text[2], text[3], text[5], text[6]
+    else:
+        c, outer, a, inner, b = text[0], text[1], text[3], text[4], text[5]
+    return outer, inner, text[0] == "(", tuple(map("xyz".index, (a, b, c)))
+
+
+def contract(terms, tensors: dict) -> dict:
+    """A sum of signed terms on all basis triples, as the sparse map
+    ``{(i, j, k): {m: c}}`` of its nonzero coordinates.
+
+    A term is ``(sign, text)``, the text ``"(xoy)Pz"`` or ``"xP(yoz)"`` (x,
+    y, z in any order): product P of a slot with product o of the other
+    two.  ``tensors`` maps each symbol to a sparse tensor; the form ``|``
+    is ``{(p, q): {0: B[p, q]}}`` (:func:`form_tensor`), or
+    ``{(p, q): {t: 1}}`` for unknown entries t, which gives the rows of a
+    linear system in the form.  Only stored entries are visited.
+    """
+    out, one = {}, Scalar.one()
+    for sign, text in terms:
+        outer, inner, inner_first, slots = _term(text)
+        feed = {}   # outer entries by the argument the inner product fills
+        for (p, q), value in tensors[outer].items():
+            feed.setdefault(p if inner_first else q, []).append(
+                (q if inner_first else p, value))
+        x, y, z = map(slots.index, range(3))  # their places in abf
+        for (a, b), vector in tensors[inner].items():
+            for m, c in vector.items():
+                c = c if sign > 0 else -c
+                for f, value in feed.get(m, ()):
+                    abf = (a, b, f)
+                    acc = out.setdefault((abf[x], abf[y], abf[z]), {})
+                    for k, d in value.items():
+                        v = c if d is one else c * d   # unknown form
+                        acc[k] = acc[k] + v if k in acc else v
+    return _nonzero(out)
+
+
+def defect(equation, tensors: dict) -> dict:
+    """lhs - rhs of one ``(reason, lhs, rhs)`` equation, contracted."""
+    _, lhs, rhs = equation
+    return contract(lhs + tuple((-s, t) for s, t in rhs), tensors)
+
+
+def first_defect(dim: int, table, tensors: dict) -> CheckResult:
+    """Run a term table over all basis triples, as :func:`first_failure`:
+    the smallest triple with a defect, and in it the first failing equation,
+    is the witness, with both sides as vectors of length ``dim`` (length 1
+    when the outer product is the form ``|``)."""
+    failures = [(min(failing), place) for place, equation in enumerate(table)
+                if (failing := defect(equation, tensors))]
+    if not failures:
+        return OK
+    idx, place = min(failures)
+    reason, lhs, rhs = table[place]
+    width = 1 if _term(lhs[0][1])[0] == "|" else dim
+
+    def side(terms):
+        value = contract(terms, tensors).get(idx, {})
+        return [value.get(k, _ZERO) for k in range(width)]
+    return CheckResult(False, reason, idx, side(lhs), side(rhs))
+
+
+def functionals(dim: int, terms, tensors: dict) -> dict:
+    """A sum of form terms as ``{(i, j): [its value at (i, j, k) for each
+    k]}``, for the pairs (i, j) where it is not zero."""
+    out = {}
+    for (i, j, k), value in contract(terms, tensors).items():
+        out.setdefault((i, j), [Scalar.zero()] * dim)[k] = value[0]
+    return out
+
+
+def form_tensor(B: Matrix) -> dict:
+    """A form as the bilinear map {(p, q): {0: B[p, q]}} into a line."""
+    return {(p, q): {0: c} for p, row in enumerate(B.entries)
+            for q, c in enumerate(row) if c}
+
+
 def vadd(x: Vector, y: Vector) -> Vector:
     return [a + b for a, b in zip(x, y)]
 
@@ -82,13 +169,8 @@ def unit(n: int, i: int) -> Vector:
 def tensor_from(dim: int, product) -> dict:
     """The sparse tensor {(i, j): {k: c}} of a bilinear map given on basis
     pairs as ``product(i, j) -> coordinate list``; zeros are dropped."""
-    tensor = {}
-    for i in range(dim):
-        for j in range(dim):
-            value = {k: c for k, c in enumerate(product(i, j)) if c}
-            if value:
-                tensor[(i, j)] = value
-    return tensor
+    return _nonzero({(i, j): dict(enumerate(product(i, j)))
+                     for i in range(dim) for j in range(dim)})
 
 
 def _dense_tensor(dense, dim: int) -> dict:
@@ -99,17 +181,23 @@ def _dense_tensor(dense, dim: int) -> dict:
     return tensor_from(dim, lambda i, j: dense[i][j])
 
 
+def _nonzero(tensor: dict) -> dict:
+    """A fresh copy of a sparse map without zero coordinates or empty keys."""
+    out = {}
+    for key, value in tensor.items():
+        value = {k: c for k, c in value.items() if c}
+        if value:
+            out[key] = value
+    return out
+
+
 def _checked_tensor(dim: int, brackets: dict) -> dict:
     """A fresh copy of a sparse tensor without zeros; every index must lie
     in range(dim)."""
-    tensor = {}
     for (i, j), value in brackets.items():
         if not all(0 <= t < dim for t in (i, j, *value)):
             raise DimensionMismatch("bracket index outside range(%d)" % dim)
-        value = {k: c for k, c in value.items() if c}
-        if value:
-            tensor[(i, j)] = value
-    return tensor
+    return _nonzero(brackets)
 
 
 def tensor_product(tensor: dict, x: Vector, y: Vector) -> Vector:
@@ -124,6 +212,16 @@ def tensor_product(tensor: dict, x: Vector, y: Vector) -> Vector:
                 for k, c in value.items():
                     out[k] = out[k] + f * c
     return out
+
+
+def tensor_sum(s: dict, t: dict) -> dict:
+    """The sparse tensor of the sum of two bilinear maps."""
+    out = {}
+    for key, value in (*s.items(), *t.items()):
+        acc = out.setdefault(key, {})
+        for k, c in value.items():
+            acc[k] = acc.get(k, _ZERO) + c
+    return _nonzero(out)
 
 
 def _checked_product(tensor: dict, dim: int, x: Vector, y: Vector) -> Vector:
@@ -242,19 +340,17 @@ def tensors_equal(A: LeibnizAlgebra, B: LeibnizAlgebra) -> bool:
     return A.dim == B.dim and A.brackets == B.brackets
 
 
+# [x,[y,z]] = [[x,y],z] + [y,[x,z]], with "." the bracket.
+LEIBNIZ = (("LEIBNIZ_FAILS", ((1, "x.(y.z)"),),
+            ((1, "(x.y).z"), (1, "y.(x.z)"))),)
+
+
 def verify_leibniz(A: LeibnizAlgebra) -> CheckResult:
-    """Check [x,[y,z]] = [[x,y],z] + [y,[x,z]] on all basis triples.
+    """Check the Leibniz identity (:data:`LEIBNIZ`) on all basis triples.
 
     Trilinearity of both sides certifies the identity for all elements.
     """
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    br = A.bracket_basis
-
-    def sides(i, j, k):
-        yield ("LEIBNIZ_FAILS", A.bracket(e[i], br(j, k)),
-               vadd(A.bracket(br(i, j), e[k]), A.bracket(e[j], br(i, k))))
-
-    return first_failure(A.dim, 3, sides)
+    return first_defect(A.dim, LEIBNIZ, {".": A.brackets})
 
 
 def _check_ambient(A, W: Subspace):

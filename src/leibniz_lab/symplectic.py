@@ -12,60 +12,33 @@ from .dendriform import (DendriformAlgebra, dendriform_rep,
 from .errors import (DegenerateForm, DimensionMismatch, NotQuadratic,
                      NotSymmetric, NotSymplectic)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _check_ambient, _require_square, first_failure,
-                      form_value, is_subalgebra, tensor_from, verify_leibniz)
+                      _check_ambient, _nonzero, _require_square, defect,
+                      first_defect, form_tensor, form_value, functionals,
+                      is_subalgebra, verify_leibniz)
 from .linalg import (Matrix, column_span_matrix, invert, is_singular,
                      kernel_basis, rank)
 from .representations import dual_rep, semidirect_product
-from .scalars import Scalar
+from .scalars import _ZERO, Scalar
 
 SAMPLE_ATTEMPTS = 32   # seeded combinations tried after the basis sum
 
 
-def _identity_terms(i, j, k):
-    """The symplectic identity at x, y, z = e_i, e_j, e_k as (lhs, rhs).
-
-    B(z,[x,y]) = -B(y,[x,z]) + B(x,[y,z]) + B(x,[z,y]); each term
-    (sign, p, (a, b)) stands for sign * B(e_p, [e_a, e_b]).
-    """
-    return (((1, k, (i, j)),),
-            ((-1, j, (i, k)), (1, i, (j, k)), (1, i, (k, j))))
+# B(z,[x,y]) = -B(y,[x,z]) + B(x,[y,z]) + B(x,[z,y]), with "." the
+# bracket and "|" the form.  The verifier and the solver both read this.
+SYMPLECTIC = (("IDENTITY_FAILS", ((1, "z|(x.y)"),),
+               ((-1, "y|(x.z)"), (1, "x|(y.z)"), (1, "x|(z.y)"))),)
 
 
 def verify_symplectic(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
-    """Symmetry, nondegeneracy and the defining trilinear identity on all
-    basis triples (see :func:`_identity_terms`)."""
+    """Symmetry, nondegeneracy and the defining trilinear identity
+    (:data:`SYMPLECTIC`) on all basis triples."""
     _require_square(B, A.dim)
     if B != B.transpose():
         return CheckResult(False, "NOT_SYMMETRIC")
     if is_singular(B):
         return CheckResult(False, "DEGENERATE")
-    e = [A.basis_vector(p) for p in range(A.dim)]
-
-    def value(terms):
-        acc = Scalar.zero()
-        for sign, p, (a, b) in terms:
-            v = form_value(B, e[p], A.bracket_basis(a, b))
-            acc = acc + v if sign > 0 else acc - v
-        return acc
-
-    def sides(i, j, k):
-        lhs, rhs = _identity_terms(i, j, k)
-        yield "IDENTITY_FAILS", [value(lhs)], [value(rhs)]
-
-    return first_failure(A.dim, 3, sides)
-
-
-def _sym_index_pairs(n: int):
-    return [(p, q) for p in range(n) for q in range(p, n)]
-
-
-def _form_from_sym_coords(n: int, coords) -> Matrix:
-    rows = [[Scalar.zero()] * n for _ in range(n)]
-    for (p, q), c in zip(_sym_index_pairs(n), coords):
-        rows[p][q] = c
-        rows[q][p] = c
-    return Matrix.from_rows(rows)
+    return first_defect(A.dim, SYMPLECTIC,
+                        {".": A.brackets, "|": form_tensor(B)})
 
 
 def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
@@ -76,26 +49,20 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     then ``SAMPLE_ATTEMPTS`` seeded small-integer combinations).
     """
     n = A.dim
-    pairs = _sym_index_pairs(n)
-    pair_index = {pq: t for t, pq in enumerate(pairs)}
-    # One linear constraint lhs - rhs = 0 per basis triple, unknowns =
-    # upper-triangle of B.
-    constraint_rows = []
-    for i, j, k in product(range(n), repeat=3):
-        row = [Scalar.zero()] * len(pairs)
-        lhs, rhs = _identity_terms(i, j, k)
-        for side, terms in ((1, lhs), (-1, rhs)):
-            for sign, p, (a, b) in terms:
-                for m, c in enumerate(A.bracket_basis(a, b)):
-                    if c:
-                        t = pair_index[(min(p, m), max(p, m))]
-                        row[t] = row[t] + c if side * sign > 0 else row[t] - c
-        if any(row):
-            constraint_rows.append(row)
-    constraints = (Matrix.from_rows(constraint_rows) if constraint_rows
-                   else Matrix.zero(1, len(pairs)))
-    basis = [_form_from_sym_coords(n, col.col(0))
-             for col in kernel_basis(constraints)]
+    # The identity with B unknown: B(e_p, e_q) = B(e_q, e_p) is coordinate
+    # t of the upper-triangle unknowns, and each failing triple is a row.
+    index = {}
+    for t, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
+        index[(p, q)] = index[(q, p)] = t
+    m = n * (n + 1) // 2
+    rows = defect(SYMPLECTIC[0], {".": A.brackets, "|": {
+        pq: {t: Scalar.one()} for pq, t in index.items()}})
+    constraints = (Matrix.from_rows(
+        [[rows[key].get(t, _ZERO) for t in range(m)]
+         for key in sorted(rows)]) if rows else Matrix.zero(1, m))
+    basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
+                               for p in range(n)])
+             for c in (col.col(0) for col in kernel_basis(constraints))]
     return basis, sample_nondegenerate(basis, seed=seed)
 
 
@@ -143,14 +110,15 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
         raise NotSymplectic("form fails the symplectic check: %s" % check.reason)
     n = A.dim
     b_inv = invert(B)
-    e = [A.basis_vector(p) for p in range(n)]
-    br = A.bracket_basis
-    # B(v, e_k) = (B v)_k for symmetric B, so v = B^{-1} * functional.
-    left = tensor_from(n, lambda i, j: b_inv.apply(
-        [-form_value(B, e[j], br(i, k)) for k in range(n)]))
-    right = tensor_from(n, lambda i, j: b_inv.apply(
-        [form_value(B, e[i], br(j, k)) + form_value(B, e[i], br(k, j))
-         for k in range(n)]))
+    tensors = {".": A.brackets, "|": form_tensor(B)}
+
+    # B(v, e_k) = (B v)_k for symmetric B: v = B^{-1} w for each nonzero w.
+    def solve(terms):
+        return _nonzero({ij: dict(enumerate(b_inv.apply(w)))
+                         for ij, w in functionals(n, terms, tensors).items()})
+
+    left = solve(((-1, "y|(x.z)"),))
+    right = solve(((1, "x|(y.z)"), (1, "x|(z.y)")))
     return DendriformAlgebra(n, left, right, A.field)
 
 

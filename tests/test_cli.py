@@ -211,13 +211,18 @@ def test_cli_math_precondition_failure_exits_1(write_doc):
 
 I3 = endo([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 SWAP2 = endo([[0, 1], [1, 0]])
+J2 = endo([[0, -1], [1, 0]])
+RATIONAL_2 = {"dim": 2, "brackets": []}
+GAUSSIAN_2 = {"dim": 2, "field": "Q(i)", "brackets": []}
 
 
-def _misuse(write_doc, command, *docs):
-    """Inputs of mismatched sizes are misuse: exit 2, DimensionMismatch."""
+def _misuse(write_doc, command, *docs, reason="DimensionMismatch"):
+    """Misuse exits 2 with its reason, never a mathematical verdict: inputs
+    of mismatched sizes give DimensionMismatch, an algebra over a field the
+    command does not take gives WrongField."""
     verdict, status = run_command(list(command)
                                   + [write_doc(doc) for doc in docs])
-    return status == 2 and verdict["reason"] == "DimensionMismatch"
+    return status == 2 and verdict["reason"] == reason
 
 
 def test_symplectic_form_of_wrong_size_exits_2(write_doc):
@@ -335,16 +340,34 @@ WIDE = endo([[1, 0, 0], [0, 1, 0]])
 def test_operator_of_wrong_shape_exits_2(write_doc, bad):
     """A wrongly shaped operator is misuse whether or not it happens to be
     an involution: it never reaches a mathematical verdict."""
-    real = {"dim": 2, "brackets": []}
-    gaussian = {"dim": 2, "field": "Q(i)", "brackets": []}
-    J, E = endo([[0, -1], [1, 0]]), endo([[1, 0], [0, -1]])
-    cases = [(("classify", "product"), real, bad),
-             (("classify", "complex"), real, bad),
-             (("check", "para-kahler"), real, SWAP2, bad),
-             (("check", "complex-product"), real, bad, E),
-             (("check", "complex-product"), real, J, bad),
-             (("check", "pseudo-kahler"), real, SWAP2, bad),
-             (("construct", "complexify"), real, SWAP2, bad),
-             (("construct", "realify"), gaussian, SWAP2, bad)]
+    E = endo([[1, 0], [0, -1]])
+    cases = [(("classify", "product"), RATIONAL_2, bad),
+             (("classify", "complex"), RATIONAL_2, bad),
+             (("check", "para-kahler"), RATIONAL_2, SWAP2, bad),
+             (("check", "complex-product"), RATIONAL_2, bad, E),
+             (("check", "complex-product"), RATIONAL_2, J2, bad),
+             (("check", "pseudo-kahler"), RATIONAL_2, SWAP2, bad),
+             (("construct", "complexify"), RATIONAL_2, SWAP2, bad),
+             (("construct", "realify"), GAUSSIAN_2, SWAP2, bad)]
     for command, *docs in cases:
         assert _misuse(write_doc, command, *docs), command
+
+
+def test_complexify_of_gaussian_algebra_exits_2(write_doc):
+    assert _misuse(write_doc, ("construct", "complexify"), GAUSSIAN_2,
+                   SWAP2, J2, reason="WrongField")
+
+
+def test_classify_complex_on_gaussian_algebra_exits_2(write_doc):
+    assert _misuse(write_doc, ("classify", "complex"), GAUSSIAN_2, J2,
+                   reason="WrongField")
+
+
+def test_pseudo_kahler_on_gaussian_algebra_exits_2(write_doc):
+    assert _misuse(write_doc, ("check", "pseudo-kahler"), GAUSSIAN_2,
+                   SWAP2, J2, reason="WrongField")
+
+
+def test_realify_of_rational_algebra_exits_2(write_doc):
+    assert _misuse(write_doc, ("construct", "realify"), RATIONAL_2,
+                   SWAP2, endo([[1, 0], [0, -1]]), reason="WrongField")
