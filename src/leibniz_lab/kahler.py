@@ -9,14 +9,12 @@ from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
                      NotPseudoKahler, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _require_square, form_tensor, functionals, is_subalgebra,
-                      tensor_from)
-from .linalg import Matrix, invert, is_singular, matrices_equal
+                      _require_square, form_tensor, functionals, tensor_from)
+from .linalg import Matrix, invert, is_singular
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 from .structures import (_is_anti_involution, classify_product,
                          complex_integrability)
-from .symplectic import (_is_direct_sum, _non_isotropic_pair,
-                         build_phase_space, verify_symplectic)
+from .symplectic import _isotropic_split, build_phase_space, verify_symplectic
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
         return CheckResult(False, "PRODUCT_FAILS")
     if not report.is_paracomplex:
         return CheckResult(False, "NOT_PARACOMPLEX")
-    if not matrices_equal(E.transpose() @ B @ E, B.scale(Scalar.of(-1))):
+    if E.transpose() @ B @ E != B.scale(Scalar.of(-1)):
         return CheckResult(False, "COMPAT_FAILS")
     return OK
 
@@ -59,13 +57,7 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
     check = verify_symplectic(A, B)
     if not check.ok:
         return replace(check, reason="SYMPLECTIC_FAILS")
-    if any(_non_isotropic_pair(B, W) is not None for W in (w_plus, w_minus)):
-        return CheckResult(False, "ISOTROPY_FAILS")
-    if not is_subalgebra(A, w_plus) or not is_subalgebra(A, w_minus):
-        return CheckResult(False, "SUBALGEBRA_FAILS")
-    if not _is_direct_sum(A.dim, w_plus, w_minus):
-        return CheckResult(False, "DIRECT_SUM_FAILS")
-    return OK
+    return _isotropic_split(A, B, w_plus, w_minus, (A.bracket,))
 
 
 def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
@@ -73,7 +65,7 @@ def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
     if not check.ok:
         raise error("triple fails: %s" % check.reason)
     S = B @ M
-    if not matrices_equal(S.transpose(), S.scale(Scalar.of(-1))):
+    if S.transpose() != S.scale(Scalar.of(-1)):
         raise error("derived form is not skew")
     return S
 
@@ -99,7 +91,7 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
     """
     n = A.dim
     _require_square(S, n)
-    if not matrices_equal(S.transpose(), S.scale(Scalar.of(-1))):
+    if S.transpose() != S.scale(Scalar.of(-1)):
         raise DegenerateForm("form must be skew-symmetric")
     if is_singular(S):
         raise DegenerateForm("form is singular")
@@ -133,7 +125,7 @@ def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
         return replace(check, reason="SYMPLECTIC_FAILS")
     if not (_is_anti_involution(J) and complex_integrability(A, J).ok):
         return CheckResult(False, "COMPLEX_FAILS")
-    if not matrices_equal(J.transpose() @ B @ J, B):
+    if J.transpose() @ B @ J != B:
         return CheckResult(False, "COMPAT_FAILS")
     return OK
 

@@ -35,10 +35,10 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Matrix, in_span, rank, trace
+from .linalg import Matrix, rank, trace
 from .scalars import _ZERO, RATIONAL, Scalar
 
-Vector = list  # coordinate list of field elements in the ambient basis
+Vector = list  # coordinate list or tuple of field elements, ambient basis
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,10 @@ class Subspace:
     def ambient_dim(self) -> int:
         return len(self.basis[0]) if self.basis else 0
 
-    def columns(self) -> list:
-        return [Matrix.column(list(v)) for v in self.basis]
-
-    def contains(self, coords: Sequence[Scalar]) -> bool:
-        return in_span(self.columns(), Matrix.column(list(coords)))
+    def contains(self, *vectors: Sequence[Scalar]) -> bool:
+        """Whether every vector lies in the span, by one elimination: the
+        basis is independent, so the stack has rank dim exactly then."""
+        return rank(Matrix.from_rows([*self.basis, *vectors])) == self.dim
 
 
 @dataclass(frozen=True)
@@ -361,21 +360,20 @@ def _check_ambient(A, W: Subspace):
 
 def is_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
     _check_ambient(A, W)
-    return all(W.contains(A.bracket(list(u), list(v)))
-               for u in W.basis for v in W.basis)
+    return W.contains(*(A.bracket(u, v) for u in W.basis for v in W.basis))
 
 
 def is_abelian_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
     _check_ambient(A, W)
     return not any(c for u in W.basis for v in W.basis
-                   for c in A.bracket(list(u), list(v)))
+                   for c in A.bracket(u, v))
 
 
 def is_two_sided_ideal(A: LeibnizAlgebra, W: Subspace) -> bool:
     _check_ambient(A, W)
-    return all(W.contains(A.bracket(A.basis_vector(i), list(w)))
-               and W.contains(A.bracket(list(w), A.basis_vector(i)))
-               for i in range(A.dim) for w in W.basis)
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    return W.contains(*(p for x in e for w in W.basis
+                        for p in (A.bracket(x, w), A.bracket(w, x))))
 
 
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:

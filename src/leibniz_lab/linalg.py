@@ -5,7 +5,10 @@ Matrices are immutable, row-major tuples of exact field elements
 solve, inverse and singularity all read one sparse, incremental
 elimination (:func:`_echelon`), which returns the unique reduced row
 echelon form, so results are exact and there is no tolerance parameter
-anywhere.
+anywhere.  Vectors are coordinate tuples: kernel and eigenspace bases and
+solutions come back as tuples, and ``Matrix.apply`` maps one to a list.
+``leibniz.Subspace.contains`` tests any number of vectors against a span
+with one :func:`rank` of the stacked rows.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix.diagonal([Scalar.one()] * n)
-
-    @staticmethod
-    def column(coords: Sequence[Scalar]) -> "Matrix":
-        return Matrix.from_rows([[c] for c in coords])
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
@@ -173,7 +172,7 @@ def _kernel(pivots: dict, ncols: int) -> list:
         coords[free] = _ONE
         for p, row in pivots.items():
             coords[p] = -row.get(free, _ZERO)
-        basis.append(Matrix.column(coords))
+        basis.append(tuple(coords))
     return basis
 
 
@@ -182,7 +181,7 @@ def rank(M: Matrix) -> int:
 
 
 def kernel_basis(M: Matrix) -> list:
-    """Exact basis of ker(M) as column matrices, in free-column order."""
+    """Exact basis of ker(M) as coordinate tuples, in free-column order."""
     return _kernel(_echelon(M.entries, M.cols), M.cols)
 
 
@@ -192,8 +191,8 @@ NO_SOLUTION = "NO_SOLUTION"
 def solve_linear(A: Matrix, b: Matrix):
     """Solve A x = b exactly.
 
-    Returns ``(particular, kernel)`` where ``kernel`` is a basis of
-    ker(A), or the sentinel :data:`NO_SOLUTION` when the system is
+    Returns ``(particular, kernel)``, coordinate tuples with ``kernel``
+    a basis of ker(A), or the sentinel :data:`NO_SOLUTION` when the system is
     inconsistent (rank of the augmented matrix exceeds rank of A).
     """
     if b.rows != A.rows or b.cols != 1:
@@ -207,7 +206,7 @@ def solve_linear(A: Matrix, b: Matrix):
     coords = [_ZERO] * n
     for p, row in pivots.items():
         coords[p] = row.get(n, _ZERO)
-    return Matrix.column(coords), _kernel(pivots, n)
+    return tuple(coords), _kernel(pivots, n)
 
 
 def invert(M: Matrix) -> Matrix:
@@ -233,27 +232,8 @@ def eigenspace(M: Matrix, lam: Scalar) -> list:
     return kernel_basis(M - Matrix.identity(M.rows).scale(lam))
 
 
-def column_span_matrix(columns: Sequence[Matrix]) -> Matrix:
-    """Stack column vectors into one matrix (n x k)."""
-    if not columns:
-        raise DimensionMismatch("empty column list")
-    n = columns[0].rows
-    return Matrix.from_rows([[col[i, 0] for col in columns]
-                             for i in range(n)])
-
-
-def in_span(columns: Sequence[Matrix], v: Matrix) -> bool:
-    """Exact membership of v in the span of the given columns."""
-    rows = [col.col(0) for col in columns]
-    return (rank(Matrix.from_rows(rows))
-            == rank(Matrix.from_rows(rows + [v.col(0)])))
-
-
 def trace(M: Matrix) -> Scalar:
     if not M.is_square():
         raise DimensionMismatch("trace of a non-square matrix")
     return sum((M[i, i] for i in range(M.rows)), Scalar.zero())
 
-
-def matrices_equal(A: Matrix, B: Matrix) -> bool:
-    return A == B  # the dataclass compares rows, cols and entries

@@ -164,8 +164,11 @@ def format_scalar(a) -> str:
 
 _FRACTION = r"[+-]?\d+(?:/\d+)?"
 _IMAG = r"(?:(?P<isign>[+-]?)(?:(?P<imag>\d+(?:/\d+)?)\*)?i)"
+# The real part never ends inside a number or before "*": otherwise the
+# match of "12*i" or "1/10*i" backtracks into real "1" or "1/1" and an
+# unsigned imaginary part.
 _SCALAR_RE = _re.compile(
-    r"^(?:(?P<real>%s))?%s?$" % (_FRACTION, _IMAG))
+    r"^(?:(?P<real>%s)(?![\d/*]))?%s?$" % (_FRACTION, _IMAG))
 
 
 def parse_scalar(text: str):

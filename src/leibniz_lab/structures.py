@@ -12,8 +12,7 @@ from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       _require_square, first_failure, is_subalgebra,
                       tensor_from, vadd, vsub)
-from .linalg import (Matrix, column_span_matrix, eigenspace, in_span, invert,
-                     matrices_equal, rank)
+from .linalg import Matrix, eigenspace, invert, rank
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 
 
@@ -38,12 +37,12 @@ class ComplexReport:
 
 
 def _is_involution(M: Matrix) -> bool:
-    return matrices_equal(M @ M, Matrix.identity(M.rows))
+    return M @ M == Matrix.identity(M.rows)
 
 
 def _is_anti_involution(M: Matrix) -> bool:
-    return M.is_square() and matrices_equal(
-        M @ M, Matrix.identity(M.rows).scale(Scalar.of(-1)))
+    return M.is_square() and (
+        M @ M == Matrix.identity(M.rows).scale(Scalar.of(-1)))
 
 
 def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
@@ -83,10 +82,6 @@ def _strict_abelian(A: LeibnizAlgebra, M: Matrix, sign: int):
             first_failure(A.dim, 2, abelian).ok)
 
 
-def _subspace_from_columns(columns) -> Subspace:
-    return Subspace.from_vectors([col.col(0) for col in columns])
-
-
 def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
     """Full integrability/strict/abelian/paracomplex report for an involution."""
     _require_square(E, A.dim, "operator")
@@ -94,8 +89,8 @@ def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
         raise NotInvolution("E^2 != I")
     nijenhuis = verify_nijenhuis(A, E).ok
     strict, abelian = _strict_abelian(A, E, -1)
-    plus = _subspace_from_columns(eigenspace(E, Scalar.one()))
-    minus = _subspace_from_columns(eigenspace(E, Scalar.of(-1)))
+    plus = Subspace.from_vectors(eigenspace(E, Scalar.one()))
+    minus = Subspace.from_vectors(eigenspace(E, Scalar.of(-1)))
     return StructureReport(
         is_nijenhuis=nijenhuis,
         is_product=nijenhuis,
@@ -111,10 +106,9 @@ def product_from_decomposition(A: LeibnizAlgebra, w_plus: Subspace,
     """E = +1 on the first subalgebra, -1 on the second."""
     if not is_subalgebra(A, w_plus) or not is_subalgebra(A, w_minus):
         raise NotSubalgebra("both summands must be subalgebras")
-    columns = w_plus.columns() + w_minus.columns()
     if w_plus.dim + w_minus.dim != A.dim:
         raise NotDirectSum("dimensions do not sum to %d" % A.dim)
-    U = column_span_matrix(columns)
+    U = Matrix.from_rows(w_plus.basis + w_minus.basis).transpose()
     if rank(U) != A.dim:
         raise NotDirectSum("summands intersect nontrivially")
     signs = ([Scalar.one()] * w_plus.dim
@@ -175,8 +169,8 @@ def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
     _require_complex_candidate(A, J)
     integrable = complex_integrability(A, J).ok
     strict, abelian = _strict_abelian(A, J, 1)
-    eigen_i = _subspace_from_columns(eigenspace(J, Scalar.i()))
-    eigen_minus_i = _subspace_from_columns(eigenspace(J, -Scalar.i()))
+    eigen_i = Subspace.from_vectors(eigenspace(J, Scalar.i()))
+    eigen_minus_i = Subspace.from_vectors(eigenspace(J, -Scalar.i()))
     return ComplexReport(integrable, strict, abelian, eigen_i, eigen_minus_i)
 
 
@@ -230,13 +224,12 @@ def _complex_product_pair(A: LeibnizAlgebra, J: Matrix, E: Matrix):
         return CheckResult(False, "NOT_INVOLUTION"), None
     if not report.is_product:
         return CheckResult(False, "PRODUCT_FAILS"), report
-    if not matrices_equal(J @ E, (E @ J).scale(Scalar.of(-1))):
+    if J @ E != (E @ J).scale(Scalar.of(-1)):
         return CheckResult(False, "ANTICOMMUTATION_FAILS"), report
     # J swaps the two eigenspaces, so the product structure is paracomplex.
-    minus_cols = report.minus_eigenspace.columns()
-    for v in report.plus_eigenspace.basis:
-        if not in_span(minus_cols, Matrix.column(J.apply(list(v)))):
-            return CheckResult(False, "EIGENSPACE_SWAP_FAILS"), report
+    if not report.minus_eigenspace.contains(
+            *(J.apply(v) for v in report.plus_eigenspace.basis)):
+        return CheckResult(False, "EIGENSPACE_SWAP_FAILS"), report
     return OK, report
 
 
@@ -256,18 +249,15 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
     k = plus.dim
     _require_square(phi, k, "phi")
     invert(phi)  # raises SingularMatrix when phi is not an isomorphism
-    p_cols = plus.columns()
-    minus_mat = column_span_matrix(minus.columns()) if k else None
-    q_cols = [Matrix.column(minus_mat.apply(phi.col(j))) for j in range(k)]
-
-    columns = p_cols + q_cols
-    U = column_span_matrix(columns)
-    images = q_cols + [col.scale(Scalar.of(-1)) for col in p_cols]
-    J = column_span_matrix(images) @ invert(U)
+    ps = list(plus.basis)
+    minus_mat = Matrix.from_rows(minus.basis).transpose()
+    qs = [minus_mat.apply(phi.col(j)) for j in range(k)]
+    # J sends p_j to q_j and q_j to -p_j.
+    U = Matrix.from_rows(ps + qs).transpose()
+    images = Matrix.from_rows(qs + [[-c for c in p] for p in ps]).transpose()
+    J = images @ invert(U)
     # The defining identity for phi, checked on plus-eigenspace basis pairs:
     # phi[x1,x2] = [phi x1, x2] + [x1, phi x2] - phi^{-1}[phi x1, phi x2].
-    ps = [list(col.col(0)) for col in p_cols]
-    qs = [list(col.col(0)) for col in q_cols]
 
     def sides(a, b):
         yield ("PHI_IDENTITY_FAILS", J.apply(A.bracket(ps[a], ps[b])),
@@ -294,15 +284,14 @@ def product_iff_iE(A: LeibnizAlgebra, E: Matrix):
 
 def _projections(plus: Subspace, minus: Subspace, n: int):
     """Projection matrices onto each summand along the other."""
-    U = column_span_matrix(plus.columns() + minus.columns())
-    u_inv = invert(U)
+    u_inv = invert(Matrix.from_rows(plus.basis + minus.basis).transpose())
     k = plus.dim
-    plus_mat = column_span_matrix(plus.columns()) if k else None
-    minus_mat = column_span_matrix(minus.columns()) if minus.dim else None
-    sel_plus = Matrix.from_rows([list(u_inv.row(i)) for i in range(k)])
-    sel_minus = Matrix.from_rows([list(u_inv.row(i)) for i in range(k, n)])
-    pi_plus = plus_mat @ sel_plus if k else Matrix.zero(n, n)
-    pi_minus = minus_mat @ sel_minus if minus.dim else Matrix.zero(n, n)
+    sel_plus = Matrix.from_rows(u_inv.entries[:k])
+    sel_minus = Matrix.from_rows(u_inv.entries[k:])
+    pi_plus = (Matrix.from_rows(plus.basis).transpose() @ sel_plus
+               if k else Matrix.zero(n, n))
+    pi_minus = (Matrix.from_rows(minus.basis).transpose() @ sel_minus
+                if minus.dim else Matrix.zero(n, n))
     return pi_plus, pi_minus, sel_plus, sel_minus
 
 
@@ -321,7 +310,7 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
     pi_plus, pi_minus, sel_plus, sel_minus = _projections(plus, minus, n)
 
     def build(space: Subspace, pi: Matrix, sel: Matrix) -> DendriformAlgebra:
-        xs = [list(x) for x in space.basis]
+        xs = space.basis
         jxs = [J.apply(x) for x in xs]
 
         def project(v):

@@ -15,8 +15,7 @@ from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       _check_ambient, _nonzero, _require_square, defect,
                       first_defect, form_tensor, form_value, functionals,
                       is_subalgebra, verify_leibniz)
-from .linalg import (Matrix, column_span_matrix, invert, is_singular,
-                     kernel_basis, rank)
+from .linalg import Matrix, invert, is_singular, kernel_basis, rank
 from .representations import dual_rep, semidirect_product
 from .scalars import _ZERO, Scalar
 
@@ -62,7 +61,7 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
          for key in sorted(rows)]) if rows else Matrix.zero(1, m))
     basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
                                for p in range(n)])
-             for c in (col.col(0) for col in kernel_basis(constraints))]
+             for c in kernel_basis(constraints)]
     return basis, sample_nondegenerate(basis, seed=seed)
 
 
@@ -155,10 +154,22 @@ def _non_isotropic_pair(B: Matrix, W: Subspace) -> Optional[tuple]:
                 None)
 
 
-def _is_direct_sum(dim: int, W1: Subspace, W2: Subspace) -> bool:
-    """Whether the dim-dimensional space is the direct sum of W1 and W2."""
-    return W1.dim + W2.dim == dim and (dim == 0 or rank(column_span_matrix(
-        W1.columns() + W2.columns())) == dim)
+def _isotropic_split(A, B: Matrix, W1: Subspace, W2: Subspace,
+                     products) -> CheckResult:
+    """Whether A (anything with a dim) is the direct sum of two B-isotropic
+    subspaces, each closed under every bilinear map in ``products``."""
+    for W in (W1, W2):
+        _check_ambient(A, W)
+    if any(_non_isotropic_pair(B, W) is not None for W in (W1, W2)):
+        return CheckResult(False, "ISOTROPY_FAILS")
+    if not all(W.contains(*(p(u, v) for p in products
+                            for u in W.basis for v in W.basis))
+               for W in (W1, W2)):
+        return CheckResult(False, "SUBALGEBRA_FAILS")
+    if (W1.dim + W2.dim != A.dim
+            or rank(Matrix.from_rows(W1.basis + W2.basis)) != A.dim):
+        return CheckResult(False, "DIRECT_SUM_FAILS")
+    return OK
 
 
 def build_phase_space(D: DendriformAlgebra) -> PhaseSpace:
@@ -203,14 +214,4 @@ def verify_manin_triple(D: DendriformAlgebra, B: Matrix, W1: Subspace,
     if not check.ok:
         raise NotQuadratic("the ambient pair is not quadratic: %s"
                            % check.reason)
-    for W in (W1, W2):
-        _check_ambient(D, W)
-    if any(_non_isotropic_pair(B, W) is not None for W in (W1, W2)):
-        return CheckResult(False, "ISOTROPY_FAILS")
-    if not all(W.contains(product(list(u), list(v))) for W in (W1, W2)
-               for u in W.basis for v in W.basis
-               for product in (D.left, D.right)):
-        return CheckResult(False, "SUBALGEBRA_FAILS")
-    if not _is_direct_sum(D.dim, W1, W2):
-        return CheckResult(False, "DIRECT_SUM_FAILS")
-    return OK
+    return _isotropic_split(D, B, W1, W2, (D.left, D.right))

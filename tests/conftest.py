@@ -180,7 +180,7 @@ def invariant_skew_forms(D: DendriformAlgebra):
     else:
         kernel_cols = kernel_basis(Matrix.from_rows(rows))
     forms = []
-    coord_sets = ([col.col(0) for col in kernel_cols]
+    coord_sets = (kernel_cols
                   if kernel_cols is not None else
                   [[Scalar.one() if t == s else Scalar.zero()
                     for t in range(len(pairs))] for s in range(len(pairs))])

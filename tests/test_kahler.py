@@ -17,7 +17,7 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, S_from_B_E,
 from leibniz_lab.errors import (DegenerateForm, DimensionMismatch,
                                 NotInvariant, NotParaKahler, NotPseudoKahler,
                                 WrongField)
-from leibniz_lab.linalg import Matrix, matrices_equal
+from leibniz_lab.linalg import Matrix
 from leibniz_lab.representations import dual_rep
 from leibniz_lab.dendriform import dendriform_rep
 from leibniz_lab.scalars import Scalar
@@ -73,7 +73,7 @@ def test_isotropic_decomposition_roundtrip():
         base, dual = P.base_subspace(), P.dual_subspace()
         assert isotropic_decomposition_check(P.total, P.form, base, dual).ok
         rebuilt = product_from_decomposition(P.total, base, dual)
-        assert matrices_equal(rebuilt, E)
+        assert rebuilt == E
         assert check_para_kahler(P.total, P.form, rebuilt).ok
 
 
@@ -85,6 +85,18 @@ def test_isotropic_decomposition_rejects():
     check = isotropic_decomposition_check(P.total, P.form, mixed,
                                           P.dual_subspace())
     assert not check.ok and check.reason == "ISOTROPY_FAILS"
+
+
+def test_isotropic_decomposition_rejects_subspace_of_wrong_ambient_dim():
+    """Vectors longer than the algebra are bad input, found before the
+    isotropy test indexes the form with their coordinates."""
+    from leibniz_lab import Subspace
+    z, o = Scalar.zero(), Scalar.one()
+    A = LeibnizAlgebra.abelian(2)
+    B = mat([[0, 1], [1, 0]])
+    with pytest.raises(DimensionMismatch):
+        isotropic_decomposition_check(A, B, Subspace.from_vectors([[z, z, o]]),
+                                      Subspace.from_vectors([[z, o, z]]))
 
 
 def test_para_kahler_iff_isotropic_decomposition():
@@ -111,8 +123,8 @@ def test_S_from_B_E_canonical():
     expected = mat([row_a + row_b for row_a, row_b in
                     zip(z2 + [[1, 0], [0, 1]],
                         [[-1, 0], [0, -1]] + z2)])
-    assert matrices_equal(S, expected)
-    assert matrices_equal(S.transpose(), S.scale(Scalar.of(-1)))
+    assert S == expected
+    assert S.transpose() == S.scale(Scalar.of(-1))
 
 
 def test_S_from_B_E_rejects(sl2):
@@ -211,7 +223,7 @@ def test_pseudo_kahler_basics():
     check = check_pseudo_kahler(A, diag(1, 2), J)
     assert not check.ok and check.reason == "COMPAT_FAILS"
     S = S_from_B_J(A, Matrix.identity(2), J)
-    assert matrices_equal(S.transpose(), S.scale(Scalar.of(-1)))
+    assert S.transpose() == S.scale(Scalar.of(-1))
     with pytest.raises(NotPseudoKahler):
         S_from_B_J(A, diag(1, 2), J)
 
@@ -242,7 +254,7 @@ def test_omega_to_J_structure():
     D = DendriformAlgebra.zero(2)
     omega = mat([[0, 1], [-1, 0]])
     P, J = omega_to_J(D, omega)
-    assert matrices_equal(J @ J, Matrix.identity(4).scale(Scalar.of(-1)))
+    assert J @ J == Matrix.identity(4).scale(Scalar.of(-1))
     assert check_pseudo_kahler(P.total, P.form, J).ok
     # symmetric nondegenerate omega still yields a complex product pair,
     # but not a pseudo-Kahler structure

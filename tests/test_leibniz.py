@@ -10,7 +10,7 @@ from leibniz_lab import (LeibnizAlgebra, Subspace, direct_sum,
                          is_two_sided_ideal, killing_form, tensors_equal,
                          verify_leibniz, verify_symplectic)
 from leibniz_lab.errors import DimensionMismatch, FieldMismatch
-from leibniz_lab.linalg import is_singular, matrices_equal
+from leibniz_lab.linalg import is_singular
 from leibniz_lab.scalars import GAUSSIAN, Scalar
 
 
@@ -94,7 +94,7 @@ def test_killing_form_sl2(sl2):
     # Classical values: B(h,h) = 8, B(e,f) = B(f,e) = 4, rest zero.
     assert B[0, 0] == 8 and B[1, 2] == 4 and B[2, 1] == 4
     assert B[0, 1] == 0 and B[1, 1] == 0 and B[2, 2] == 0
-    assert matrices_equal(B, B.transpose())
+    assert B == B.transpose()
     assert not is_singular(B)
     assert verify_symplectic(sl2, B).ok
 

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat
+from conftest import mat, random_dendriform, random_leibniz
+from leibniz_lab import build_phase_space, complexify
 from leibniz_lab.errors import DimensionMismatch, SingularMatrix
-from leibniz_lab.linalg import (Matrix, NO_SOLUTION, column_span_matrix,
-                                eigenspace, in_span, invert, is_singular,
-                                kernel_basis, matrices_equal, rank,
+from leibniz_lab.leibniz import (Subspace, is_subalgebra, is_two_sided_ideal,
+                                 vsub)
+from leibniz_lab.linalg import (Matrix, NO_SOLUTION, eigenspace, invert,
+                                is_singular, kernel_basis, rank,
                                 solve_linear, trace)
 from leibniz_lab.scalars import Scalar
 
@@ -26,7 +28,7 @@ def test_rank_and_kernel_dimensions():
     kernel = kernel_basis(M)
     assert len(kernel) == 1
     for v in kernel:
-        assert (M @ v).is_zero()
+        assert not any(M.apply(v))
 
 
 def test_rank_nullity_random():
@@ -37,14 +39,14 @@ def test_rank_nullity_random():
         kernel = kernel_basis(M)
         assert rank(M) + len(kernel) == cols
         for v in kernel:
-            assert (M @ v).is_zero()
+            assert not any(M.apply(v))
 
 
 def test_solve_consistent_and_inconsistent():
     A = mat([[1, 1], [1, 1]])
     assert solve_linear(A, mat([[1], [2]])) == NO_SOLUTION
     particular, kernel = solve_linear(A, mat([[3], [3]]))
-    assert (A @ particular)[0, 0] == 3
+    assert A.apply(particular)[0] == 3
     assert len(kernel) == 1
 
 
@@ -58,14 +60,15 @@ def test_solve_reconstructs_full_solution_set():
         result = solve_linear(A, b)
         assert result != NO_SOLUTION
         particular, kernel = result
-        assert matrices_equal(A @ particular, b)
+        assert A.apply(particular) == list(b.col(0))
         # x - particular must lie in the kernel span.
-        assert in_span(kernel, x - particular) or (x - particular).is_zero()
+        assert Subspace.from_vectors(kernel).contains(
+            vsub(x.col(0), particular))
 
 
 def test_invert_roundtrip_and_singular():
     M = mat([[2, 1], [1, 1]])
-    assert matrices_equal(M @ invert(M), Matrix.identity(2))
+    assert M @ invert(M) == Matrix.identity(2)
     with pytest.raises(SingularMatrix):
         invert(mat([[1, 2], [2, 4]]))
     assert is_singular(mat([[1, 2], [2, 4]]))
@@ -85,16 +88,16 @@ def test_gaussian_matrices():
     J = Matrix.from_rows([[Scalar.zero(), -i], [i.conjugate(), i * i]])
     assert J.conjugate()[0, 1] == i
     assert rank(J) == 2
-    assert matrices_equal(J @ invert(J), Matrix.identity(2))
+    assert J @ invert(J) == Matrix.identity(2)
     ev = eigenspace(Matrix.diagonal([i, -i]), i)
     assert len(ev) == 1
 
 
 def test_span_membership():
-    cols = [mat([[1], [0], [1]]), mat([[0], [1], [0]])]
-    assert in_span(cols, mat([[2], [3], [2]]))
-    assert not in_span(cols, mat([[1], [0], [0]]))
-    assert in_span([], Matrix.zero(3, 1))
+    W = Subspace.from_vectors(mat([[1, 0, 1], [0, 1, 0]]).entries)
+    assert W.contains(mat([[2, 3, 2]]).row(0))
+    assert not W.contains(mat([[1, 0, 0]]).row(0))
+    assert Subspace.from_vectors([]).contains(Matrix.zero(1, 3).row(0))
 
 
 def test_matrix_shape_errors():
@@ -112,7 +115,6 @@ def test_transpose_hstack_column_ops():
     M = mat([[1, 2], [3, 4]])
     assert M.transpose()[0, 1] == 3
     assert M.hstack(mat([[5], [6]])).cols == 3
-    assert column_span_matrix([mat([[1], [2]]), mat([[3], [4]])])[1, 1] == 4
     assert M.apply([Scalar.of(1), Scalar.of(1)]) == [Scalar.of(3),
                                                      Scalar.of(7)]
 
@@ -159,7 +161,7 @@ def ref_kernel(M):
         coords[free] = Scalar.one()
         for r_idx, p in enumerate(pivots):
             coords[p] = -rows[r_idx][free]
-        basis.append(Matrix.column(coords))
+        basis.append(tuple(coords))
     return basis
 
 
@@ -171,7 +173,7 @@ def ref_solve(A, b):
     coords = [Scalar.zero()] * A.cols
     for r_idx, p in enumerate(pivots):
         coords[p] = aug[r_idx][A.cols]
-    return Matrix.column(coords), ref_kernel(A)
+    return tuple(coords), ref_kernel(A)
 
 
 def ref_invert(M):
@@ -184,18 +186,21 @@ def ref_invert(M):
     return Matrix.from_rows([row[n:] for row in aug])
 
 
-def ref_in_span(columns, v):
-    if not columns:
-        return v.is_zero()
-    S = column_span_matrix(columns)
-    return ref_rank(S) == ref_rank(S.hstack(v))
+def ref_in_span(vectors, v):
+    if not vectors:
+        return not any(v)
+    return (ref_rank(Matrix.from_rows(vectors))
+            == ref_rank(Matrix.from_rows([*vectors, v])))
 
 
 def exact(value):
-    """A Matrix (or list of them) with the type of every entry, so that
-    equal values in another representation do not compare equal."""
+    """A Matrix, a coordinate tuple or a list of either with the type of
+    every entry, so that equal values in another representation do not
+    compare equal."""
     if isinstance(value, list):
         return [exact(M) for M in value]
+    if isinstance(value, tuple):
+        return [(type(e), e) for e in value]
     return (value.rows, value.cols,
             [[(type(e), e) for e in row] for row in value.entries])
 
@@ -263,9 +268,22 @@ def test_solve_and_span_match_dense_reference(A, consistent, data):
     else:
         assert exact(got[0]) == exact(want[0])
         assert exact(got[1]) == exact(want[1])
-    columns = [column(A.col(j)) for j in range(A.cols)]
-    for k in (0, A.cols // 2, A.cols):
-        assert in_span(columns[:k], b) == ref_in_span(columns[:k], b)
+    # Membership in spans of kernel bases (independent by construction):
+    # combinations inside the span and drawn vectors, one at a time and all
+    # at once.
+    basis = kernel_basis(A)
+    for k in (0, len(basis) // 2, len(basis)):
+        W = Subspace.from_vectors(basis[:k])
+        inside = [[sum((c * v[i] for c, v in zip(cs, basis)), Fraction(0))
+                   for i in range(A.cols)]
+                  for cs in data.draw(st.lists(st.lists(
+                      entry, min_size=k, max_size=k), max_size=2))]
+        vectors = inside + data.draw(st.lists(st.lists(
+            entry, min_size=A.cols, max_size=A.cols), max_size=2))
+        for v in vectors:
+            assert W.contains(v) == ref_in_span(basis[:k], v)
+        assert W.contains(*vectors) == all(ref_in_span(basis[:k], v)
+                                           for v in vectors)
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,3 +295,66 @@ def test_invert_matches_dense_reference(M):
             invert(M)
     else:
         assert exact(invert(M)) == exact(want)
+
+
+# -- subalgebra and ideal tests: one elimination against per-pair membership --
+
+
+def ref_is_subalgebra(A, W):
+    """The per-pair loop that ``is_subalgebra`` replaced."""
+    return all(ref_in_span(W.basis, A.bracket(list(u), list(v)))
+               for u in W.basis for v in W.basis)
+
+
+def ref_is_two_sided_ideal(A, W):
+    """The per-pair loop that ``is_two_sided_ideal`` replaced."""
+    return all(ref_in_span(W.basis, A.bracket(A.basis_vector(i), list(w)))
+               and ref_in_span(W.basis, A.bracket(list(w), A.basis_vector(i)))
+               for i in range(A.dim) for w in W.basis)
+
+
+def one_sided_closure(A, v, left):
+    """The smallest subspace that holds v and is closed under x -> [e_i, x]
+    (``left``) or x -> [x, e_i] for every basis vector e_i."""
+    todo, basis = [v], []
+    while todo:
+        w = todo.pop()
+        if ref_rank(Matrix.from_rows(basis + [w])) > len(basis):
+            basis.append(w)
+            todo += [A.bracket(e, w) if left else A.bracket(w, e)
+                     for e in map(A.basis_vector, range(A.dim))]
+    return Subspace.from_vectors(basis)
+
+
+@st.composite
+def algebras_with_subspaces(draw):
+    """A conftest algebra (nilpotent, or a phase space), over Q or Q(i),
+    with the kernel of a drawn matrix and both one-sided closures of a
+    drawn vector.  A zero last column puts the last basis vector in the
+    kernel, which often closes it up; a one-sided closure in a phase space
+    is often an ideal on that side only."""
+    gaussian = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        A = random_leibniz(rng, draw(st.integers(1, 5)))
+    else:
+        D = random_dendriform(rng, draw(st.integers(1, 3)))
+        A = build_phase_space(D).total
+    if gaussian:
+        A = complexify(A)
+    n, entry, zero_last = A.dim, entries[gaussian], draw(st.booleans())
+    rows = [[Fraction(0) if zero_last and j == n - 1 else draw(entry)
+             for j in range(n)] for _ in range(draw(st.integers(0, n)))]
+    M = Matrix(len(rows), n, tuple(tuple(r) for r in rows))
+    v = draw(st.lists(entry, min_size=n, max_size=n))
+    return A, [Subspace.from_vectors(kernel_basis(M)),
+               one_sided_closure(A, v, True), one_sided_closure(A, v, False)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras_with_subspaces())
+def test_subalgebra_and_ideal_match_per_pair_reference(case):
+    A, subspaces = case
+    for W in subspaces:
+        assert is_subalgebra(A, W) == ref_is_subalgebra(A, W)
+        assert is_two_sided_ideal(A, W) == ref_is_two_sided_ideal(A, W)

@@ -155,6 +155,13 @@ def test_parse_examples(text, re_part, im_part):
     assert value.real == re_part and value.imag == im_part
 
 
+def test_multi_digit_imaginary_coefficient_round_trips():
+    """A pure imaginary part with several digits is no real part followed
+    by an unsigned imaginary one ("12*i" is not "1" and "2*i")."""
+    for text in ("12*i", "-12*i", "1/10*i", "-3/25*i", "7-12*i"):
+        assert format_scalar(parse_scalar(text)) == text
+
+
 @pytest.mark.parametrize("text", ["", "x", "1/0", "i*i", "1+", "2i", "+-1"])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):

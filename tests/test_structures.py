@@ -18,7 +18,7 @@ from leibniz_lab.errors import (NotAntiInvolution, NotComplexProduct,
                                 NotSubalgebra, PhiIdentityFails, TooLarge,
                                 WrongField)
 from leibniz_lab.leibniz import Subspace
-from leibniz_lab.linalg import Matrix, matrices_equal
+from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import GAUSSIAN, Scalar
 
 
@@ -82,7 +82,7 @@ def test_product_from_decomposition_roundtrip(heisenberg_like):
     report = classify_product(A, diag(1, 1, -1, -1))
     E = product_from_decomposition(A, report.plus_eigenspace,
                                    report.minus_eigenspace)
-    assert matrices_equal(E, diag(1, 1, -1, -1))
+    assert E == diag(1, 1, -1, -1)
 
 
 def test_product_from_decomposition_rejects(sl2):
@@ -127,13 +127,13 @@ def test_phi_psi_projections(squares_algebra):
     J = J_BLOCKS[0]
     phi, psi = phi_map(J), psi_map(J)
     I = Matrix.identity(4)
-    assert matrices_equal(phi + psi, I)
-    assert matrices_equal(phi @ phi, phi)   # idempotent projections
-    assert matrices_equal(psi @ psi, psi)
-    assert matrices_equal(phi @ psi, Matrix.zero(4, 4))
+    assert phi + psi == I
+    assert phi @ phi == phi   # idempotent projections
+    assert psi @ psi == psi
+    assert phi @ psi == Matrix.zero(4, 4)
     # phi lands in the +i eigenspace of J
-    assert matrices_equal(J @ phi, phi.scale(Scalar.i()))
-    assert matrices_equal(J @ psi, psi.scale(-Scalar.i()))
+    assert J @ phi == phi.scale(Scalar.i())
+    assert J @ psi == psi.scale(-Scalar.i())
 
 
 def test_bracket_J_is_leibniz(squares_algebra):
@@ -234,7 +234,7 @@ def test_J_from_phi_matches_form_construction():
     E = diag(1, 1, -1, -1)
     # phi = the form's sharp map, written in eigenbasis coordinates
     J2 = J_from_phi(P.total, E, omega.transpose())
-    assert matrices_equal(J, J2)
+    assert J == J2
     assert classify_complex(P.total, J2).is_complex
     assert check_complex_product_pair(P.total, J2, E).ok
 

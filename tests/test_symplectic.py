@@ -155,6 +155,22 @@ def test_manin_triple_rejects_non_isotropic():
     assert not check.ok and check.reason == "ISOTROPY_FAILS"
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_isotropic_split_closes_under_every_product(side):
+    """A line closed under one dendriform product but not the other is no
+    subalgebra of the pair (the zero form makes every subspace isotropic)."""
+    from leibniz_lab import Subspace
+    z, o = Scalar.zero(), Scalar.one()
+    square = {(0, 0): {1: o}}  # e0 . e0 = e1 for one product only
+    D = DendriformAlgebra.from_brackets(
+        2, square if side == "left" else {}, square if side == "right" else {})
+    W1 = Subspace.from_vectors([[o, z]])
+    W2 = Subspace.from_vectors([[z, o]])
+    check = symplectic._isotropic_split(D, Matrix.zero(2, 2), W1, W2,
+                                        (D.left, D.right))
+    assert check.reason == "SUBALGEBRA_FAILS"
+
+
 def test_manin_triple_requires_quadratic(sl2):
     Z = DendriformAlgebra.zero(2)
     from leibniz_lab import Subspace
@@ -195,9 +211,9 @@ def test_degenerate_form_space_is_certified_without_sampling(monkeypatch,
     A = random_leibniz(random.Random(dim), dim)
     basis, _ = solve_symplectic_space(A, seed=dim)
     radical = form_space_radical(basis)
-    assert radical == [Matrix.column(A.basis_vector(dim - 1))]
+    assert radical == [tuple(A.basis_vector(dim - 1))]
     for v in radical:
-        assert all((B @ v).is_zero() for B in basis)
+        assert all(not any(B.apply(v)) for B in basis)
     calls = count_is_singular(monkeypatch)
     assert sample_nondegenerate(basis, seed=dim) is None
     assert calls == []
@@ -250,7 +266,7 @@ def form_spaces(draw):
 def test_nonzero_radical_means_every_member_is_singular(basis, seed):
     radical = form_space_radical(basis)
     for v in radical:
-        assert all((B @ v).is_zero() for B in basis)
+        assert all(not any(B.apply(v)) for B in basis)
     if not radical:
         return
     assert sample_nondegenerate(basis, seed=seed) is None

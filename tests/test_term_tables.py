@@ -158,8 +158,8 @@ def ref_solve_basis(A):
             constraint_rows.append(row)
     constraints = (Matrix.from_rows(constraint_rows) if constraint_rows
                    else Matrix.zero(1, len(pairs)))
-    return [ref_form_from_sym_coords(n, col.col(0))
-            for col in kernel_basis(constraints)]
+    return [ref_form_from_sym_coords(n, c)
+            for c in kernel_basis(constraints)]
 
 
 def ref_symplectic_to_dendriform(A, B):
