@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
                      NotSymmetric, SingularMatrix)
 from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
-                      _checked_tensor, _dense_tensor, _mult_matrix,
-                      _require_square, first_defect, first_failure,
-                      form_tensor, tensor_from, tensor_sum, unit, vadd)
+                      _checked_tensor, _dense_tensor, _require_square,
+                      first_defect, first_witness, form_tensor, tensor_sum,
+                      transport, unit, vadd)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
 from .scalars import RATIONAL
@@ -97,14 +97,10 @@ def subadjacent(D: DendriformAlgebra) -> LeibnizAlgebra:
 
 
 def dendriform_rep(D: DendriformAlgebra) -> Representation:
-    """(L, l, r) with l(x)y = x<y and r(x)y = y>x, over the sub-adjacent algebra."""
-    n = D.dim
-    return Representation.build(
-        subadjacent(D),
-        [_mult_matrix(D.left_brackets, n, [(i, j) for j in range(n)])
-         for i in range(n)],
-        [_mult_matrix(D.right_brackets, n, [(j, i) for j in range(n)])
-         for i in range(n)])
+    """(L, l, r) with l(x)y = x<y and r(x)y = y>x, over the sub-adjacent
+    algebra: the two products are the two actions."""
+    return Representation(subadjacent(D), D.dim, D.left_brackets,
+                          D.right_brackets)
 
 
 def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
@@ -113,17 +109,10 @@ def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
     if T.rows != A.dim or T.cols != R.rep_dim:
         raise DimensionMismatch("T must map the %d-dim module into the algebra"
                                 % R.rep_dim)
-    m = R.rep_dim
-    us = [unit(m, a) for a in range(m)]
-    tus = [T.apply(u) for u in us]
-    lefts = [R.left_of(tu) for tu in tus]
-    rights = [R.right_of(tu) for tu in tus]
-
-    def sides(a, b):
-        yield ("ROTA_BAXTER_FAILS", A.bracket(tus[a], tus[b]),
-               T.apply(vadd(lefts[a].apply(us[b]), rights[b].apply(us[a]))))
-
-    return first_failure(m, 2, sides)
+    return first_witness(A.dim, [(
+        "ROTA_BAXTER_FAILS", transport(A.brackets, T, T),
+        tensor_sum(transport(R.left, T, None, T),
+                   transport(R.right, None, T, T)))])
 
 
 def _require_rota_baxter(A: LeibnizAlgebra, R: Representation, T: Matrix):
@@ -136,31 +125,20 @@ def rb_to_dendriform(A: LeibnizAlgebra, R: Representation,
                      T: Matrix) -> DendriformAlgebra:
     """Dendriform structure on V: u<v = l(Tu)v, u>v = r(Tv)u."""
     _require_rota_baxter(A, R, T)
-    m = R.rep_dim
-    us = [unit(m, a) for a in range(m)]
-    tus = [T.apply(u) for u in us]
-    lefts = [R.left_of(tu) for tu in tus]
-    rights = [R.right_of(tu) for tu in tus]
-    return DendriformAlgebra(
-        m, tensor_from(m, lambda a, b: lefts[a].apply(us[b])),
-        tensor_from(m, lambda a, b: rights[b].apply(us[a])), A.field)
+    return DendriformAlgebra(R.rep_dim, transport(R.left, T),
+                             transport(R.right, None, T), A.field)
 
 
 def compatible_dendriform_from_invertible_rb(
         A: LeibnizAlgebra, R: Representation, T: Matrix) -> DendriformAlgebra:
-    """Dendriform structure on the algebra itself: x<y = T(l(x)T^{-1}y)."""
+    """Dendriform structure on the algebra itself: x<y = T(l(x)T^{-1}y)
+    and x>y = T(r(y)T^{-1}x)."""
     if T.rows != T.cols:
         raise SingularMatrix("invertible T must be square")
     t_inv = invert(T)
     _require_rota_baxter(A, R, T)
-    n = A.dim
-    e = [A.basis_vector(i) for i in range(n)]
-    t_inv_e = [t_inv.apply(x) for x in e]
-    return DendriformAlgebra(
-        n, tensor_from(n, lambda i, j: T.apply(
-            R.left_of(e[i]).apply(t_inv_e[j]))),
-        tensor_from(n, lambda i, j: T.apply(
-            R.right_of(e[j]).apply(t_inv_e[i]))), A.field)
+    return DendriformAlgebra(A.dim, transport(R.left, None, t_inv, T),
+                             transport(R.right, t_inv, None, T), A.field)
 
 
 def verify_invariant_form(D: DendriformAlgebra, omega: Matrix) -> CheckResult:

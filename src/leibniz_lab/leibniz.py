@@ -2,36 +2,36 @@
 
 This module also holds the tensor core that every other module builds on:
 the builder :func:`tensor_from`, the bilinear kernel :func:`tensor_product`,
-:func:`form_value`, the vector helpers :func:`vadd`, :func:`vsub` and
-:func:`unit`, the term evaluator :func:`contract` and the two loops that
-run an identity, :func:`first_defect` and :func:`first_failure`.
+:func:`form_value`, the vector helpers :func:`vadd` and :func:`unit`, the
+two tensor operations :func:`contract` and :func:`transport`, and the one
+witness rule, :func:`first_witness`.
 
 Structure tensors: every product (the bracket, both dendriform products,
-every construction) is one sparse map ``{(i, j): {k: c}}``, meaning
-``e_i . e_j = sum_k c e_k``, holding nonzero ``c`` only, so tensors are
-equal exactly when their maps are.  Constructions build one with
-:func:`tensor_from`; callers pass one to ``from_brackets`` or a dense
-``c[i][j][k]`` list to ``from_constants``.  Stored maps are never mutated.
-Code reads a tensor through ``bracket``, ``bracket_basis`` and the
-multiplication matrices; only :mod:`io` serialization, :func:`direct_sum`,
-``semidirect_product``, :func:`tensor_sum` and the term evaluator
-:func:`contract` iterate a stored map.
+both actions of a representation, every construction) is one sparse map
+``{(i, j): {k: c}}``, meaning ``e_i . e_j = sum_k c e_k``, holding nonzero
+``c`` only, so tensors are equal exactly when their maps are.
+Constructions build one with :func:`transport` (or :func:`tensor_from`);
+callers pass one to ``from_brackets`` or a dense ``c[i][j][k]`` list to
+``from_constants``.  Stored maps are never mutated.  Code reads a tensor
+through ``bracket``, ``bracket_basis`` and the multiplication matrices;
+only :mod:`io` serialization, :func:`direct_sum`, the representation
+constructions and the tensor operations iterate a stored map.
 
-Adding an identity over basis triples: write its term table, a tuple of
-``(reason, lhs, rhs)`` equations whose sides are signed terms over the
-slots x, y, z (syntax in :func:`contract`), and return
-``first_defect(dim, table, tensors)``.  A solver linear in a form
+Adding an identity: write each side as a sparse map over its index tuples
+and return ``first_witness(width, equations)``.  An identity over basis
+triples is a term table, a tuple of ``(reason, lhs, rhs)`` equations whose
+sides are signed terms over the slots x, y, z (syntax in :func:`contract`),
+run by ``first_defect(dim, table, tensors)``; a solver linear in a form
 contracts the same table with the form unknown, so the table is the
-identity's only encoding.  An identity over basis pairs writes a
-``sides(i, j)`` generator of ``(reason, lhs, rhs)`` triples and returns
-``first_failure(dim, 2, sides)``.  Either way the first failing tuple in
-lexicographic order, and in it the first failing equation, is the witness.
+identity's only encoding.  An identity over basis pairs that composes
+operators with a product writes each side as a sum of :func:`transport`
+images.  Either way the smallest failing tuple in lexicographic order, and
+in it the first failing equation, is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -57,17 +57,28 @@ class CheckResult:
 OK = CheckResult(True)
 
 
-def first_failure(dim: int, arity: int, sides) -> CheckResult:
-    """Run an identity over all basis tuples in lexicographic order.
+def first_witness(width: int, equations) -> CheckResult:
+    """The witness rule of every identity.
 
-    ``sides(*idx)`` yields ``(reason, lhs, rhs)`` lazily; the first unequal
-    pair is returned as the witness, so later sides are never evaluated.
+    ``equations`` lists ``(reason, lhs, rhs)`` in order, both sides sparse
+    maps ``{index tuple: {k: c}}`` without zeros, so an equation fails at a
+    tuple exactly when its two entries differ.  The smallest failing tuple,
+    and in it the first failing equation, is the witness, with both sides
+    as dense vectors of length ``width``.
     """
-    for idx in product(range(dim), repeat=arity):
-        for reason, lhs, rhs in sides(*idx):
-            if lhs != rhs:
-                return CheckResult(False, reason, idx, lhs, rhs)
-    return OK
+    failures = [(min(failing), place)
+                for place, (_, lhs, rhs) in enumerate(equations)
+                if (failing := [idx for idx in lhs.keys() | rhs.keys()
+                                if lhs.get(idx) != rhs.get(idx)])]
+    if not failures:
+        return OK
+    idx, place = min(failures)
+    reason, lhs, rhs = equations[place]
+
+    def dense(side):
+        value = side.get(idx, {})
+        return [value.get(k, _ZERO) for k in range(width)]
+    return CheckResult(False, reason, idx, dense(lhs), dense(rhs))
 
 
 def _term(text: str):
@@ -118,22 +129,53 @@ def defect(equation, tensors: dict) -> dict:
 
 
 def first_defect(dim: int, table, tensors: dict) -> CheckResult:
-    """Run a term table over all basis triples, as :func:`first_failure`:
-    the smallest triple with a defect, and in it the first failing equation,
-    is the witness, with both sides as vectors of length ``dim`` (length 1
-    when the outer product is the form ``|``)."""
-    failures = [(min(failing), place) for place, equation in enumerate(table)
-                if (failing := defect(equation, tensors))]
-    if not failures:
-        return OK
-    idx, place = min(failures)
-    reason, lhs, rhs = table[place]
+    """Run a term table over all basis triples through :func:`first_witness`,
+    with both sides as vectors of length ``dim`` (length 1 when the outer
+    product is the form ``|``)."""
+    _, lhs, _ = table[0]
     width = 1 if _term(lhs[0][1])[0] == "|" else dim
+    return first_witness(width, [
+        (reason, contract(lhs, tensors), contract(rhs, tensors))
+        for reason, lhs, rhs in table])
 
-    def side(terms):
-        value = contract(terms, tensors).get(idx, {})
-        return [value.get(k, _ZERO) for k in range(width)]
-    return CheckResult(False, reason, idx, side(lhs), side(rhs))
+
+def transport(tensor: dict, P: Matrix = None, Q: Matrix = None,
+              R: Matrix = None) -> dict:
+    """The sparse tensor of (x, y) -> R tensor(Px, Qy).
+
+    ``None`` is the identity and costs nothing.  P and Q may be rectangular
+    (their rows index the tensor's slots, their columns the new ones) and
+    may have no columns; R is applied through its nonzero columns.  An
+    entry 1 is kept as None too, so no factor 1 is ever multiplied.
+    """
+    def support(M):
+        """Row a of M as its nonzero entries (i, M[a, i]), None for 1."""
+        return [[(i, None if c == 1 else c) for i, c in enumerate(row) if c]
+                for row in M.entries]
+    ps = None if P is None else support(P)
+    qs = None if Q is None else support(Q)
+    if R is not None:
+        rs = {}    # column k of R as its nonzero (r, R[r, k])
+        for r, row in enumerate(support(R)):
+            for k, c in row:
+                rs.setdefault(k, []).append((r, c))
+    out = {}
+    for (a, b), value in tensor.items():
+        if R is not None:
+            image = {}
+            for k, c in value.items():
+                for r, d in rs.get(k, ()):
+                    v = c if d is None else d * c
+                    image[r] = image[r] + v if r in image else v
+            value = image
+        for i, p in ((a, None),) if ps is None else ps[a]:
+            for j, q in ((b, None),) if qs is None else qs[b]:
+                f = q if p is None else p if q is None else p * q
+                acc = out.setdefault((i, j), {})
+                for k, c in value.items():
+                    v = c if f is None else f * c
+                    acc[k] = acc[k] + v if k in acc else v
+    return _nonzero(out)
 
 
 def functionals(dim: int, terms, tensors: dict) -> dict:
@@ -153,10 +195,6 @@ def form_tensor(B: Matrix) -> dict:
 
 def vadd(x: Vector, y: Vector) -> Vector:
     return [a + b for a, b in zip(x, y)]
-
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    return [a - b for a, b in zip(x, y)]
 
 
 def unit(n: int, i: int) -> Vector:
@@ -214,10 +252,10 @@ def tensor_product(tensor: dict, x: Vector, y: Vector) -> Vector:
     return out
 
 
-def tensor_sum(s: dict, t: dict) -> dict:
-    """The sparse tensor of the sum of two bilinear maps."""
+def tensor_sum(*tensors: dict) -> dict:
+    """The sparse tensor of the sum of bilinear maps."""
     out = {}
-    for key, value in (*s.items(), *t.items()):
+    for key, value in (item for t in tensors for item in t.items()):
         acc = out.setdefault(key, {})
         for k, c in value.items():
             acc[k] = acc.get(k, _ZERO) + c

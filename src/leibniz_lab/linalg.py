@@ -63,9 +63,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(e for row in self.entries for e in row)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(add, other)
 
@@ -73,7 +70,8 @@ class Matrix:
         return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Scalar.of(-1))
+        return Matrix(self.rows, self.cols,
+                      tuple(tuple(-e for e in row) for row in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

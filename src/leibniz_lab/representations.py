@@ -6,86 +6,90 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotRotaBaxter
-from .leibniz import (CheckResult, LeibnizAlgebra, first_failure,
-                      tensor_from, unit, vadd, vsub)
+from .leibniz import (CheckResult, LeibnizAlgebra, _mult_matrix, _nonzero,
+                      contract, first_witness, tensor_sum, transport)
 from .linalg import Matrix
-from .scalars import Scalar
+from .scalars import _ZERO
 
 
 @dataclass(frozen=True)
 class Representation:
+    """The actions l and r of an algebra on an m-dim module V, stored as
+    two sparse tensors in the layout of the semidirect product:
+    ``left[(i, b)] = l(e_i) v_b`` and ``right[(b, i)] = r(e_i) v_b``."""
     algebra: LeibnizAlgebra
     rep_dim: int
-    left_maps: tuple   # l(e_i), m x m matrices, one per basis index
-    right_maps: tuple  # r(e_i)
+    left: dict
+    right: dict
 
     @staticmethod
     def build(algebra: LeibnizAlgebra, left_maps: Sequence[Matrix],
               right_maps: Sequence[Matrix]) -> "Representation":
+        """From the m x m matrices l(e_i) and r(e_i), one per basis index."""
         if len(left_maps) != algebra.dim or len(right_maps) != algebra.dim:
             raise DimensionMismatch("need one l and one r matrix per basis index")
         m = left_maps[0].rows if left_maps else 0
         for M in list(left_maps) + list(right_maps):
             if M.rows != m or M.cols != m:
                 raise DimensionMismatch("representation matrices must be m x m")
-        return Representation(algebra, m, tuple(left_maps), tuple(right_maps))
+        left = {(i, b): dict(enumerate(M.col(b)))
+                for i, M in enumerate(left_maps) for b in range(m)}
+        right = {(b, i): dict(enumerate(M.col(b)))
+                 for i, M in enumerate(right_maps) for b in range(m)}
+        return Representation(algebra, m, _nonzero(left), _nonzero(right))
 
     @staticmethod
     def zero(algebra: LeibnizAlgebra, rep_dim: int) -> "Representation":
-        z = Matrix.zero(rep_dim, rep_dim)
-        return Representation(algebra, rep_dim,
-                              tuple(z for _ in range(algebra.dim)),
-                              tuple(z for _ in range(algebra.dim)))
+        return Representation(algebra, rep_dim, {}, {})
 
-    def _combine(self, maps, x) -> Matrix:
-        acc = Matrix.zero(self.rep_dim, self.rep_dim)
-        for i, xi in enumerate(x):
-            if xi:
-                acc = acc + maps[i].scale(xi)
-        return acc
+    @property
+    def left_maps(self) -> tuple:
+        """The matrices l(e_i)."""
+        m = self.rep_dim
+        return tuple(_mult_matrix(self.left, m, [(i, b) for b in range(m)])
+                     for i in range(self.algebra.dim))
 
-    def left_of(self, x) -> Matrix:
-        """l(x) for an arbitrary element, assembled by linearity."""
-        return self._combine(self.left_maps, x)
-
-    def right_of(self, x) -> Matrix:
-        return self._combine(self.right_maps, x)
+    @property
+    def right_maps(self) -> tuple:
+        """The matrices r(e_i)."""
+        m = self.rep_dim
+        return tuple(_mult_matrix(self.right, m, [(b, i) for b in range(m)])
+                     for i in range(self.algebra.dim))
 
 
-def _commutator(A: Matrix, B: Matrix) -> Matrix:
-    return A @ B - B @ A
-
-
-def _flatten(M: Matrix) -> list:
-    return [e for row in M.entries for e in row]
+# The three axioms on e_x, e_y, applied to v_z, with "." the bracket and
+# "l", "r" the actions: l[x,y] = [l_x, l_y], r[x,y] = [l_x, r_y] and
+# r_y l_x = -r_y r_x.
+REPRESENTATION = (
+    ("AXIOM_L_BRACKET", ((1, "(x.y)lz"),), ((1, "xl(ylz)"), (-1, "yl(xlz)"))),
+    ("AXIOM_R_BRACKET", ((1, "zr(x.y)"),), ((1, "xl(zry)"), (-1, "(xlz)ry"))),
+    ("AXIOM_R_COMPOSE", ((1, "(xlz)ry"),), ((-1, "(zrx)ry"),)))
 
 
 def verify_representation(R: Representation) -> CheckResult:
-    """Check the three representation axioms on all basis pairs.
+    """Check the three representation axioms (:data:`REPRESENTATION`) on all
+    basis pairs.
 
-    Witnesses report both sides as row-major flattened matrices.
+    Witnesses report both sides as row-major flattened m x m matrices.
     """
-    A = R.algebra
-    ls, rs = R.left_maps, R.right_maps
-    minus_one = Scalar.of(-1)
+    m = R.rep_dim
+    tensors = {".": R.algebra.brackets, "l": R.left, "r": R.right}
 
-    def sides(i, j):
-        bij = A.bracket_basis(i, j)
-        yield ("AXIOM_L_BRACKET", _flatten(R.left_of(bij)),
-               _flatten(_commutator(ls[i], ls[j])))
-        yield ("AXIOM_R_BRACKET", _flatten(R.right_of(bij)),
-               _flatten(_commutator(ls[i], rs[j])))
-        yield ("AXIOM_R_COMPOSE", _flatten(rs[j] @ ls[i]),
-               _flatten((rs[j] @ rs[i]).scale(minus_one)))
-
-    return first_failure(A.dim, 2, sides)
+    def flattened(terms):
+        """{(x, y, z): {c: v}} as {(x, y): {c m + z: v}}."""
+        out = {}
+        for (i, j, b), value in contract(terms, tensors).items():
+            acc = out.setdefault((i, j), {})
+            for c, v in value.items():
+                acc[c * m + b] = v
+        return out
+    return first_witness(m * m, [(reason, flattened(lhs), flattened(rhs))
+                                 for reason, lhs, rhs in REPRESENTATION])
 
 
 def regular_rep(A: LeibnizAlgebra) -> Representation:
-    return Representation.build(
-        A,
-        [A.left_mult_matrix(i) for i in range(A.dim)],
-        [A.right_mult_matrix(i) for i in range(A.dim)])
+    """l(x)y = [x, y] and r(x)y = [y, x]: both actions are the bracket."""
+    return Representation(A, A.dim, A.brackets, A.brackets)
 
 
 def dual_rep(R: Representation) -> Representation:
@@ -94,28 +98,36 @@ def dual_rep(R: Representation) -> Representation:
     In matrix terms the new left maps are -l(e_i)^T and the new right maps
     are l(e_i)^T + r(e_i)^T.
     """
-    lefts = [l.transpose().scale(Scalar.of(-1)) for l in R.left_maps]
-    rights = [l.transpose() + r.transpose()
-              for l, r in zip(R.left_maps, R.right_maps)]
-    return Representation.build(R.algebra, lefts, rights)
+    left, l_t, r_t = {}, {}, {}
+    for (i, c), value in R.left.items():
+        for b, v in value.items():
+            left.setdefault((i, b), {})[c] = -v
+            l_t.setdefault((b, i), {})[c] = v
+    for (c, i), value in R.right.items():
+        for b, v in value.items():
+            r_t.setdefault((b, i), {})[c] = v
+    return Representation(R.algebra, R.rep_dim, left, tensor_sum(l_t, r_t))
 
 
 def semidirect_product(R: Representation) -> LeibnizAlgebra:
     """[x+u, y+v] = [x,y] + l_x(v) + r_y(u) on the space E + V."""
     A = R.algebra
-    n, m = A.dim, R.rep_dim
+    n = A.dim
     brackets = dict(A.brackets)
-    for i in range(n):
-        for b in range(m):
-            for key, M in (((i, n + b), R.left_maps[i]),
-                           ((n + b, i), R.right_maps[i])):
-                brackets[key] = {n + k: c for k, c in enumerate(M.col(b))}
-    return LeibnizAlgebra.from_brackets(n + m, brackets, A.field)
+    for (i, b), value in R.left.items():
+        brackets[(i, n + b)] = {n + k: c for k, c in value.items()}
+    for (b, i), value in R.right.items():
+        brackets[(n + b, i)] = {n + k: c for k, c in value.items()}
+    return LeibnizAlgebra.from_brackets(n + R.rep_dim, brackets, A.field)
 
 
 def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
                    T: Matrix) -> LeibnizAlgebra:
-    """The twisted double on E + V induced by a relative Rota-Baxter T."""
+    """The twisted double on E + V induced by a relative Rota-Baxter T.
+
+    With S the semidirect product and K(x + u) = Tu, the product is
+    S + S(K., .) + S(., K.) - K S.
+    """
     from .dendriform import verify_rota_baxter  # cycle-free at call time
 
     check = verify_rota_baxter(A, R, T)
@@ -123,22 +135,9 @@ def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
         raise NotRotaBaxter("T is not a relative Rota-Baxter operator: %s"
                             % (check.indices,))
     n, m = A.dim, R.rep_dim
-    zero_n = [Scalar.zero()] * n
-    zero_m = [Scalar.zero()] * m
-    # Each basis vector of E + V as its pair (x, u) of components.
-    parts = ([(A.basis_vector(p), zero_m) for p in range(n)]
-             + [(zero_n, unit(m, a)) for a in range(m)])
-
-    def product(p, q):
-        (x, u), (y, v) = parts[p], parts[q]
-        tu, tv = T.apply(u), T.apply(v)
-        e_part = vadd(A.bracket(x, y), A.bracket(tu, y))
-        e_part = vsub(e_part, T.apply(R.right_of(y).apply(u)))
-        e_part = vadd(e_part, A.bracket(x, tv))
-        e_part = vsub(e_part, T.apply(R.left_of(x).apply(v)))
-        v_part = vadd(R.left_of(tu).apply(v), R.right_of(tv).apply(u))
-        v_part = vadd(v_part, R.left_of(x).apply(v))
-        v_part = vadd(v_part, R.right_of(y).apply(u))
-        return e_part + v_part
-
-    return LeibnizAlgebra(n + m, tensor_from(n + m, product), A.field)
+    S = semidirect_product(R).brackets
+    K = Matrix.from_rows([[_ZERO] * n + list(row) for row in T.entries]
+                         + [[_ZERO] * (n + m)] * m)
+    return LeibnizAlgebra(n + m, tensor_sum(
+        S, transport(S, K), transport(S, None, K), transport(S, R=-K)),
+        A.field)

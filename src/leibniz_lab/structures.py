@@ -10,8 +10,8 @@ from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
                      NotComplexStructure, NotDirectSum, NotInvolution,
                      NotSubalgebra, PhiIdentityFails, TooLarge, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _require_square, first_failure, is_subalgebra,
-                      tensor_from, vadd, vsub)
+                      _require_square, first_witness, is_subalgebra,
+                      tensor_sum, transport)
 from .linalg import Matrix, eigenspace, invert, rank
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 
@@ -48,15 +48,11 @@ def _is_anti_involution(M: Matrix) -> bool:
 def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
     """[Nx, Ny] = N([Nx,y] + [x,Ny] - N[x,y]) on all basis pairs."""
     _require_square(N, A.dim, "operator")
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    ne = [N.apply(x) for x in e]
-
-    def sides(i, j):
-        inner = vsub(vadd(A.bracket(ne[i], e[j]), A.bracket(e[i], ne[j])),
-                     N.apply(A.bracket_basis(i, j)))
-        yield "NIJENHUIS_FAILS", A.bracket(ne[i], ne[j]), N.apply(inner)
-
-    return first_failure(A.dim, 2, sides)
+    T = A.brackets
+    inner = tensor_sum(transport(T, N), transport(T, None, N),
+                       transport(T, R=-N))
+    return first_witness(A.dim, [("NIJENHUIS_FAILS", transport(T, N, N),
+                                  transport(inner, R=N))])
 
 
 def _strict_abelian(A: LeibnizAlgebra, M: Matrix, sign: int):
@@ -65,21 +61,10 @@ def _strict_abelian(A: LeibnizAlgebra, M: Matrix, sign: int):
     Strict: M[x,y] = [Mx,y] = [x,My].  Abelian: [x,y] = sign * [Mx,My],
     with sign -1 for product and +1 for complex structures.
     """
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    me = [M.apply(x) for x in e]
-
-    def strict(i, j):
-        m_of_bracket = M.apply(A.bracket_basis(i, j))
-        yield "STRICT", m_of_bracket, A.bracket(me[i], e[j])
-        yield "STRICT", m_of_bracket, A.bracket(e[i], me[j])
-
-    def abelian(i, j):
-        rhs = A.bracket(me[i], me[j])
-        yield "ABELIAN", A.bracket_basis(i, j), (
-            rhs if sign > 0 else [-c for c in rhs])
-
-    return (first_failure(A.dim, 2, strict).ok,
-            first_failure(A.dim, 2, abelian).ok)
+    T = A.brackets
+    m_of_bracket = transport(T, R=M)
+    return (m_of_bracket == transport(T, M) == transport(T, None, M),
+            T == transport(T, M if sign > 0 else -M, M))
 
 
 def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
@@ -89,8 +74,8 @@ def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
         raise NotInvolution("E^2 != I")
     nijenhuis = verify_nijenhuis(A, E).ok
     strict, abelian = _strict_abelian(A, E, -1)
-    plus = Subspace.from_vectors(eigenspace(E, Scalar.one()))
-    minus = Subspace.from_vectors(eigenspace(E, Scalar.of(-1)))
+    plus = Subspace(tuple(eigenspace(E, Scalar.one())))
+    minus = Subspace(tuple(eigenspace(E, Scalar.of(-1))))
     return StructureReport(
         is_nijenhuis=nijenhuis,
         is_product=nijenhuis,
@@ -144,15 +129,11 @@ def complexify(A: LeibnizAlgebra) -> LeibnizAlgebra:
 
 def complex_integrability(A: LeibnizAlgebra, J: Matrix) -> CheckResult:
     """J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy] on all basis pairs."""
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    je = [J.apply(x) for x in e]
-
-    def sides(i, j):
-        yield ("INTEGRABILITY_FAILS", J.apply(A.bracket_basis(i, j)),
-               vadd(vadd(A.bracket(je[i], e[j]), A.bracket(e[i], je[j])),
-                    J.apply(A.bracket(je[i], je[j]))))
-
-    return first_failure(A.dim, 2, sides)
+    T = A.brackets
+    return first_witness(A.dim, [(
+        "INTEGRABILITY_FAILS", transport(T, R=J),
+        tensor_sum(transport(T, J), transport(T, None, J),
+                   transport(T, J, J, J)))])
 
 
 def _require_complex_candidate(A: LeibnizAlgebra, J: Matrix):
@@ -169,8 +150,8 @@ def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
     _require_complex_candidate(A, J)
     integrable = complex_integrability(A, J).ok
     strict, abelian = _strict_abelian(A, J, 1)
-    eigen_i = Subspace.from_vectors(eigenspace(J, Scalar.i()))
-    eigen_minus_i = Subspace.from_vectors(eigenspace(J, -Scalar.i()))
+    eigen_i = Subspace(tuple(eigenspace(J, Scalar.i())))
+    eigen_minus_i = Subspace(tuple(eigenspace(J, -Scalar.i())))
     return ComplexReport(integrable, strict, abelian, eigen_i, eigen_minus_i)
 
 
@@ -197,11 +178,10 @@ def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
     _require_complex_candidate(A, J)
     if not complex_integrability(A, J).ok:
         raise NotComplexStructure("J fails the integrability condition")
-    half = Fraction(1, 2)
-    je = [J.apply(A.basis_vector(i)) for i in range(A.dim)]
-    return LeibnizAlgebra(A.dim, tensor_from(A.dim, lambda i, j: [
-        half * c for c in vsub(A.bracket_basis(i, j), A.bracket(je[i], je[j]))]),
-        A.field)
+    half = Matrix.identity(A.dim).scale(Fraction(1, 2))
+    T = A.brackets
+    return LeibnizAlgebra(A.dim, transport(
+        tensor_sum(T, transport(T, J, -J)), R=half), A.field)
 
 
 def check_complex_product_pair(A: LeibnizAlgebra, J: Matrix,
@@ -226,10 +206,7 @@ def _complex_product_pair(A: LeibnizAlgebra, J: Matrix, E: Matrix):
         return CheckResult(False, "PRODUCT_FAILS"), report
     if J @ E != (E @ J).scale(Scalar.of(-1)):
         return CheckResult(False, "ANTICOMMUTATION_FAILS"), report
-    # J swaps the two eigenspaces, so the product structure is paracomplex.
-    if not report.minus_eigenspace.contains(
-            *(J.apply(v) for v in report.plus_eigenspace.basis)):
-        return CheckResult(False, "EIGENSPACE_SWAP_FAILS"), report
+    # JE = -EJ makes J swap the eigenspaces (Ev = v gives E(Jv) = -Jv).
     return OK, report
 
 
@@ -249,22 +226,17 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
     k = plus.dim
     _require_square(phi, k, "phi")
     invert(phi)  # raises SingularMatrix when phi is not an isomorphism
-    ps = list(plus.basis)
-    minus_mat = Matrix.from_rows(minus.basis).transpose()
-    qs = [minus_mat.apply(phi.col(j)) for j in range(k)]
+    P = Matrix.from_rows(plus.basis).transpose()   # columns p_j
+    Q = Matrix.from_rows(minus.basis).transpose() @ phi   # q_j = phi(p_j)
     # J sends p_j to q_j and q_j to -p_j.
-    U = Matrix.from_rows(ps + qs).transpose()
-    images = Matrix.from_rows(qs + [[-c for c in p] for p in ps]).transpose()
-    J = images @ invert(U)
+    J = Q.hstack(-P) @ invert(P.hstack(Q))
     # The defining identity for phi, checked on plus-eigenspace basis pairs:
     # phi[x1,x2] = [phi x1, x2] + [x1, phi x2] - phi^{-1}[phi x1, phi x2].
-
-    def sides(a, b):
-        yield ("PHI_IDENTITY_FAILS", J.apply(A.bracket(ps[a], ps[b])),
-               vadd(vadd(A.bracket(qs[a], ps[b]), A.bracket(ps[a], qs[b])),
-                    J.apply(A.bracket(qs[a], qs[b]))))
-
-    check = first_failure(k, 2, sides)
+    T = A.brackets
+    check = first_witness(A.dim, [(
+        "PHI_IDENTITY_FAILS", transport(T, P, P, J),
+        tensor_sum(transport(T, Q, P), transport(T, P, Q),
+                   transport(T, Q, Q, J)))])
     if not check.ok:
         raise PhiIdentityFails("identity fails at pair (%d, %d)"
                                % check.indices)
@@ -282,44 +254,25 @@ def product_iff_iE(A: LeibnizAlgebra, E: Matrix):
     return J, product_ok == complex_ok, product_ok, complex_ok
 
 
-def _projections(plus: Subspace, minus: Subspace, n: int):
-    """Projection matrices onto each summand along the other."""
-    u_inv = invert(Matrix.from_rows(plus.basis + minus.basis).transpose())
-    k = plus.dim
-    sel_plus = Matrix.from_rows(u_inv.entries[:k])
-    sel_minus = Matrix.from_rows(u_inv.entries[k:])
-    pi_plus = (Matrix.from_rows(plus.basis).transpose() @ sel_plus
-               if k else Matrix.zero(n, n))
-    pi_minus = (Matrix.from_rows(minus.basis).transpose() @ sel_minus
-                if minus.dim else Matrix.zero(n, n))
-    return pi_plus, pi_minus, sel_plus, sel_minus
-
-
 def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
                                       E: Matrix):
     """Dendriform structures on both eigenspaces of a complex product pair.
 
     x1 < x2 = -proj J[x1, J x2] and x1 > x2 = -proj J[J x1, x2], expressed
-    in the eigenspace coordinates.
+    in the eigenspace coordinates: proj reads the coordinates of a vector
+    along one eigenspace basis in the basis of both.
     """
     check, report = _complex_product_pair(A, J, E)
     if not check.ok:
         raise NotComplexProduct("pair fails: %s" % check.reason)
     plus, minus = report.plus_eigenspace, report.minus_eigenspace
-    n = A.dim
-    pi_plus, pi_minus, sel_plus, sel_minus = _projections(plus, minus, n)
+    coords = invert(Matrix.from_rows(plus.basis + minus.basis).transpose())
 
-    def build(space: Subspace, pi: Matrix, sel: Matrix) -> DendriformAlgebra:
-        xs = space.basis
-        jxs = [J.apply(x) for x in xs]
+    def build(space: Subspace, rows) -> DendriformAlgebra:
+        X = Matrix.from_rows(space.basis).transpose()
+        JX, proj = J @ X, -(Matrix.from_rows(rows) @ J)
+        return DendriformAlgebra(space.dim, transport(A.brackets, X, JX, proj),
+                                 transport(A.brackets, JX, X, proj), A.field)
 
-        def project(v):
-            return sel.apply(pi.apply([-c for c in J.apply(v)]))
-
-        k = space.dim
-        return DendriformAlgebra(
-            k, tensor_from(k, lambda a, b: project(A.bracket(xs[a], jxs[b]))),
-            tensor_from(k, lambda a, b: project(A.bracket(jxs[a], xs[b]))),
-            A.field)
-
-    return build(plus, pi_plus, sel_plus), build(minus, pi_minus, sel_minus)
+    k = plus.dim
+    return (build(plus, coords.entries[:k]), build(minus, coords.entries[k:]))

@@ -1,8 +1,9 @@
 """The sparse term-table evaluator against the per-tuple walks it replaced.
 
 The ``ref_*`` functions below keep the basis-tuple walks that the five
-three-index verifiers used before their identities became term tables: dense brackets
-and ``form_value`` on every basis triple, fed to ``first_failure``.  The
+three-index verifiers used before their identities became term tables:
+dense brackets and ``form_value`` on every basis triple, fed to
+``first_failure``, the tuple runner every verifier shared, kept here.  The
 verifiers must agree with them on the verdict, reason, indices and both
 witness sides, over Q and Q(i), on passing tensors and on tensors with one
 coefficient changed.  The symplectic solver, ``symplectic_to_dendriform``
@@ -26,12 +27,27 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
                          verify_quadratic_dendriform, verify_symplectic)
 from leibniz_lab import dendriform as dendriform_module, symplectic
 from leibniz_lab.errors import LeibnizLabError
-from leibniz_lab.leibniz import (first_failure, form_value, tensor_from, vadd,
-                                 vsub)
+from leibniz_lab.leibniz import OK, CheckResult, form_value, tensor_from, vadd
 from leibniz_lab.linalg import Matrix, invert, is_singular, kernel_basis
 from leibniz_lab.scalars import GAUSSIAN, RATIONAL, Scalar
 
 # -- the per-tuple walks the term tables replaced -----------------------------
+
+
+def first_failure(dim, arity, sides):
+    """The tuple runner every verifier used before the sparse evaluators:
+    ``sides(*idx)`` yields ``(reason, lhs, rhs)`` lazily over all basis
+    tuples in lexicographic order, and the first unequal pair is the
+    witness."""
+    for idx in product(range(dim), repeat=arity):
+        for reason, lhs, rhs in sides(*idx):
+            if lhs != rhs:
+                return CheckResult(False, reason, idx, lhs, rhs)
+    return OK
+
+
+def vsub(x, y):
+    return [a - b for a, b in zip(x, y)]
 
 
 def ref_leibniz(A):
