@@ -9,8 +9,8 @@ from that table.
 
 Exit status 0 means the check passed (or the construction succeeded),
 1 means a mathematical violation, 2 means an input or usage error (including
-inputs whose sizes do not match, and an algebra over a field the command
-does not take).
+inputs whose sizes do not match, an algebra over a field the command does
+not take, and an algebra too large for the sign enumeration).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dendriform import (subadjacent, verify_dendriform,
                          verify_invariant_form, verify_quadratic_dendriform,
                          verify_rota_baxter)
 from .errors import (DimensionMismatch, FieldMismatch, LeibnizLabError,
-                     ParseError, ValidationError, WrongField)
+                     ParseError, TooLarge, ValidationError, WrongField)
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  parse_representation, parse_subspace, serialize_algebra,
                  serialize_matrix, serialize_representation)
@@ -241,7 +241,7 @@ def run_command(argv):
     except LeibnizLabError as exc:
         bad_input = isinstance(exc, (ParseError, ValidationError,
                                      DimensionMismatch, WrongField,
-                                     FieldMismatch))
+                                     FieldMismatch, TooLarge))
         return (_verdict(key, CheckResult(False, type(exc).__name__),
                          error=str(exc)), 2 if bad_input else 1)
     check, payload = out if isinstance(out, tuple) else (out, None)

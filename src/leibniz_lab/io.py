@@ -176,7 +176,7 @@ def parse_representation(doc: dict, validate: bool = None) -> Representation:
                          algebra, m, "representation.left")
     rights = _matrix_list(_require(doc, "right", "representation"),
                           algebra, m, "representation.right")
-    rep = Representation.build(algebra, lefts, rights)
+    rep = Representation.build(algebra, lefts, rights, m)
     if _should_validate(doc, validate):
         check = verify_representation(rep)
         if not check.ok:
@@ -191,9 +191,9 @@ def _matrix_list(docs, algebra: LeibnizAlgebra, m: int, where: str):
     out = []
     for pos, rows in enumerate(docs):
         M = parse_matrix(rows, algebra.field, "%s[%d]" % (where, pos))
-        if (M.rows, M.cols) != (m, m) and m:
+        if (M.rows, M.cols) != (m, m):
             raise ParseError("%s[%d]: matrix must be %dx%d" % (where, pos, m, m))
-        out.append(M if m else Matrix.zero(0, 0))
+        out.append(M)
     return out
 
 

@@ -24,11 +24,17 @@ class Representation:
 
     @staticmethod
     def build(algebra: LeibnizAlgebra, left_maps: Sequence[Matrix],
-              right_maps: Sequence[Matrix]) -> "Representation":
-        """From the m x m matrices l(e_i) and r(e_i), one per basis index."""
+              right_maps: Sequence[Matrix],
+              rep_dim: int = None) -> "Representation":
+        """From the m x m matrices l(e_i) and r(e_i), one per basis index.
+
+        ``rep_dim`` is m; without it, m is read from the first matrix,
+        which a 0-dim algebra does not have.
+        """
         if len(left_maps) != algebra.dim or len(right_maps) != algebra.dim:
             raise DimensionMismatch("need one l and one r matrix per basis index")
-        m = left_maps[0].rows if left_maps else 0
+        m = (rep_dim if rep_dim is not None
+             else left_maps[0].rows if left_maps else 0)
         for M in list(left_maps) + list(right_maps):
             if M.rows != m or M.cols != m:
                 raise DimensionMismatch("representation matrices must be m x m")

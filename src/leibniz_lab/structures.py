@@ -101,22 +101,84 @@ def product_from_decomposition(A: LeibnizAlgebra, w_plus: Subspace,
     return U @ Matrix.diagonal(signs) @ invert(U)
 
 
-def enumerate_diagonal_products(A: LeibnizAlgebra):
-    """All sign-diagonal involutions that are product structures.
+def _product_signs(brackets: dict, dim: int):
+    """Sign tuples s, in binary-counting order, that pass the support rule
+    of :func:`enumerate_diagonal_products`.
 
-    Patterns are tried in binary-counting order with +1 first (bit unset
-    means +1 at that basis index).
+    Each stored c_ij^k != 0 with k not in {i, j} forbids two partial
+    patterns (nogoods): s_i = s_j = a with s_k = -a, for a = 1 and a = -1.
+    The search is depth first, highest index first and +1 first.  Every
+    sign set is propagated through the nogoods that mention it: a nogood
+    whose other signs all match fails the branch, and one with a single
+    unknown sign forces it to the other value.
+    """
+    nogoods = {tuple(sorted({i: a, j: a, k: -a}.items()))
+               for (i, j), value in brackets.items()
+               for k, c in value.items() if c and k != i and k != j
+               for a in (1, -1)}
+    watch = [[] for _ in range(dim)]
+    for nogood in nogoods:
+        for v, _ in nogood:
+            watch[v].append(nogood)
+    signs, trail = [0] * dim, []
+
+    def propagate(pos: int) -> bool:
+        """Force what the signs set at trail[pos:] imply; False on a conflict."""
+        while pos < len(trail):
+            v = trail[pos]
+            pos += 1
+            for nogood in watch[v]:
+                free = None
+                for u, s in nogood:
+                    if signs[u] == -s:
+                        break   # the nogood cannot hold any more
+                    if not signs[u]:
+                        if free is not None:
+                            break   # two signs unknown: nothing forced yet
+                        free = u, s
+                else:
+                    if free is None:
+                        return False
+                    signs[free[0]] = -free[1]
+                    trail.append(free[0])
+        return True
+
+    def search(v: int):
+        while v >= 0 and signs[v]:
+            v -= 1
+        if v < 0:
+            yield tuple(signs)
+            return
+        for s in (1, -1):
+            mark = len(trail)
+            signs[v] = s
+            trail.append(v)
+            if propagate(mark):
+                yield from search(v - 1)
+            for u in trail[mark:]:
+                signs[u] = 0
+            del trail[mark:]
+
+    return search(dim - 1)
+
+
+def enumerate_diagonal_products(A: LeibnizAlgebra):
+    """All sign-diagonal involutions that are product structures, each with
+    its :func:`classify_product` report.
+
+    diag(s) is a product structure iff both coordinate eigenspaces are
+    subalgebras: every stored bracket coefficient c_ij^k != 0 with
+    s_i = s_j also has s_k = s_i.  Only the sign patterns that pass this
+    rule are classified.  Results come in binary-counting order: pattern p
+    has -1 at index i iff bit i of p is set, so all +1 comes first.
     """
     if A.dim > 24:
         raise TooLarge("sign enumeration is capped at dimension 24")
     results = []
-    for pattern in range(2 ** A.dim):
-        signs = [Scalar.of(-1) if (pattern >> i) & 1 else Scalar.one()
-                 for i in range(A.dim)]
-        E = Matrix.diagonal(signs)
-        report = classify_product(A, E)
-        if report.is_product:
-            results.append((E, report))
+    for signs in _product_signs(A.brackets, A.dim):
+        E = Matrix.diagonal([Scalar.one() if s > 0 else Scalar.of(-1)
+                             for s in signs])
+        results.append((E, classify_product(A, E)))
     return results
 
 

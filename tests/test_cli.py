@@ -219,7 +219,8 @@ GAUSSIAN_2 = {"dim": 2, "field": "Q(i)", "brackets": []}
 def _misuse(write_doc, command, *docs, reason="DimensionMismatch"):
     """Misuse exits 2 with its reason, never a mathematical verdict: inputs
     of mismatched sizes give DimensionMismatch, an algebra over a field the
-    command does not take gives WrongField."""
+    command does not take gives WrongField, and one past the enumeration cap
+    gives TooLarge."""
     verdict, status = run_command(list(command)
                                   + [write_doc(doc) for doc in docs])
     return status == 2 and verdict["reason"] == reason
@@ -371,3 +372,38 @@ def test_pseudo_kahler_on_gaussian_algebra_exits_2(write_doc):
 def test_realify_of_rational_algebra_exits_2(write_doc):
     assert _misuse(write_doc, ("construct", "realify"), RATIONAL_2,
                    SWAP2, endo([[1, 0], [0, -1]]), reason="WrongField")
+
+
+def test_enumerate_products_past_the_cap_exits_2(write_doc):
+    assert _misuse(write_doc, ("enumerate", "products"),
+                   {"dim": 25, "brackets": []}, reason="TooLarge")
+
+
+REP_OF_ZERO_ALGEBRA = {"algebra": {"dim": 0, "field": "Q", "brackets": []},
+                       "repDim": 2, "left": [], "right": []}
+
+
+def test_semidirect_of_zero_algebra_keeps_the_module(write_doc):
+    """E + V is 2-dim when E is 0-dim and V is 2-dim."""
+    verdict, status = run_command(["construct", "semidirect",
+                                   write_doc(REP_OF_ZERO_ALGEBRA)])
+    assert status == 0 and verdict["payload"]["dim"] == 2
+    assert verdict["payload"]["brackets"] == []
+
+
+def test_dual_rep_of_zero_algebra_keeps_the_module(write_doc):
+    verdict, status = run_command(["construct", "dual-rep",
+                                   write_doc(REP_OF_ZERO_ALGEBRA)])
+    assert status == 0 and verdict["payload"]["repDim"] == 2
+    assert verdict["payload"]["algebra"]["dim"] == 0
+
+
+def test_matrices_of_a_zero_dim_module_must_be_empty(write_doc):
+    """repDim 0 takes 0x0 matrices only; a 1x1 action is not dropped."""
+    doc = {"algebra": {"dim": 1, "brackets": []}, "repDim": 0,
+           "left": [[["1"]]], "right": [[["1"]]]}
+    verdict, status = run_command(["construct", "semidirect", write_doc(doc)])
+    assert status == 2 and verdict["reason"] == "ParseError"
+    doc.update(left=[[]], right=[[]])
+    verdict, status = run_command(["construct", "semidirect", write_doc(doc)])
+    assert status == 0 and verdict["payload"]["dim"] == 1

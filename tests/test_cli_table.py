@@ -19,7 +19,7 @@ from leibniz_lab.io import parse_document
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
 BAD_INPUT = {"ParseError", "ValidationError", "DimensionMismatch", "USAGE",
-             "WrongField", "FieldMismatch"}
+             "WrongField", "FieldMismatch", "TooLarge"}
 
 # Golden command lines that run a table command on stored documents, with
 # their golden exit status (2: one of the documents is already malformed).

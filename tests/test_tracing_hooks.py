@@ -10,7 +10,7 @@ writing anything under ``perfbench/``), installed, checked and removed.
 import pathlib
 import types
 
-from leibniz_lab import linalg
+from leibniz_lab import linalg, structures
 from leibniz_lab.scalars import Scalar
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -63,3 +63,27 @@ def test_install_counting_counts_gaussian_operations():
         tracer.uninstall()
     assert tracer.ops == len(spans.SCALAR_OPS)
     assert {op: vars(Scalar)[op] for op in spans.SCALAR_OPS} == originals
+
+
+def test_enumeration_classifies_each_result_once(heisenberg_like):
+    """One ``classify_product`` span under the enumeration per result, so
+    ``enum_patterns`` counts the classified patterns and ``enum_hit_ratio``
+    reads 1."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install_spans()
+    try:
+        tracer.on = True
+        found = structures.enumerate_diagonal_products(heisenberg_like)
+        tracer.on = False
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+    names = [table["names"][i] for i in table["name"]]
+    children = [name for name, parent in zip(names, table["parent"])
+                if parent >= 0
+                and names[parent] == "structures.enumerate_diagonal_products"]
+    assert children.count("structures.classify_product") == len(found) == 12
+    metrics, _ = spans.layer_metrics([table], 1)
+    assert metrics["structures.enum_patterns"] == 12
+    assert metrics["structures.enum_hit_ratio"] == 1.0
