@@ -4,16 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .dendriform import DendriformAlgebra, verify_invariant_form
-from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
-                     NotPseudoKahler, WrongField)
+from .errors import (DegenerateForm, NotInvariant, NotInvolution,
+                     NotParaKahler, NotPseudoKahler, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _require_square, form_tensor, functionals, tensor_from)
-from .linalg import Matrix, invert, is_singular
+                      _require_square, form_tensor, functionals)
+from .linalg import Matrix, invert, is_singular, trace
 from .scalars import GAUSSIAN, RATIONAL, Scalar
-from .structures import (_is_anti_involution, classify_product,
-                         complex_integrability)
+from .structures import (_is_anti_involution, _is_involution,
+                         complex_integrability, verify_nijenhuis)
 from .symplectic import _isotropic_split, build_phase_space, verify_symplectic
 
 
@@ -35,15 +36,20 @@ class LeviCivitaPair:
 
 
 def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
-    """Symplectic form + paracomplex structure + B(Ex, Ey) = -B(x, y)."""
+    """Symplectic form + paracomplex structure + B(Ex, Ey) = -B(x, y).
+
+    E is paracomplex when its eigenspaces have equal dimensions; as E^2 = I
+    makes trace E = dim E_+ - dim E_-, that is trace E = 0.
+    """
     _require_square(E, A.dim, "operator")
     check = verify_symplectic(A, B)
     if not check.ok:
         return replace(check, reason="SYMPLECTIC_FAILS")
-    report = classify_product(A, E)
-    if not report.is_product:
+    if not _is_involution(E):
+        raise NotInvolution("E^2 != I")
+    if not verify_nijenhuis(A, E).ok:
         return CheckResult(False, "PRODUCT_FAILS")
-    if not report.is_paracomplex:
+    if trace(E):
         return CheckResult(False, "NOT_PARACOMPLEX")
     if E.transpose() @ B @ E != B.scale(Scalar.of(-1)):
         return CheckResult(False, "COMPAT_FAILS")
@@ -130,6 +136,13 @@ def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
     return OK
 
 
+def _blocks(top_left: Matrix, top_right: Matrix, bottom_left: Matrix,
+            bottom_right: Matrix) -> Matrix:
+    top, bottom = top_left.hstack(top_right), bottom_left.hstack(bottom_right)
+    return Matrix(top.rows + bottom.rows, top.cols,
+                  top.entries + bottom.entries)
+
+
 def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     """The complex structure J(x + xi) = -sharp^{-1}(xi) + sharp(x).
 
@@ -144,50 +157,61 @@ def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     sharp = omega.transpose()
     sharp_inv = invert(sharp)
     z = Matrix.zero(n, n)
-    top = z.hstack(sharp_inv.scale(Scalar.of(-1)))
-    bottom = sharp.hstack(z)
-    return P, Matrix.from_rows(top.entries + bottom.entries)
+    return P, _blocks(z, sharp_inv.scale(Scalar.of(-1)), sharp, z)
+
+
+def _realified_brackets(A: LeibnizAlgebra) -> dict:
+    """The bracket of a Gaussian algebra over the rationals, on the doubled
+    basis (e_1..e_n, i*e_1..i*e_n).
+
+    [u e_a, v e_b] = u v [e_a, e_b] with u, v = 1 or i, so each stored
+    (a, b): {k: c} gives four pairs with the unit product 1, i, i or -1;
+    the real part of that times c lands on e_k, the imaginary part on
+    i*e_k.
+    """
+    n = A.dim
+    out = {}
+    for (a, b), value in A.brackets.items():
+        entries = [out.setdefault(key, {}) for key in
+                   ((a, b), (a, b + n), (a + n, b), (a + n, b + n))]
+        for k, c in value.items():
+            x, y = c.real, c.imag
+            for entry, (re, im) in zip(entries, ((x, y), (-y, x), (-y, x),
+                                                 (-x, -y))):
+                if re:
+                    entry[k] = re
+                if im:
+                    entry[k + n] = im
+    return out
+
+
+def _parts(M: Matrix):
+    """(Re M, Im M) as rational matrices."""
+    return tuple(Matrix(M.rows, M.cols, tuple(
+        tuple(Scalar.of(part(e)) for e in row) for row in M.entries))
+        for part in (attrgetter("real"), attrgetter("imag")))
 
 
 def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
     """Real pseudo-Kahler structure underlying a Gaussian para-Kahler one.
 
     The doubled basis is (e_1..e_n, i*e_1..i*e_n); brackets expand by
-    bilinearity over the rationals, B' takes real parts, and J' is the
-    matrix of multiplication by i composed with E.
+    bilinearity over the rationals (:func:`_realified_brackets`), B' takes
+    real parts, and J' is the matrix of multiplication by i composed with E.
     """
     if A.field != GAUSSIAN:
         raise WrongField("realification starts from a Gaussian algebra")
     check = check_para_kahler(A, B, E)
     if not check.ok:
         raise NotParaKahler("triple fails: %s" % check.reason)
-    n = A.dim
-    units = [Scalar.one()] * n + [Scalar.i()] * n
-    doubled = range(2 * n)
-
-    def real(values):
-        return [Scalar.of(v.real) for v in values]
-
-    def imag(values):
-        return [Scalar.of(v.imag) for v in values]
-
-    # [u_a e_a, u_b e_b] = u_a u_b [e_a, e_b] with u = 1 or i: the real part
-    # of each coefficient lands on e_k, the imaginary part on i*e_k.
-    def product(a, b):
-        v = [units[a] * units[b] * c for c in A.bracket_basis(a % n, b % n)]
-        return real(v) + imag(v)
-
-    algebra = LeibnizAlgebra(2 * n, tensor_from(2 * n, product), RATIONAL)
-    b_real = Matrix.from_rows(
-        [real([units[a] * units[b] * B[a % n, b % n] for b in doubled])
-         for a in doubled])
+    algebra = LeibnizAlgebra(2 * A.dim, _realified_brackets(A), RATIONAL)
+    # B'(u e_a, v e_b) = Re(u v B[a, b]) with u v = 1, i, i or -1.
+    P, Q = _parts(B)
     # J' realifies multiplication by i*E:  (P + iQ) splits into blocks
     # [[-Q, -P], [P, -Q]] once premultiplied by i.
-    P_mat = Matrix.from_rows([real(row) for row in E.entries])
-    Q_mat = Matrix.from_rows([imag(row) for row in E.entries])
-    top = (-Q_mat).hstack(-P_mat)
-    bottom = P_mat.hstack(-Q_mat)
-    return algebra, b_real, Matrix.from_rows(top.entries + bottom.entries)
+    P_E, Q_E = _parts(E)
+    return (algebra, _blocks(P, -Q, -Q, -P),
+            _blocks(-Q_E, -P_E, P_E, -Q_E))
 
 
 def complexify_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix):

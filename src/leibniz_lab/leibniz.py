@@ -10,9 +10,10 @@ Structure tensors: every product (the bracket, both dendriform products,
 both actions of a representation, every construction) is one sparse map
 ``{(i, j): {k: c}}``, meaning ``e_i . e_j = sum_k c e_k``, holding nonzero
 ``c`` only, so tensors are equal exactly when their maps are.
-Constructions build one with :func:`transport` (or :func:`tensor_from`);
-callers pass one to ``from_brackets`` or a dense ``c[i][j][k]`` list to
-``from_constants``.  Stored maps are never mutated.  Code reads a tensor
+Constructions build one with :func:`transport` or straight from the
+stored entries; callers pass one to ``from_brackets`` or a dense
+``c[i][j][k]`` list to ``from_constants``, the one caller of
+:func:`tensor_from`.  Stored maps are never mutated.  Code reads a tensor
 through ``bracket``, ``bracket_basis`` and the multiplication matrices;
 only :mod:`io` serialization, :func:`direct_sum`, the representation
 constructions and the tensor operations iterate a stored map.

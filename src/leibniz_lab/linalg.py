@@ -1,8 +1,10 @@
 """Exact linear algebra over Q and Q(i).
 
 Matrices are immutable, row-major tuples of exact field elements
-(``Fraction`` or :class:`Scalar`, see :mod:`scalars`).  Rank, kernel,
-solve, inverse and singularity all read one sparse, incremental
+(``Fraction`` or :class:`Scalar`, see :mod:`scalars`).  Products (``@``,
+``scale``, ``apply``) multiply only nonzero entries, and every result
+carries its shape, so a matrix without rows keeps its column count.  Rank,
+kernel, solve, inverse and singularity all read one sparse, incremental
 elimination (:func:`_echelon`), which returns the unique reduced row
 echelon form, so results are exact and there is no tolerance parameter
 anywhere.  Vectors are coordinate tuples: kernel and eigenspace bases and
@@ -78,47 +80,56 @@ class Matrix:
             raise DimensionMismatch(
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols))
-        return Matrix.from_rows(
-            [[_dot(self.row(i), other.col(j)) for j in range(other.cols)]
-             for i in range(self.rows)])
+        cols = range(other.cols)
+        support = [[(j, b) for j, b in enumerate(row) if b]
+                   for row in other.entries]
+        rows = []
+        for row in self.entries:
+            acc = {}
+            for a, terms in zip(row, support):
+                if a:
+                    for j, b in terms:
+                        v = a * b
+                        acc[j] = acc[j] + v if j in acc else v
+            rows.append(tuple(acc.get(j, _ZERO) for j in cols))
+        return Matrix(self.rows, other.cols, tuple(rows))
 
     def scale(self, a: Scalar) -> "Matrix":
-        return Matrix.from_rows([[a * e for e in row] for row in self.entries])
+        return Matrix(self.rows, self.cols, tuple(
+            tuple(a * e if e else e for e in row) for row in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows([[self[i, j] for i in range(self.rows)]
-                                 for j in range(self.cols)])
+        return Matrix(self.cols, self.rows,
+                      tuple(self.col(j) for j in range(self.cols)))
 
     def conjugate(self) -> "Matrix":
-        return Matrix.from_rows([[e.conjugate() for e in row]
-                                 for row in self.entries])
+        return Matrix(self.rows, self.cols, tuple(
+            tuple(e.conjugate() for e in row) for row in self.entries))
 
     def apply(self, coords: Sequence[Scalar]) -> list:
         """Matrix-vector product returning a plain coordinate list."""
         if len(coords) != self.cols:
             raise DimensionMismatch("vector length %d vs %d columns"
                                     % (len(coords), self.cols))
-        return [_dot(self.row(i), coords) for i in range(self.rows)]
+        support = [(k, x) for k, x in enumerate(coords) if x]
+        return [sum([row[k] * x for k, x in support if row[k]], _ZERO)
+                for row in self.entries]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix.from_rows([list(self.row(i)) + list(other.row(i))
-                                 for i in range(self.rows)])
+        return Matrix(self.rows, self.cols + other.cols, tuple(
+            r + s for r, s in zip(self.entries, other.entries)))
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape mismatch")
-        return Matrix.from_rows([list(map(op, r, s)) for r, s
-                                 in zip(self.entries, other.entries)])
+        return Matrix(self.rows, self.cols, tuple(
+            tuple(map(op, r, s)) for r, s in zip(self.entries, other.entries)))
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.entries)
-
-
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return sum([a * b for a, b in zip(u, v) if a and b], _ZERO)
 
 
 def _subtract(row: dict, f: Scalar, pivot_row: dict):
@@ -227,7 +238,10 @@ def eigenspace(M: Matrix, lam: Scalar) -> list:
     """Exact basis of ker(M - lam*I); empty iff lam is not an eigenvalue."""
     if not M.is_square():
         raise DimensionMismatch("eigenspace of a non-square matrix")
-    return kernel_basis(M - Matrix.identity(M.rows).scale(lam))
+    rows = [list(row) for row in M.entries]
+    for i, row in enumerate(rows):
+        row[i] = row[i] - lam
+    return kernel_basis(Matrix(M.rows, M.cols, tuple(map(tuple, rows))))
 
 
 def trace(M: Matrix) -> Scalar:

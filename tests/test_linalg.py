@@ -357,3 +357,104 @@ def test_subalgebra_and_ideal_match_per_pair_reference(case):
     for W in subspaces:
         assert is_subalgebra(A, W) == ref_is_subalgebra(A, W)
         assert is_two_sided_ideal(A, W) == ref_is_two_sided_ideal(A, W)
+
+
+# -- zero-skipping products against the dense loops they replaced ----------
+
+
+def test_results_keep_their_shape_without_rows_or_columns():
+    """A result with no rows still knows how many columns it has."""
+    empty, tall = Matrix(0, 3, ()), Matrix(3, 0, ((),) * 3)
+    B = mat([[1, 2], [3, 4], [5, 6]])
+    for M, shape in ((empty @ B, (0, 2)),
+                     (empty.scale(Scalar.of(2)), (0, 3)),
+                     (empty - empty, (0, 3)),
+                     (empty + empty, (0, 3)),
+                     (-empty, (0, 3)),
+                     (empty.conjugate(), (0, 3)),
+                     (empty.hstack(Matrix(0, 2, ())), (0, 5)),
+                     (empty.transpose(), (3, 0)),
+                     (tall.transpose(), (0, 3)),
+                     (tall @ empty, (3, 3)),
+                     (empty @ tall, (0, 0)),
+                     (tall.hstack(tall), (3, 0))):
+        assert (M.rows, M.cols) == shape
+        assert len(M.entries) == M.rows
+        assert all(len(row) == M.cols for row in M.entries)
+    assert tall @ empty == Matrix.zero(3, 3)
+    assert empty.apply([Scalar.one()] * 3) == []
+    assert tall.apply([]) == [Scalar.zero()] * 3
+
+
+def ref_dot(u, v):
+    return sum([a * b for a, b in zip(u, v) if a and b], Fraction(0))
+
+
+def ref_matmul(A, B):
+    return Matrix(A.rows, B.cols, tuple(
+        tuple(ref_dot(A.row(i), B.col(j)) for j in range(B.cols))
+        for i in range(A.rows)))
+
+
+def ref_scale(M, a):
+    return Matrix(M.rows, M.cols, tuple(tuple(a * e for e in row)
+                                        for row in M.entries))
+
+
+def ref_apply(M, coords):
+    return [ref_dot(M.row(i), coords) for i in range(M.rows)]
+
+
+def ref_eigenspace(M, lam):
+    shifted = ref_scale(Matrix.identity(M.rows), lam)
+    return kernel_basis(Matrix(M.rows, M.cols, tuple(
+        tuple(a - b for a, b in zip(r, s))
+        for r, s in zip(M.entries, shifted.entries))))
+
+
+def sparse_entries(gaussian):
+    """Mostly zeros, and rationals as well as Gaussian values in Q(i)."""
+    return st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                     entries[gaussian])
+
+
+@st.composite
+def sparse_matrix(draw, rows, cols, gaussian):
+    entry = sparse_entries(gaussian)
+    return Matrix(rows, cols, tuple(
+        tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+def test_products_match_dense_reference(gaussian, r, k, c, data):
+    A = data.draw(sparse_matrix(r, k, gaussian))
+    B = data.draw(sparse_matrix(k, c, gaussian))
+    a = data.draw(sparse_entries(gaussian))
+    v = data.draw(st.lists(sparse_entries(gaussian), min_size=k, max_size=k))
+    assert exact(A @ B) == exact(ref_matmul(A, B))
+    assert exact(A.scale(a)) == exact(ref_scale(A, a))
+    assert exact(tuple(A.apply(v))) == exact(tuple(ref_apply(A, v)))
+    assert exact(A.transpose()) == exact(Matrix(k, r, tuple(
+        tuple(A[i, j] for i in range(r)) for j in range(k))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 5), st.data())
+def test_eigenspace_matches_dense_reference(gaussian, n, data):
+    """Drawn matrices, and involutions and anti-involutions sign-diagonal
+    up to a unitriangular basis change, at their eigenvalues."""
+    M = data.draw(sparse_matrix(n, n, gaussian))
+    lam = data.draw(sparse_entries(gaussian))
+    assert exact(eigenspace(M, lam)) == exact(ref_eigenspace(M, lam))
+    g = data.draw(sparse_matrix(n, n, gaussian))
+    g = Matrix(n, n, tuple(tuple(Fraction(1) if i == j else g[i, j] if j > i
+                                 else Fraction(0) for j in range(n))
+                           for i in range(n)))
+    unit = Scalar.i() if gaussian else Scalar.one()
+    signs = data.draw(st.lists(st.sampled_from((unit, -unit)),
+                               min_size=n, max_size=n))
+    S = invert(g) @ Matrix.diagonal(signs) @ g
+    for lam in (unit, -unit, data.draw(sparse_entries(gaussian))):
+        assert exact(eigenspace(S, lam)) == exact(ref_eigenspace(S, lam))

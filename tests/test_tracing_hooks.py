@@ -9,8 +9,11 @@ writing anything under ``perfbench/``), installed, checked and removed.
 
 import pathlib
 import types
+from random import Random
 
-from leibniz_lab import linalg, structures
+from conftest import random_dendriform
+from leibniz_lab import build_phase_space, kahler, linalg, structures
+from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import Scalar
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -87,3 +90,24 @@ def test_enumeration_classifies_each_result_once(heisenberg_like):
     metrics, _ = spans.layer_metrics([table], 1)
     assert metrics["structures.enum_patterns"] == 12
     assert metrics["structures.enum_hit_ratio"] == 1.0
+
+
+def test_para_kahler_check_builds_no_product_report():
+    """``check_para_kahler`` reads its verdicts from the Nijenhuis check
+    and the trace, so ``classify_calls`` counts no bridge check."""
+    spans = load_spans()
+    P = build_phase_space(random_dendriform(Random(1), 3))
+    E = Matrix.diagonal([Scalar.one()] * 3 + [Scalar.of(-1)] * 3)
+    tracer = spans.Tracer()
+    tracer.install_spans()
+    try:
+        tracer.on = True
+        check = kahler.check_para_kahler(P.total, P.form, E)
+        tracer.on = False
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+    names = {table["names"][i] for i in table["name"]}
+    assert check.ok
+    assert "structures.verify_nijenhuis" in names
+    assert "structures.classify_product" not in names
