@@ -74,7 +74,7 @@ _PARSERS = {
     "representation": lambda doc, field: parse_representation(doc),
     "raw representation": lambda doc, field: parse_representation(doc, False),
     "matrix": lambda doc, field: parse_matrix(doc, field),
-    "subspace": lambda doc, field: parse_subspace(doc),
+    "subspace": lambda doc, field: parse_subspace(doc, field),
 }
 
 

@@ -153,13 +153,15 @@ def parse_matrix(doc, field: str = None, where: str = "matrix") -> Matrix:
     return Matrix.from_rows(parsed)
 
 
-def parse_subspace(doc: dict, where: str = "subspace") -> Subspace:
+def parse_subspace(doc: dict, field: str = None,
+                   where: str = "subspace") -> Subspace:
+    """Parse ``{"vectors": [[...]]}``, in ``field`` when one is given."""
     vectors = _require(doc, "vectors", where)
     if not (isinstance(vectors, list)
             and all(isinstance(v, list) and len(v) == len(vectors[0])
                     for v in vectors)):
         raise ParseError("%s: array of equal-length vectors expected" % where)
-    field = _field_of(doc, where)
+    field = field or _field_of(doc, where)
     parsed = [[_scalar(entry, field, "%s[%d][%d]" % (where, i, j))
                for j, entry in enumerate(vec)]
               for i, vec in enumerate(vectors)]
@@ -246,8 +248,7 @@ def serialize_dendriform(D: DendriformAlgebra) -> dict:
 
 
 def serialize_matrix(M: Matrix, field: str = None) -> dict:
-    doc = {"matrix": [[format_scalar(M[i, j]) for j in range(M.cols)]
-                      for i in range(M.rows)]}
+    doc = {"matrix": [[format_scalar(e) for e in row] for row in M.entries]}
     if field is not None:
         doc["field"] = field
     return doc

@@ -140,7 +140,7 @@ def _blocks(top_left: Matrix, top_right: Matrix, bottom_left: Matrix,
             bottom_right: Matrix) -> Matrix:
     top, bottom = top_left.hstack(top_right), bottom_left.hstack(bottom_right)
     return Matrix(top.rows + bottom.rows, top.cols,
-                  top.entries + bottom.entries)
+                  top.nonzero + bottom.nonzero)
 
 
 def omega_to_J(D: DendriformAlgebra, omega: Matrix):
@@ -188,7 +188,8 @@ def _realified_brackets(A: LeibnizAlgebra) -> dict:
 def _parts(M: Matrix):
     """(Re M, Im M) as rational matrices."""
     return tuple(Matrix(M.rows, M.cols, tuple(
-        tuple(Scalar.of(part(e)) for e in row) for row in M.entries))
+        {j: Scalar.of(part(e)) for j, e in row.items() if part(e)}
+        for row in M.nonzero))
         for part in (attrgetter("real"), attrgetter("imag")))
 
 

@@ -151,8 +151,8 @@ def transport(tensor: dict, P: Matrix = None, Q: Matrix = None,
     """
     def support(M):
         """Row a of M as its nonzero entries (i, M[a, i]), None for 1."""
-        return [[(i, None if c == 1 else c) for i, c in enumerate(row) if c]
-                for row in M.entries]
+        return [[(i, None if c == 1 else c) for i, c in row.items()]
+                for row in M.nonzero]
     ps = None if P is None else support(P)
     qs = None if Q is None else support(Q)
     if R is not None:
@@ -190,8 +190,8 @@ def functionals(dim: int, terms, tensors: dict) -> dict:
 
 def form_tensor(B: Matrix) -> dict:
     """A form as the bilinear map {(p, q): {0: B[p, q]}} into a line."""
-    return {(p, q): {0: c} for p, row in enumerate(B.entries)
-            for q, c in enumerate(row) if c}
+    return {(p, q): {0: c} for p, row in enumerate(B.nonzero)
+            for q, c in row.items()}
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
@@ -271,11 +271,11 @@ def _checked_product(tensor: dict, dim: int, x: Vector, y: Vector) -> Vector:
 
 def _mult_matrix(tensor: dict, dim: int, keys) -> Matrix:
     """The dim x dim matrix whose column j holds the entry tensor[keys[j]]."""
-    rows = [[Scalar.zero()] * dim for _ in range(dim)]
+    rows = [{} for _ in range(dim)]
     for j, key in enumerate(keys):
         for k, c in tensor.get(key, {}).items():
             rows[k][j] = c
-    return Matrix.from_rows(rows)
+    return Matrix(dim, dim, tuple(rows))
 
 
 def _require_square(M: Matrix, dim: int, what: str = "form"):

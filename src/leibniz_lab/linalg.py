@@ -1,16 +1,15 @@
 """Exact linear algebra over Q and Q(i).
 
-Matrices are immutable, row-major tuples of exact field elements
-(``Fraction`` or :class:`Scalar`, see :mod:`scalars`).  Products (``@``,
-``scale``, ``apply``) multiply only nonzero entries, and every result
-carries its shape, so a matrix without rows keeps its column count.  Rank,
-kernel, solve, inverse and singularity all read one sparse, incremental
-elimination (:func:`_echelon`), which returns the unique reduced row
-echelon form, so results are exact and there is no tolerance parameter
-anywhere.  Vectors are coordinate tuples: kernel and eigenspace bases and
-solutions come back as tuples, and ``Matrix.apply`` maps one to a list.
-``leibniz.Subspace.contains`` tests any number of vectors against a span
-with one :func:`rank` of the stacked rows.
+A :class:`Matrix` is its shape, kept also without rows, and one
+``{column: value}`` dict per row holding only the nonzero entries
+(``Fraction`` or :class:`Scalar`), so ``==`` is exact; stored rows are
+never mutated.  Every operation reads the stored rows, as does the one
+sparse, incremental elimination (:func:`_echelon`) behind rank, kernel,
+solve, inverse and singularity, whose unique reduced row echelon form
+needs no tolerance.  ``M[i, j]``, ``row``, ``col`` and ``entries`` read
+dense values.  Vectors, kernel and eigenspace bases and solutions are
+coordinate tuples; ``leibniz.Subspace.contains`` tests vectors against a
+span with one :func:`rank` of the stacked rows.
 """
 
 from __future__ import annotations
@@ -27,40 +26,44 @@ from .scalars import _ONE, _ZERO, Scalar
 class Matrix:
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples of field elements
+    nonzero: tuple  # one {column: nonzero value} dict per row
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        for row in rows:
-            if len(row) != c:
-                raise DimensionMismatch("ragged matrix rows")
-        return Matrix(r, c, tuple(tuple(row) for row in rows))
+        if any(len(row) != c for row in rows):
+            raise DimensionMismatch("ragged matrix rows")
+        return Matrix(r, c, tuple({j: v for j, v in enumerate(row) if v}
+                                  for row in rows))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, ((Scalar.zero(),) * cols,) * rows)
+        return Matrix(rows, cols, ({},) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.diagonal([Scalar.one()] * n)
+        return Matrix.diagonal([_ONE] * n)
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
         n = len(values)
-        return Matrix(n, n, tuple(tuple(values[i] if i == j else _ZERO
-                                        for j in range(n)) for i in range(n)))
+        return Matrix(n, n, tuple({i: v} if v else {}
+                                  for i, v in enumerate(values)))
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self.entries[i][j]
+        return self.nonzero[i].get(j, _ZERO)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i]
+        return tuple(self.nonzero[i].get(j, _ZERO) for j in range(self.cols))
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row.get(j, _ZERO) for row in self.nonzero)
+
+    @property
+    def entries(self) -> tuple:   # the dense row tuples
+        return tuple(map(self.row, range(self.rows)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -72,60 +75,61 @@ class Matrix:
         return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(-e for e in row) for row in self.entries))
+        return Matrix(self.rows, self.cols, tuple(
+            {j: -v for j, v in row.items()} for row in self.nonzero))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols))
-        cols = range(other.cols)
-        support = [[(j, b) for j, b in enumerate(row) if b]
-                   for row in other.entries]
         rows = []
-        for row in self.entries:
+        for row in self.nonzero:
             acc = {}
-            for a, terms in zip(row, support):
-                if a:
-                    for j, b in terms:
-                        v = a * b
-                        acc[j] = acc[j] + v if j in acc else v
-            rows.append(tuple(acc.get(j, _ZERO) for j in cols))
+            for i, a in row.items():
+                for j, b in other.nonzero[i].items():
+                    v = a * b
+                    acc[j] = acc[j] + v if j in acc else v
+            rows.append({j: v for j, v in acc.items() if v})
         return Matrix(self.rows, other.cols, tuple(rows))
 
     def scale(self, a: Scalar) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(
-            tuple(a * e if e else e for e in row) for row in self.entries))
+            {j: a * v for j, v in row.items()} if a else {}
+            for row in self.nonzero))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
+        return Matrix(self.cols, self.rows, tuple(
+            {i: row[j] for i, row in enumerate(self.nonzero) if j in row}
+            for j in range(self.cols)))
 
     def conjugate(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(
-            tuple(e.conjugate() for e in row) for row in self.entries))
+            {j: v.conjugate() for j, v in row.items()}
+            for row in self.nonzero))
 
     def apply(self, coords: Sequence[Scalar]) -> list:
         """Matrix-vector product returning a plain coordinate list."""
         if len(coords) != self.cols:
             raise DimensionMismatch("vector length %d vs %d columns"
                                     % (len(coords), self.cols))
-        support = [(k, x) for k, x in enumerate(coords) if x]
-        return [sum([row[k] * x for k, x in support if row[k]], _ZERO)
-                for row in self.entries]
+        return [sum([v * coords[k] for k, v in row.items() if coords[k]],
+                    _ZERO) for row in self.nonzero]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         return Matrix(self.rows, self.cols + other.cols, tuple(
-            r + s for r, s in zip(self.entries, other.entries)))
+            {**r, **{self.cols + j: v for j, v in s.items()}}
+            for r, s in zip(self.nonzero, other.nonzero)))
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape mismatch")
         return Matrix(self.rows, self.cols, tuple(
-            tuple(map(op, r, s)) for r, s in zip(self.entries, other.entries)))
+            {j: v for j in r.keys() | s.keys()
+             if (v := op(r.get(j, _ZERO), s.get(j, _ZERO)))}
+            for r, s in zip(self.nonzero, other.nonzero)))
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -141,8 +145,9 @@ def _subtract(row: dict, f: Scalar, pivot_row: dict):
 
 
 def _echelon(rows, ncols: int) -> dict:
-    """The unique reduced row echelon form of the span of ``rows`` (dense,
-    of length ``ncols``) as {pivot column: sparse row {column: value}}.
+    """The unique reduced row echelon form of the span of ``rows`` (sparse
+    rows {column: nonzero value} with columns in range(ncols)) as
+    {pivot column: sparse row}.  The given rows are left unchanged.
 
     Rows are inserted one at a time, skipping zero and duplicate rows,
     until every column has a pivot.  A new row is reduced by the pivot
@@ -150,14 +155,14 @@ def _echelon(rows, ncols: int) -> dict:
     leading column, which is then cleared from the other pivot rows.
     """
     pivots, seen = {}, set()
-    for dense in rows:
+    for row in rows:
         if len(pivots) == ncols:
             break
-        row = {c: v for c, v in enumerate(dense) if v}
-        key = tuple(row.items())
+        key = frozenset(row.items())
         if key in seen:
             continue
         seen.add(key)
+        row = dict(row)
         for p in [p for p in row if p in pivots]:
             _subtract(row, row[p], pivots[p])
         if not row:
@@ -186,12 +191,12 @@ def _kernel(pivots: dict, ncols: int) -> list:
 
 
 def rank(M: Matrix) -> int:
-    return len(_echelon(M.entries, M.cols))
+    return len(_echelon(M.nonzero, M.cols))
 
 
 def kernel_basis(M: Matrix) -> list:
     """Exact basis of ker(M) as coordinate tuples, in free-column order."""
-    return _kernel(_echelon(M.entries, M.cols), M.cols)
+    return _kernel(_echelon(M.nonzero, M.cols), M.cols)
 
 
 NO_SOLUTION = "NO_SOLUTION"
@@ -208,7 +213,7 @@ def solve_linear(A: Matrix, b: Matrix):
         raise DimensionMismatch("right-hand side must be a %d-row column"
                                 % A.rows)
     n = A.cols
-    pivots = _echelon(A.hstack(b).entries, n + 1)
+    pivots = _echelon(A.hstack(b).nonzero, n + 1)
     if n in pivots:
         return NO_SOLUTION
     # With no pivot in the last column, the rest is the RREF of A.
@@ -222,12 +227,12 @@ def invert(M: Matrix) -> Matrix:
     if not M.is_square():
         raise DimensionMismatch("only square matrices invert")
     n = M.rows
-    pivots = _echelon(M.hstack(Matrix.identity(n)).entries, 2 * n)
+    pivots = _echelon(M.hstack(Matrix.identity(n)).nonzero, 2 * n)
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix("matrix of rank %d < %d" % (left_rank, n))
-    return Matrix(n, n, tuple(tuple(pivots[p].get(n + j, _ZERO)
-                                    for j in range(n)) for p in range(n)))
+    return Matrix(n, n, tuple({j - n: v for j, v in pivots[p].items()
+                               if j >= n} for p in range(n)))
 
 
 def is_singular(M: Matrix) -> bool:
@@ -238,10 +243,7 @@ def eigenspace(M: Matrix, lam: Scalar) -> list:
     """Exact basis of ker(M - lam*I); empty iff lam is not an eigenvalue."""
     if not M.is_square():
         raise DimensionMismatch("eigenspace of a non-square matrix")
-    rows = [list(row) for row in M.entries]
-    for i, row in enumerate(rows):
-        row[i] = row[i] - lam
-    return kernel_basis(Matrix(M.rows, M.cols, tuple(map(tuple, rows))))
+    return kernel_basis(M - Matrix.diagonal([lam] * M.rows))
 
 
 def trace(M: Matrix) -> Scalar:

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotRotaBaxter
-from .leibniz import (CheckResult, LeibnizAlgebra, _mult_matrix, _nonzero,
-                      contract, first_witness, tensor_sum, transport)
+from .leibniz import (CheckResult, LeibnizAlgebra, _mult_matrix, contract,
+                      first_witness, tensor_sum, transport)
 from .linalg import Matrix
-from .scalars import _ZERO
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,11 @@ class Representation:
         for M in list(left_maps) + list(right_maps):
             if M.rows != m or M.cols != m:
                 raise DimensionMismatch("representation matrices must be m x m")
-        left = {(i, b): dict(enumerate(M.col(b)))
-                for i, M in enumerate(left_maps) for b in range(m)}
-        right = {(b, i): dict(enumerate(M.col(b)))
-                 for i, M in enumerate(right_maps) for b in range(m)}
-        return Representation(algebra, m, _nonzero(left), _nonzero(right))
+        left = {(i, b): col for i, M in enumerate(left_maps)
+                for b, col in enumerate(M.transpose().nonzero) if col}
+        right = {(b, i): col for i, M in enumerate(right_maps)
+                 for b, col in enumerate(M.transpose().nonzero) if col}
+        return Representation(algebra, m, left, right)
 
     @staticmethod
     def zero(algebra: LeibnizAlgebra, rep_dim: int) -> "Representation":
@@ -142,8 +141,8 @@ def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
                             % (check.indices,))
     n, m = A.dim, R.rep_dim
     S = semidirect_product(R).brackets
-    K = Matrix.from_rows([[_ZERO] * n + list(row) for row in T.entries]
-                         + [[_ZERO] * (n + m)] * m)
+    K = Matrix(n + m, n + m, tuple({n + b: c for b, c in row.items()}
+                                   for row in T.nonzero) + ({},) * m)
     return LeibnizAlgebra(n + m, tensor_sum(
         S, transport(S, K), transport(S, None, K), transport(S, R=-K)),
         A.field)

@@ -332,9 +332,9 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
 
     def build(space: Subspace, rows) -> DendriformAlgebra:
         X = Matrix.from_rows(space.basis).transpose()
-        JX, proj = J @ X, -(Matrix.from_rows(rows) @ J)
+        JX, proj = J @ X, -(Matrix(space.dim, A.dim, rows) @ J)
         return DendriformAlgebra(space.dim, transport(A.brackets, X, JX, proj),
                                  transport(A.brackets, JX, X, proj), A.field)
 
     k = plus.dim
-    return (build(plus, coords.entries[:k]), build(minus, coords.entries[k:]))
+    return (build(plus, coords.nonzero[:k]), build(minus, coords.nonzero[k:]))

@@ -17,7 +17,7 @@ from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       is_subalgebra, verify_leibniz)
 from .linalg import Matrix, invert, is_singular, kernel_basis, rank
 from .representations import dual_rep, semidirect_product
-from .scalars import _ZERO, Scalar
+from .scalars import Scalar
 
 SAMPLE_ATTEMPTS = 32   # seeded combinations tried after the basis sum
 
@@ -56,9 +56,8 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     m = n * (n + 1) // 2
     rows = defect(SYMPLECTIC[0], {".": A.brackets, "|": {
         pq: {t: Scalar.one()} for pq, t in index.items()}})
-    constraints = (Matrix.from_rows(
-        [[rows[key].get(t, _ZERO) for t in range(m)]
-         for key in sorted(rows)]) if rows else Matrix.zero(1, m))
+    nonzero = tuple(rows[key] for key in sorted(rows)) or ({},)
+    constraints = Matrix(len(nonzero), m, nonzero)
     basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
                                for p in range(n)])
              for c in kernel_basis(constraints)]
@@ -70,8 +69,8 @@ def form_space_radical(basis: Sequence[Matrix]) -> list:
     every B in the (nonempty) list, which all members of the span share."""
     if not basis:
         raise DimensionMismatch("an empty form list has no ambient space")
-    return kernel_basis(Matrix.from_rows(
-        [row for B in basis for row in B.entries]))
+    nonzero = tuple(row for B in basis for row in B.nonzero)
+    return kernel_basis(Matrix(len(nonzero), basis[0].cols, nonzero))
 
 
 def sample_nondegenerate(basis: Sequence[Matrix],
@@ -123,11 +122,8 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
 
 def canonical_pairing(n: int) -> Matrix:
     """The block form [[0, I], [I, 0]] on base + dual coordinates."""
-    z, o = Scalar.zero(), Scalar.one()
-    return Matrix.from_rows(
-        [[o if j == i + n else z for j in range(2 * n)] for i in range(n)]
-        + [[o if j == i - n else z for j in range(2 * n)]
-           for i in range(n, 2 * n)])
+    return Matrix(2 * n, 2 * n, tuple({(i + n) % (2 * n): Scalar.one()}
+                                      for i in range(2 * n)))
 
 
 @dataclass(frozen=True)

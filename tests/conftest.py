@@ -17,6 +17,13 @@ def mat(rows):
     return Matrix.from_rows([[Scalar.of(e) for e in row] for row in rows])
 
 
+def dense(cols, rows):
+    """Matrix.from_rows(rows), with ``cols`` columns also when there are
+    no rows."""
+    rows = list(rows)
+    return Matrix.from_rows(rows) if rows else Matrix.zero(0, cols)
+
+
 def diag(*signs):
     return Matrix.diagonal([Scalar.of(s) for s in signs])
 

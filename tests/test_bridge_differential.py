@@ -112,9 +112,9 @@ def test_realified_brackets_match_dense_reference(A):
 
 @st.composite
 def unitriangular(draw, n, entry):
-    return Matrix(n, n, tuple(tuple(
+    return Matrix.from_rows([[
         Fraction(1) if i == j else draw(entry) if j > i else Fraction(0)
-        for j in range(n)) for i in range(n)))
+        for j in range(n)] for i in range(n)])
 
 
 def moved(A, B, E, g):
@@ -176,8 +176,8 @@ def para_kahler_cases(draw):
     entry = small if A.field == RATIONAL else small | gaussian
     if draw(st.integers(0, 4)) == 0:
         rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
-        B = Matrix(n, n, tuple(tuple(rows[min(i, j)][max(i, j)]
-                                     for j in range(n)) for i in range(n)))
+        B = Matrix.from_rows([[rows[min(i, j)][max(i, j)]
+                              for j in range(n)] for i in range(n)])
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     D = Matrix.diagonal([Scalar.of(s) for s in signs])
     h = draw(unitriangular(n, st.just(Fraction(0)) | entry))

@@ -209,6 +209,7 @@ def test_cli_math_precondition_failure_exits_1(write_doc):
     assert status == 1 and verdict["reason"] == "DegenerateForm"
 
 
+I2 = endo([[1, 0], [0, 1]])
 I3 = endo([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 SWAP2 = endo([[0, 1], [1, 0]])
 J2 = endo([[0, -1], [1, 0]])
@@ -240,6 +241,23 @@ def test_manin_triple_subspace_in_wrong_space_exits_2(write_doc):
     assert _misuse(write_doc, ("check", "manin-triple"), ZERO_DENDRIFORM_DOC,
                    SWAP2, {"vectors": [["1", "0", "0"]]},
                    {"vectors": [["0", "1"]]})
+
+
+def test_manin_triple_subspaces_are_read_in_the_algebra_field(write_doc):
+    """x^2 + y^2 has no isotropic vector over Q: a subspace document's own
+    field cannot bring Q(i) vectors into a rational command, and without a
+    field key the vectors of a Q(i) command are read over Q(i)."""
+    verdict, status = run_command(["check", "manin-triple"] + [
+        write_doc(doc) for doc in (
+            ZERO_DENDRIFORM_DOC, I2,
+            {"field": "Q(i)", "vectors": [["1", "i"]]},
+            {"field": "Q(i)", "vectors": [["1", "-i"]]})])
+    assert status == 2 and verdict["reason"] == "ParseError"
+    verdict, status = run_command(["check", "manin-triple"] + [
+        write_doc(doc) for doc in (
+            dict(ZERO_DENDRIFORM_DOC, field="Q(i)"), I2,
+            {"vectors": [["1", "i"]]}, {"vectors": [["1", "-i"]]})])
+    assert status == 0 and verdict["ok"] is True
 
 
 def test_invariant_form_of_wrong_size_exits_2(write_doc):

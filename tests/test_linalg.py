@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat, random_dendriform, random_leibniz
+from conftest import dense, mat, random_dendriform, random_leibniz
 from leibniz_lab import build_phase_space, complexify
 from leibniz_lab.errors import DimensionMismatch, SingularMatrix
 from leibniz_lab.leibniz import Subspace, is_subalgebra, is_two_sided_ideal
@@ -236,11 +236,11 @@ def matrices(draw, square=False):
                 rows[t], rows[t], [Fraction(0)] * cols, list(earlier),
                 [x + y for x, y in zip(earlier, previous)])))
     rows = draw(st.permutations(rows))
-    return Matrix(len(rows), cols, tuple(tuple(r) for r in rows))
+    return dense(cols, rows)
 
 
 def column(values):
-    return Matrix(len(values), 1, tuple((c,) for c in values))
+    return dense(1, [[c] for c in values])
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,7 +344,7 @@ def algebras_with_subspaces(draw):
     n, entry, zero_last = A.dim, entries[gaussian], draw(st.booleans())
     rows = [[Fraction(0) if zero_last and j == n - 1 else draw(entry)
              for j in range(n)] for _ in range(draw(st.integers(0, n)))]
-    M = Matrix(len(rows), n, tuple(tuple(r) for r in rows))
+    M = dense(n, rows)
     v = draw(st.lists(entry, min_size=n, max_size=n))
     return A, [Subspace.from_vectors(kernel_basis(M)),
                one_sided_closure(A, v, True), one_sided_closure(A, v, False)]
@@ -364,7 +364,7 @@ def test_subalgebra_and_ideal_match_per_pair_reference(case):
 
 def test_results_keep_their_shape_without_rows_or_columns():
     """A result with no rows still knows how many columns it has."""
-    empty, tall = Matrix(0, 3, ()), Matrix(3, 0, ((),) * 3)
+    empty, tall = dense(3, []), dense(0, [[]] * 3)
     B = mat([[1, 2], [3, 4], [5, 6]])
     for M, shape in ((empty @ B, (0, 2)),
                      (empty.scale(Scalar.of(2)), (0, 3)),
@@ -372,7 +372,7 @@ def test_results_keep_their_shape_without_rows_or_columns():
                      (empty + empty, (0, 3)),
                      (-empty, (0, 3)),
                      (empty.conjugate(), (0, 3)),
-                     (empty.hstack(Matrix(0, 2, ())), (0, 5)),
+                     (empty.hstack(dense(2, [])), (0, 5)),
                      (empty.transpose(), (3, 0)),
                      (tall.transpose(), (0, 3)),
                      (tall @ empty, (3, 3)),
@@ -391,14 +391,13 @@ def ref_dot(u, v):
 
 
 def ref_matmul(A, B):
-    return Matrix(A.rows, B.cols, tuple(
-        tuple(ref_dot(A.row(i), B.col(j)) for j in range(B.cols))
+    return dense(B.cols, (
+        [ref_dot(A.row(i), B.col(j)) for j in range(B.cols)]
         for i in range(A.rows)))
 
 
 def ref_scale(M, a):
-    return Matrix(M.rows, M.cols, tuple(tuple(a * e for e in row)
-                                        for row in M.entries))
+    return dense(M.cols, ([a * e for e in row] for row in M.entries))
 
 
 def ref_apply(M, coords):
@@ -407,8 +406,8 @@ def ref_apply(M, coords):
 
 def ref_eigenspace(M, lam):
     shifted = ref_scale(Matrix.identity(M.rows), lam)
-    return kernel_basis(Matrix(M.rows, M.cols, tuple(
-        tuple(a - b for a, b in zip(r, s))
+    return kernel_basis(dense(M.cols, (
+        [a - b for a, b in zip(r, s)]
         for r, s in zip(M.entries, shifted.entries))))
 
 
@@ -421,8 +420,8 @@ def sparse_entries(gaussian):
 @st.composite
 def sparse_matrix(draw, rows, cols, gaussian):
     entry = sparse_entries(gaussian)
-    return Matrix(rows, cols, tuple(
-        tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+    return dense(cols, ([draw(entry) for _ in range(cols)]
+                        for _ in range(rows)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,8 +435,8 @@ def test_products_match_dense_reference(gaussian, r, k, c, data):
     assert exact(A @ B) == exact(ref_matmul(A, B))
     assert exact(A.scale(a)) == exact(ref_scale(A, a))
     assert exact(tuple(A.apply(v))) == exact(tuple(ref_apply(A, v)))
-    assert exact(A.transpose()) == exact(Matrix(k, r, tuple(
-        tuple(A[i, j] for i in range(r)) for j in range(k))))
+    assert exact(A.transpose()) == exact(dense(r, (
+        [A[i, j] for i in range(r)] for j in range(k))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -449,12 +448,73 @@ def test_eigenspace_matches_dense_reference(gaussian, n, data):
     lam = data.draw(sparse_entries(gaussian))
     assert exact(eigenspace(M, lam)) == exact(ref_eigenspace(M, lam))
     g = data.draw(sparse_matrix(n, n, gaussian))
-    g = Matrix(n, n, tuple(tuple(Fraction(1) if i == j else g[i, j] if j > i
-                                 else Fraction(0) for j in range(n))
-                           for i in range(n)))
+    g = dense(n, ([Fraction(1) if i == j else g[i, j] if j > i
+                   else Fraction(0) for j in range(n)] for i in range(n)))
     unit = Scalar.i() if gaussian else Scalar.one()
     signs = data.draw(st.lists(st.sampled_from((unit, -unit)),
                                min_size=n, max_size=n))
     S = invert(g) @ Matrix.diagonal(signs) @ g
     for lam in (unit, -unit, data.draw(sparse_entries(gaussian))):
         assert exact(eigenspace(S, lam)) == exact(ref_eigenspace(S, lam))
+
+
+# -- storage invariants: only nonzero values stored, operands never mutated --
+
+
+def stores_only_nonzero(M):
+    """One row dict per row, columns in range, no zero value stored."""
+    return len(M.nonzero) == M.rows and all(
+        all(0 <= j < M.cols and v for j, v in row.items())
+        for row in M.nonzero)
+
+
+def snapshot(*matrices):
+    return [tuple(dict(row) for row in M.nonzero) for M in matrices]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+def test_results_store_only_nonzero_values(gaussian, r, k, c, data):
+    """Cancellation and scaling by 0 leave no zero behind, so equal
+    matrices compare equal with ``==``."""
+    A = data.draw(sparse_matrix(r, k, gaussian))
+    B = data.draw(sparse_matrix(k, c, gaussian))
+    S = data.draw(sparse_matrix(k, k, gaussian))
+    lam = data.draw(st.sampled_from([S[i, i] for i in range(k)]
+                                    or [Fraction(0)]))
+    # [A, -A] times I stacked on I cancels to zero inside one product.
+    I = Matrix.identity(k).entries
+    cancelled = A.hstack(-A) @ dense(k, [*I, *I])
+    results = [A + A, A - A, A + -A, -A, A @ B, cancelled,
+               A.scale(Fraction(0)),
+               A.scale(data.draw(sparse_entries(gaussian))), A.transpose(),
+               A.conjugate(), A.hstack(A), S - Matrix.diagonal([lam] * k),
+               S - S.transpose()]
+    if not is_singular(S):
+        results += [invert(S), S @ invert(S), invert(S) @ S]
+        assert S @ invert(S) == Matrix.identity(k) == invert(S) @ S
+    for M in results:
+        assert stores_only_nonzero(M)
+    assert A - A == Matrix.zero(r, k) == A.scale(Fraction(0))
+    assert A + -A == Matrix.zero(r, k) == cancelled
+    assert A.transpose().transpose() == A
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.booleans(), st.data())
+def test_operations_leave_their_operands_unchanged(A, gaussian, data):
+    b = data.draw(sparse_matrix(A.rows, 1, gaussian))
+    B = data.draw(sparse_matrix(A.cols, data.draw(st.integers(0, 4)),
+                                gaussian))
+    before = snapshot(A, b, B)
+    rank(A)
+    kernel_basis(A)
+    solve_linear(A, b)
+    A @ B
+    A.hstack(b)
+    if A.is_square():
+        eigenspace(A, data.draw(sparse_entries(gaussian)))
+        if not is_singular(A):
+            invert(A)
+    assert snapshot(A, b, B) == before

@@ -16,7 +16,7 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import (random_dendriform, random_dendriform_with_skew,
+from conftest import (dense, random_dendriform, random_dendriform_with_skew,
                       random_invariant_skew)
 from test_term_tables import first_failure, outcome, typed
 from leibniz_lab import (DendriformAlgebra, J_from_phi, LeibnizAlgebra,
@@ -267,8 +267,8 @@ def scalar(draw, field):
 
 def matrix(draw, rows, cols, field):
     """A rows x cols matrix, also when either is 0."""
-    return Matrix(rows, cols, tuple(
-        tuple(scalar(draw, field) for _ in range(cols)) for _ in range(rows)))
+    return dense(cols, ([scalar(draw, field) for _ in range(cols)]
+                        for _ in range(rows)))
 
 
 def operator(draw, n, field):
@@ -361,7 +361,7 @@ def module_cases(draw):
     A = algebra(draw, n, field)
     R = representation(draw, A, draw(st.integers(0, 3)), field)
     m = R.rep_dim   # 0 when n = 0, unless R is the zero module
-    T = (Matrix(n, m, ((Scalar.zero(),) * m,) * n)
+    T = (Matrix.zero(n, m)
          if draw(st.booleans()) else matrix(draw, n, m, field))
     return A, R, T
 

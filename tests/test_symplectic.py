@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mat, random_dendriform, random_leibniz
+from test_term_tables import typed
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
-                         canonical_pairing, solve_symplectic_space,
+                         canonical_pairing, complexify, solve_symplectic_space,
                          subadjacent, symplectic_to_dendriform, tensors_equal,
                          verify_dendriform, verify_manin_triple,
                          verify_phase_space, verify_quadratic_dendriform,
                          verify_symplectic)
 from leibniz_lab import symplectic
 from leibniz_lab.errors import DimensionMismatch, NotQuadratic, NotSymplectic
-from leibniz_lab.linalg import Matrix, is_singular
-from leibniz_lab.scalars import Scalar
-from leibniz_lab.symplectic import (form_space_radical, form_value,
-                                    sample_nondegenerate)
+from leibniz_lab.leibniz import defect
+from leibniz_lab.linalg import Matrix, is_singular, kernel_basis
+from leibniz_lab.scalars import GAUSSIAN, Scalar
+from leibniz_lab.symplectic import (SYMPLECTIC, form_space_radical,
+                                    form_value, sample_nondegenerate)
 
 
 def test_verify_symplectic_guards(heisenberg_like):
@@ -276,3 +278,54 @@ def test_nonzero_radical_means_every_member_is_singular(basis, seed):
         for B in basis:
             member = member + B.scale(Scalar.of(rng.randint(-5, 5)))
         assert is_singular(member)
+
+
+# -- the solver against the dense constraint matrix it replaced -------------
+
+
+def ref_solve_symplectic_space(A, seed=0):
+    """The constraint map as a dense Matrix, one row per failing triple in
+    sorted order (a zero row when there is none), and its kernel."""
+    n = A.dim
+    index = {}
+    for t, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
+        index[(p, q)] = index[(q, p)] = t
+    m = n * (n + 1) // 2
+    rows = defect(SYMPLECTIC[0], {".": A.brackets, "|": {
+        pq: {t: Scalar.one()} for pq, t in index.items()}})
+    constraints = (Matrix.from_rows(
+        [[rows[key].get(t, Scalar.zero()) for t in range(m)]
+         for key in sorted(rows)]) if rows else Matrix.zero(1, m))
+    basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
+                               for p in range(n)])
+             for c in kernel_basis(constraints)]
+    return basis, sample_nondegenerate(basis, seed=seed)
+
+
+@st.composite
+def solver_algebras(draw):
+    """Conftest nilpotent algebras of dimension 1..7 over Q or, with every
+    bracket times a drawn nonzero Gaussian factor, over Q(i); and phase
+    spaces of dimension 2..6, whose constraint maps are far less redundant,
+    over Q or Q(i)."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        A = build_phase_space(random_dendriform(rng, draw(st.integers(1, 3))))
+        A = complexify(A.total) if draw(st.booleans()) else A.total
+        return A, draw(st.integers(0, 10 ** 6))
+    A = random_leibniz(rng, draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        A = LeibnizAlgebra.from_brackets(A.dim, {
+            ij: {k: c * Scalar.of(rng.randint(1, 2), rng.randint(-2, 2))
+                 for k, c in value.items()}
+            for ij, value in A.brackets.items()}, GAUSSIAN)
+    return A, draw(st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(solver_algebras())
+def test_solver_matches_dense_constraint_reference(case):
+    A, seed = case
+    got = solve_symplectic_space(A, seed=seed)
+    want = ref_solve_symplectic_space(A, seed=seed)
+    assert typed(got) == typed(want) and got == want
