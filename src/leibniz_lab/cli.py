@@ -130,11 +130,11 @@ def _construct_phase_space(D):
 def _levi_civita(A, S):
     pair = levi_civita(A, S)
 
-    def tensor_doc(t):
-        return [[[format_scalar(c) for c in t[i][j]] for j in range(A.dim)]
-                for i in range(A.dim)]
-    return OK, {"star": tensor_doc(pair.star),
-                "starstar": tensor_doc(pair.starstar)}
+    def tensor_doc(product):
+        return [[[format_scalar(c) for c in product(i, j)]
+                 for j in range(A.dim)] for i in range(A.dim)]
+    return OK, {"star": tensor_doc(pair.star_product),
+                "starstar": tensor_doc(pair.starstar_product)}
 
 
 def _bridge(algebra, form, operator, name):

@@ -9,7 +9,7 @@ from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
 from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
                       _checked_tensor, _dense_tensor, _require_square,
                       first_defect, first_witness, form_tensor, tensor_sum,
-                      transport, unit, vadd)
+                      transport, unit)
 from .linalg import Matrix, invert, is_singular
 from .representations import Representation
 from .scalars import RATIONAL
@@ -53,7 +53,8 @@ class DendriformAlgebra:
 
     def both(self, x, y):
         """The sub-adjacent bracket value x<y + x>y."""
-        return vadd(self.left(x, y), self.right(x, y))
+        both = tensor_sum(self.left_brackets, self.right_brackets)
+        return _checked_product(both, self.dim, x, y)
 
 
 def dendriforms_equal(D1: DendriformAlgebra, D2: DendriformAlgebra) -> bool:

@@ -10,7 +10,8 @@ from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotInvolution,
                      NotParaKahler, NotPseudoKahler, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _require_square, form_tensor, functionals)
+                      _dense, _require_square, form_tensor, functionals,
+                      transport)
 from .linalg import Matrix, invert, is_singular, trace
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 from .structures import (_is_anti_involution, _is_involution,
@@ -22,17 +23,18 @@ from .symplectic import _isotropic_split, build_phase_space, verify_symplectic
 class LeviCivitaPair:
     """The two products of a pseudo-Riemannian Leibniz algebra.
 
-    star[i][j] holds the coordinates of e_i * e_j; starstar likewise for
-    the companion product.  The two always sum to the bracket.
+    ``star`` and ``starstar`` are sparse tensors {(i, j): {k: c}}, e_i * e_j
+    and its companion; the two always sum to the bracket.
     """
-    star: tuple
-    starstar: tuple
+    dim: int
+    star: dict
+    starstar: dict
 
     def star_product(self, i: int, j: int) -> list:
-        return list(self.star[i][j])
+        return _dense(self.star, (i, j), self.dim)
 
     def starstar_product(self, i: int, j: int) -> list:
-        return list(self.starstar[i][j])
+        return _dense(self.starstar, (i, j), self.dim)
 
 
 def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
@@ -63,7 +65,7 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
     check = verify_symplectic(A, B)
     if not check.ok:
         return replace(check, reason="SYMPLECTIC_FAILS")
-    return _isotropic_split(A, B, w_plus, w_minus, (A.bracket,))
+    return _isotropic_split(A, B, w_plus, w_minus, (A.brackets,))
 
 
 def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
@@ -95,29 +97,18 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
     With z ranging over the basis, S(v, e_k) = -(S v)_k since S is skew,
     so each product vector is -S^{-1} w / 2 for the right-hand side w.
     """
-    n = A.dim
-    _require_square(S, n)
+    _require_square(S, A.dim)
     if S.transpose() != S.scale(Scalar.of(-1)):
         raise DegenerateForm("form must be skew-symmetric")
     if is_singular(S):
         raise DegenerateForm("form is singular")
-    s_inv = invert(S)
-    half = Fraction(1, 2)
+    R = invert(S).scale(Fraction(-1, 2))
     tensors = {".": A.brackets, "|": form_tensor(S)}
     first = ((1, "(x.y)|z"),)
     rest = ((1, "(y.z)|x"), (1, "(z.y)|x"), (1, "(x.z)|y"))
-    zero = (Scalar.zero(),) * n
-
-    def products(terms):
-        """{(i, j): -S^{-1} w / 2} over the nonzero functionals w."""
-        return {ij: tuple(-half * c for c in s_inv.apply(w))
-                for ij, w in functionals(n, terms, tensors).items()}
-
-    tables = (products(first + rest),
-              products(first + tuple((-s, t) for s, t in rest)))
-    return LeviCivitaPair(*(tuple(tuple(table.get((i, j), zero)
-                                        for j in range(n)) for i in range(n))
-                            for table in tables))
+    return LeviCivitaPair(A.dim, *(
+        transport(functionals(first + side, tensors), R=R)
+        for side in (rest, tuple((-s, t) for s, t in rest))))
 
 
 def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:

@@ -2,9 +2,10 @@
 
 This module also holds the tensor core that every other module builds on:
 the builder :func:`tensor_from`, the bilinear kernel :func:`tensor_product`,
-:func:`form_value`, the vector helpers :func:`vadd` and :func:`unit`, the
-two tensor operations :func:`contract` and :func:`transport`, and the one
-witness rule, :func:`first_witness`.
+the vector helper :func:`unit`, the two tensor operations :func:`contract`
+and :func:`transport` (with :func:`functionals`, which a product defined
+through a form is solved from), and the one witness rule,
+:func:`first_witness`.
 
 Structure tensors: every product (the bracket, both dendriform products,
 both actions of a representation, every construction) is one sparse map
@@ -13,10 +14,14 @@ both actions of a representation, every construction) is one sparse map
 Constructions build one with :func:`transport` or straight from the
 stored entries; callers pass one to ``from_brackets`` or a dense
 ``c[i][j][k]`` list to ``from_constants``, the one caller of
-:func:`tensor_from`.  Stored maps are never mutated.  Code reads a tensor
-through ``bracket``, ``bracket_basis`` and the multiplication matrices;
-only :mod:`io` serialization, :func:`direct_sum`, the representation
-constructions and the tensor operations iterate a stored map.
+:func:`tensor_from`.  Stored maps are never mutated.  The package reads a
+tensor through the tensor operations; a subspace enters them as the matrix
+of its basis columns, so the products of its basis pairs are one
+:func:`transport` and a closure test is one rank.  ``bracket`` and
+``bracket_basis`` read dense vectors for callers outside the package.
+Besides the tensor operations, only :mod:`io` serialization,
+:func:`direct_sum`, the representation constructions and ``realify``
+iterate a stored map.
 
 Adding an identity: write each side as a sparse map over its index tuples
 and return ``first_witness(width, equations)``.  An identity over basis
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Matrix, rank, trace
+from .linalg import Matrix, rank
 from .scalars import _ZERO, RATIONAL, Scalar
 
 Vector = list  # coordinate list or tuple of field elements, ambient basis
@@ -75,11 +80,14 @@ def first_witness(width: int, equations) -> CheckResult:
         return OK
     idx, place = min(failures)
     reason, lhs, rhs = equations[place]
+    return CheckResult(False, reason, idx, _dense(lhs, idx, width),
+                       _dense(rhs, idx, width))
 
-    def dense(side):
-        value = side.get(idx, {})
-        return [value.get(k, _ZERO) for k in range(width)]
-    return CheckResult(False, reason, idx, dense(lhs), dense(rhs))
+
+def _dense(tensor: dict, key: tuple, width: int) -> list:
+    """The entry of a sparse map at ``key`` as a dense vector."""
+    value = tensor.get(key, {})
+    return [value.get(k, _ZERO) for k in range(width)]
 
 
 def _term(text: str):
@@ -179,12 +187,17 @@ def transport(tensor: dict, P: Matrix = None, Q: Matrix = None,
     return _nonzero(out)
 
 
-def functionals(dim: int, terms, tensors: dict) -> dict:
-    """A sum of form terms as ``{(i, j): [its value at (i, j, k) for each
-    k]}``, for the pairs (i, j) where it is not zero."""
+def functionals(terms, tensors: dict) -> dict:
+    """A sum of form terms as the sparse tensor ``{(i, j): {k: c}}``, c its
+    value at (i, j, k).
+
+    A product defined through a nondegenerate form, F(x.y, z) = w(x, y, z),
+    is then ``transport(functionals(w, tensors), R=G)``, with G the inverse
+    of the matrix that sends v to (F(v, e_k))_k.
+    """
     out = {}
     for (i, j, k), value in contract(terms, tensors).items():
-        out.setdefault((i, j), [Scalar.zero()] * dim)[k] = value[0]
+        out.setdefault((i, j), {})[k] = value[0]
     return out
 
 
@@ -192,10 +205,6 @@ def form_tensor(B: Matrix) -> dict:
     """A form as the bilinear map {(p, q): {0: B[p, q]}} into a line."""
     return {(p, q): {0: c} for p, row in enumerate(B.nonzero)
             for q, c in row.items()}
-
-
-def vadd(x: Vector, y: Vector) -> Vector:
-    return [a + b for a, b in zip(x, y)]
 
 
 def unit(n: int, i: int) -> Vector:
@@ -283,18 +292,6 @@ def _require_square(M: Matrix, dim: int, what: str = "form"):
         raise DimensionMismatch("%s must be %d x %d" % (what, dim, dim))
 
 
-def form_value(B: Matrix, x: Vector, y: Vector) -> Scalar:
-    """The bilinear form B(x, y) = sum_ij x_i y_j B[i, j]."""
-    acc = Scalar.zero()
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if yj:
-                acc = acc + xi * yj * B[i, j]
-    return acc
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Span of linearly independent coordinate vectors."""
@@ -354,20 +351,7 @@ class LeibnizAlgebra:
         return _checked_product(self.brackets, self.dim, x, y)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        out = [Scalar.zero()] * self.dim
-        for k, c in self.brackets.get((i, j), {}).items():
-            out[k] = c
-        return out
-
-    def left_mult_matrix(self, i: int) -> Matrix:
-        """Matrix of y -> [e_i, y]."""
-        return _mult_matrix(self.brackets, self.dim,
-                            [(i, j) for j in range(self.dim)])
-
-    def right_mult_matrix(self, i: int) -> Matrix:
-        """Matrix of y -> [y, e_i]."""
-        return _mult_matrix(self.brackets, self.dim,
-                            [(j, i) for j in range(self.dim)])
+        return _dense(self.brackets, (i, j), self.dim)
 
     def full_subspace(self) -> Subspace:
         return Subspace.from_vectors([self.basis_vector(i)
@@ -391,28 +375,39 @@ def verify_leibniz(A: LeibnizAlgebra) -> CheckResult:
     return first_defect(A.dim, LEIBNIZ, {".": A.brackets})
 
 
-def _check_ambient(A, W: Subspace):
-    """W must live in the space of the algebra ``A`` (anything with a dim)."""
+def _columns(A, W: Subspace) -> Matrix:
+    """W's basis as the columns of an A.dim-row matrix, also for W = {0};
+    W must live in the space of the algebra ``A`` (anything with a dim)."""
     if W.basis and W.ambient_dim != A.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
+    return Matrix(A.dim, W.dim, tuple(
+        {a: v[i] for a, v in enumerate(W.basis) if v[i]}
+        for i in range(A.dim)))
+
+
+def _closed(C: Matrix, *tensors: dict) -> bool:
+    """Whether every vector stored in the tensors lies in the span of the
+    independent columns of C, by one rank: the stack keeps rank C.cols
+    exactly then."""
+    rows = C.transpose().nonzero + tuple(
+        value for tensor in tensors for value in tensor.values())
+    return rank(Matrix(len(rows), C.rows, rows)) == C.cols
 
 
 def is_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
-    _check_ambient(A, W)
-    return W.contains(*(A.bracket(u, v) for u in W.basis for v in W.basis))
+    C = _columns(A, W)
+    return _closed(C, transport(A.brackets, C, C))
 
 
 def is_abelian_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
-    _check_ambient(A, W)
-    return not any(c for u in W.basis for v in W.basis
-                   for c in A.bracket(u, v))
+    C = _columns(A, W)
+    return not transport(A.brackets, C, C)
 
 
 def is_two_sided_ideal(A: LeibnizAlgebra, W: Subspace) -> bool:
-    _check_ambient(A, W)
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    return W.contains(*(p for x in e for w in W.basis
-                        for p in (A.bracket(x, w), A.bracket(w, x))))
+    C = _columns(A, W)
+    return _closed(C, transport(A.brackets, None, C),
+                   transport(A.brackets, C))
 
 
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -426,12 +421,17 @@ def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
 
 
 def killing_form(A: LeibnizAlgebra) -> Matrix:
-    """B(e_i, e_j) = tr(L_i L_j) built from left multiplications.
+    """B(e_i, e_j) = tr(L_i L_j) with L_i the left multiplication by e_i,
+    contracted from the term x.(y.z): B_ij sums the e_a coordinate of
+    [e_i, [e_j, e_a]] over a.
 
     For Lie algebras this is the classical Killing form; no symmetry is
     claimed for general Leibniz algebras.
     """
-    lefts = [A.left_mult_matrix(i) for i in range(A.dim)]
-    return Matrix.from_rows([[trace(lefts[i] @ lefts[j])
-                              for j in range(A.dim)]
-                             for i in range(A.dim)])
+    rows = [{} for _ in range(A.dim)]
+    for (i, j, a), value in contract(((1, "x.(y.z)"),),
+                                     {".": A.brackets}).items():
+        if a in value:
+            rows[i][j] = rows[i].get(j, _ZERO) + value[a]
+    return Matrix(A.dim, A.dim, tuple({j: c for j, c in row.items() if c}
+                                      for row in rows))

@@ -28,6 +28,13 @@ class Matrix:
     cols: int
     nonzero: tuple  # one {column: nonzero value} dict per row
 
+    def __post_init__(self):
+        """Only the row count and the row type are checked, in O(rows):
+        :meth:`from_rows` is the checked entry point for dense rows."""
+        if len(self.nonzero) != self.rows or not all(
+                isinstance(row, dict) for row in self.nonzero):
+            raise DimensionMismatch("a Matrix stores one dict per row")
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
         r = len(rows)

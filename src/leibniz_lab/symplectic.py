@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Optional, Sequence
 
 from .dendriform import (DendriformAlgebra, dendriform_rep,
                          verify_quadratic_dendriform)
 from .errors import (DegenerateForm, DimensionMismatch, NotQuadratic,
                      NotSymmetric, NotSymplectic)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _check_ambient, _nonzero, _require_square, defect,
-                      first_defect, form_tensor, form_value, functionals,
-                      is_subalgebra, verify_leibniz)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, _closed,
+                      _columns, _require_square, defect, first_defect,
+                      form_tensor, functionals, is_subalgebra, transport,
+                      verify_leibniz)
 from .linalg import Matrix, invert, is_singular, kernel_basis, rank
 from .representations import dual_rep, semidirect_product
 from .scalars import Scalar
@@ -106,18 +105,15 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
     check = verify_symplectic(A, B)
     if not check.ok:
         raise NotSymplectic("form fails the symplectic check: %s" % check.reason)
-    n = A.dim
     b_inv = invert(B)
     tensors = {".": A.brackets, "|": form_tensor(B)}
 
-    # B(v, e_k) = (B v)_k for symmetric B: v = B^{-1} w for each nonzero w.
+    # B(v, e_k) = (B v)_k for symmetric B: each product is B^{-1} w.
     def solve(terms):
-        return _nonzero({ij: dict(enumerate(b_inv.apply(w)))
-                         for ij, w in functionals(n, terms, tensors).items()})
+        return transport(functionals(terms, tensors), R=b_inv)
 
-    left = solve(((-1, "y|(x.z)"),))
-    right = solve(((1, "x|(y.z)"), (1, "x|(z.y)")))
-    return DendriformAlgebra(n, left, right, A.field)
+    return DendriformAlgebra(A.dim, solve(((-1, "y|(x.z)"),)),
+                             solve(((1, "x|(y.z)"), (1, "x|(z.y)"))), A.field)
 
 
 def canonical_pairing(n: int) -> Matrix:
@@ -143,27 +139,29 @@ class PhaseSpace:
              for i in range(self.base_dim, 2 * self.base_dim)])
 
 
-def _non_isotropic_pair(B: Matrix, W: Subspace) -> Optional[tuple]:
-    """The first basis pair (a, b) of W with B(w_a, w_b) != 0, or None."""
-    return next(((a, b) for a, b in product(range(W.dim), repeat=2)
-                 if form_value(B, W.basis[a], W.basis[b])),
-                None)
+def _gram(B: Matrix, U: Matrix, W: Matrix) -> Matrix:
+    """The matrix of B(u_a, w_b) for bases given as the columns of U, W."""
+    return U.transpose() @ B @ W
+
+
+def _non_isotropic_pair(B: Matrix, C: Matrix) -> Optional[tuple]:
+    """The first basis pair (a, b) of the span of C's columns with
+    B(w_a, w_b) != 0, or None: the first stored entry of the Gram matrix."""
+    return next(((a, min(row)) for a, row in enumerate(_gram(B, C, C).nonzero)
+                 if row), None)
 
 
 def _isotropic_split(A, B: Matrix, W1: Subspace, W2: Subspace,
-                     products) -> CheckResult:
+                     tensors) -> CheckResult:
     """Whether A (anything with a dim) is the direct sum of two B-isotropic
-    subspaces, each closed under every bilinear map in ``products``."""
-    for W in (W1, W2):
-        _check_ambient(A, W)
-    if any(_non_isotropic_pair(B, W) is not None for W in (W1, W2)):
+    subspaces, each closed under every product tensor in ``tensors``."""
+    C1, C2 = _columns(A, W1), _columns(A, W2)
+    if any(_non_isotropic_pair(B, C) is not None for C in (C1, C2)):
         return CheckResult(False, "ISOTROPY_FAILS")
-    if not all(W.contains(*(p(u, v) for p in products
-                            for u in W.basis for v in W.basis))
-               for W in (W1, W2)):
+    if not all(_closed(C, *(transport(T, C, C) for T in tensors))
+               for C in (C1, C2)):
         return CheckResult(False, "SUBALGEBRA_FAILS")
-    if (W1.dim + W2.dim != A.dim
-            or rank(Matrix.from_rows(W1.basis + W2.basis)) != A.dim):
+    if W1.dim + W2.dim != A.dim or rank(C1.hstack(C2)) != A.dim:
         return CheckResult(False, "DIRECT_SUM_FAILS")
     return OK
 
@@ -189,13 +187,12 @@ def verify_phase_space(P: PhaseSpace, base: Subspace,
         return CheckResult(False, "SUBALGEBRA_FAILS")
     # The two blocks must pair canonically: isotropic against themselves,
     # dual bases against each other.
-    for W in (base, dual):
-        pair = _non_isotropic_pair(P.form, W)
+    C1, C2 = _columns(P.total, base), _columns(P.total, dual)
+    for C in (C1, C2):
+        pair = _non_isotropic_pair(P.form, C)
         if pair is not None:
             return CheckResult(False, "PAIRING_FAILS", pair)
-    pairing = Matrix.from_rows([[form_value(P.form, u, v)
-                                 for v in dual.basis] for u in base.basis])
-    if rank(pairing) != n:
+    if rank(_gram(P.form, C1, C2)) != n:
         return CheckResult(False, "PAIRING_FAILS")
     return OK
 
@@ -210,4 +207,4 @@ def verify_manin_triple(D: DendriformAlgebra, B: Matrix, W1: Subspace,
     if not check.ok:
         raise NotQuadratic("the ambient pair is not quadratic: %s"
                            % check.reason)
-    return _isotropic_split(D, B, W1, W2, (D.left, D.right))
+    return _isotropic_split(D, B, W1, W2, (D.left_brackets, D.right_brackets))

@@ -28,6 +28,25 @@ def diag(*signs):
     return Matrix.diagonal([Scalar.of(s) for s in signs])
 
 
+# -- dense references: vectors as coordinate lists -----------------------------
+
+
+def vadd(x, y):
+    return [a + b for a, b in zip(x, y)]
+
+
+def form_value(B, x, y):
+    """The bilinear form B(x, y) = sum_ij x_i y_j B[i, j], entry by entry."""
+    acc = Scalar.zero()
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if yj:
+                acc = acc + xi * yj * B[i, j]
+    return acc
+
+
 @pytest.fixture
 def heisenberg_like():
     """Four-dimensional algebra with the single bracket [e1, e3] = 2 e4."""

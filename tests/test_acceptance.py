@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import (diag, mat, random_dendriform,
+from conftest import (diag, form_value, mat, random_dendriform,
                       random_dendriform_with_skew, random_invariant_skew,
                       random_leibniz, random_skew_nonsingular,
                       random_symplectic_instance)
@@ -30,7 +30,6 @@ from leibniz_lab.dendriform import dendriform_rep
 from leibniz_lab.linalg import Matrix, is_singular
 from leibniz_lab.representations import Representation, dual_rep
 from leibniz_lab.scalars import Scalar
-from leibniz_lab.symplectic import form_value
 
 
 def report(number, description, passed):

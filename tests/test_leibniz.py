@@ -23,15 +23,6 @@ def test_bracket_bilinear(heisenberg_like):
                                      Scalar.zero(), Scalar.of(2)]
 
 
-def test_left_right_mult_matrices(sl2):
-    for i in range(3):
-        L = sl2.left_mult_matrix(i)
-        R = sl2.right_mult_matrix(i)
-        for j in range(3):
-            assert list(L.col(j)) == sl2.bracket_basis(i, j)
-            assert list(R.col(j)) == sl2.bracket_basis(j, i)
-
-
 def test_verify_leibniz_accepts(heisenberg_like, squares_algebra, sl2):
     for A in (heisenberg_like, squares_algebra, sl2):
         assert verify_leibniz(A).ok

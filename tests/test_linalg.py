@@ -110,6 +110,19 @@ def test_matrix_shape_errors():
         Matrix.from_rows([[Scalar.of(1)], [Scalar.of(1), Scalar.of(2)]])
 
 
+def test_dense_rows_fail_at_construction():
+    """The direct constructor takes one {column: value} dict per row; dense
+    row tuples or a wrong row count fail at once, not at a first use."""
+    one, zero = Scalar.one(), Scalar.zero()
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 2, ((one, zero), (zero, one)))
+    with pytest.raises(DimensionMismatch):
+        Matrix(3, 2, ({0: one}, {}))
+    with pytest.raises(DimensionMismatch):
+        Matrix(0, 2, ({},))
+    assert Matrix(2, 2, ({0: one}, {1: one})) == Matrix.identity(2)
+
+
 def test_transpose_hstack_column_ops():
     M = mat([[1, 2], [3, 4]])
     assert M.transpose()[0, 1] == 3

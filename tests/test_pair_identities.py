@@ -17,7 +17,7 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from conftest import (dense, random_dendriform, random_dendriform_with_skew,
-                      random_invariant_skew)
+                      random_invariant_skew, vadd)
 from test_term_tables import first_failure, outcome, typed
 from leibniz_lab import (DendriformAlgebra, J_from_phi, LeibnizAlgebra,
                          Representation, bowtie_algebra, bracket_J,
@@ -28,7 +28,7 @@ from leibniz_lab import (DendriformAlgebra, J_from_phi, LeibnizAlgebra,
                          verify_representation, verify_rota_baxter)
 from leibniz_lab import structures
 from leibniz_lab.errors import LeibnizLabError
-from leibniz_lab.leibniz import tensor_from, tensor_product, transport, unit, vadd
+from leibniz_lab.leibniz import tensor_from, tensor_product, transport, unit
 from leibniz_lab.linalg import Matrix, invert, is_singular
 from leibniz_lab.scalars import GAUSSIAN, RATIONAL, Scalar
 
@@ -232,8 +232,15 @@ def ref_induced(A, J, E):
 
 
 def ref_regular_maps(A):
-    return ([A.left_mult_matrix(i) for i in range(A.dim)],
-            [A.right_mult_matrix(i) for i in range(A.dim)])
+    """L_i and R_i, whose column j is [e_i, e_j] and [e_j, e_i]."""
+    n = A.dim
+
+    def from_columns(columns):
+        return dense(n, zip(*columns))
+    return ([from_columns(A.bracket_basis(i, j) for j in range(n))
+             for i in range(n)],
+            [from_columns(A.bracket_basis(j, i) for j in range(n))
+             for i in range(n)])
 
 
 def ref_dual_maps(R):

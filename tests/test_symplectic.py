@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat, random_dendriform, random_leibniz
+from conftest import form_value, mat, random_dendriform, random_leibniz
 from test_term_tables import typed
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
                          canonical_pairing, complexify, solve_symplectic_space,
@@ -19,7 +19,7 @@ from leibniz_lab.leibniz import defect
 from leibniz_lab.linalg import Matrix, is_singular, kernel_basis
 from leibniz_lab.scalars import GAUSSIAN, Scalar
 from leibniz_lab.symplectic import (SYMPLECTIC, form_space_radical,
-                                    form_value, sample_nondegenerate)
+                                    sample_nondegenerate)
 
 
 def test_verify_symplectic_guards(heisenberg_like):
@@ -169,7 +169,7 @@ def test_isotropic_split_closes_under_every_product(side):
     W1 = Subspace.from_vectors([[o, z]])
     W2 = Subspace.from_vectors([[z, o]])
     check = symplectic._isotropic_split(D, Matrix.zero(2, 2), W1, W2,
-                                        (D.left, D.right))
+                                        (D.left_brackets, D.right_brackets))
     assert check.reason == "SUBALGEBRA_FAILS"
 
 
