@@ -112,7 +112,8 @@ def _solve_symplectic(A, seed):
     return OK, {"dim": len(basis),
                 "basis": [serialize_matrix(B)["matrix"] for B in basis],
                 "sampleNondegenerate":
-                    serialize_matrix(sample)["matrix"] if sample else None}
+                    serialize_matrix(sample)["matrix"] if sample is not None
+                    else None}
 
 
 def _phase_space(D):

@@ -247,11 +247,8 @@ def serialize_dendriform(D: DendriformAlgebra) -> dict:
             "right": _bracket_entries(D.right_brackets)}
 
 
-def serialize_matrix(M: Matrix, field: str = None) -> dict:
-    doc = {"matrix": [[format_scalar(e) for e in row] for row in M.entries]}
-    if field is not None:
-        doc["field"] = field
-    return doc
+def serialize_matrix(M: Matrix) -> dict:
+    return {"matrix": [[format_scalar(e) for e in row] for row in M.entries]}
 
 
 def serialize_representation(R: Representation) -> dict:

@@ -14,8 +14,7 @@ from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       transport)
 from .linalg import Matrix, invert, is_singular, trace
 from .scalars import GAUSSIAN, RATIONAL, Scalar
-from .structures import (_is_anti_involution, _is_involution,
-                         complex_integrability, verify_nijenhuis)
+from .structures import _squares_to, integrability
 from .symplectic import _isotropic_split, build_phase_space, verify_symplectic
 
 
@@ -37,6 +36,19 @@ class LeviCivitaPair:
         return _dense(self.starstar, (i, j), self.dim)
 
 
+def _kahler_check(A: LeibnizAlgebra, B: Matrix, M: Matrix, c: int,
+                  structure_fails) -> CheckResult:
+    """B symplectic, then the structure step (``structure_fails()`` gives a
+    reason or None), then B(Mx, My) = -c B(x, y), i.e. M^T B M = -c B."""
+    check = verify_symplectic(A, B)
+    if not check.ok:
+        return replace(check, reason="SYMPLECTIC_FAILS")
+    reason = structure_fails()
+    if reason is None and M.transpose() @ B @ M != (-B if c > 0 else B):
+        reason = "COMPAT_FAILS"
+    return OK if reason is None else CheckResult(False, reason)
+
+
 def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
     """Symplectic form + paracomplex structure + B(Ex, Ey) = -B(x, y).
 
@@ -44,18 +56,14 @@ def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
     makes trace E = dim E_+ - dim E_-, that is trace E = 0.
     """
     _require_square(E, A.dim, "operator")
-    check = verify_symplectic(A, B)
-    if not check.ok:
-        return replace(check, reason="SYMPLECTIC_FAILS")
-    if not _is_involution(E):
-        raise NotInvolution("E^2 != I")
-    if not verify_nijenhuis(A, E).ok:
-        return CheckResult(False, "PRODUCT_FAILS")
-    if trace(E):
-        return CheckResult(False, "NOT_PARACOMPLEX")
-    if E.transpose() @ B @ E != B.scale(Scalar.of(-1)):
-        return CheckResult(False, "COMPAT_FAILS")
-    return OK
+
+    def product_fails():
+        if not _squares_to(E, 1):
+            raise NotInvolution("E^2 != I")
+        return ("PRODUCT_FAILS" if not integrability(A, E, 1).ok
+                else "NOT_PARACOMPLEX" if trace(E) else None)
+
+    return _kahler_check(A, B, E, 1, product_fails)
 
 
 def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
@@ -73,7 +81,7 @@ def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
     if not check.ok:
         raise error("triple fails: %s" % check.reason)
     S = B @ M
-    if S.transpose() != S.scale(Scalar.of(-1)):
+    if S.transpose() != -S:
         raise error("derived form is not skew")
     return S
 
@@ -98,7 +106,7 @@ def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:
     so each product vector is -S^{-1} w / 2 for the right-hand side w.
     """
     _require_square(S, A.dim)
-    if S.transpose() != S.scale(Scalar.of(-1)):
+    if S.transpose() != -S:
         raise DegenerateForm("form must be skew-symmetric")
     if is_singular(S):
         raise DegenerateForm("form is singular")
@@ -117,14 +125,9 @@ def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
     if A.field != RATIONAL:
         raise WrongField("pseudo-Kahler structures live on rational ('real') "
                          "algebras")
-    check = verify_symplectic(A, B)
-    if not check.ok:
-        return replace(check, reason="SYMPLECTIC_FAILS")
-    if not (_is_anti_involution(J) and complex_integrability(A, J).ok):
-        return CheckResult(False, "COMPLEX_FAILS")
-    if J.transpose() @ B @ J != B:
-        return CheckResult(False, "COMPAT_FAILS")
-    return OK
+    return _kahler_check(A, B, J, -1, lambda: (
+        None if _squares_to(J, -1) and integrability(A, J, -1).ok
+        else "COMPLEX_FAILS"))
 
 
 def _blocks(top_left: Matrix, top_right: Matrix, bottom_left: Matrix,
@@ -148,7 +151,7 @@ def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     sharp = omega.transpose()
     sharp_inv = invert(sharp)
     z = Matrix.zero(n, n)
-    return P, _blocks(z, sharp_inv.scale(Scalar.of(-1)), sharp, z)
+    return P, _blocks(z, -sharp_inv, sharp, z)
 
 
 def _realified_brackets(A: LeibnizAlgebra) -> dict:

@@ -1,4 +1,10 @@
-"""Nijenhuis operators, product structures and complex structures."""
+"""Product and complex structures: one operator core with M^2 = cI.
+
+c = 1 gives a product structure E, c = -1 a complex structure J; both are
+integrable when M[x,y] = [Mx,y] + [x,My] - c M[Mx,My] (:func:`integrability`).
+Applied to the Nijenhuis identity, M^2 = cI gives exactly this identity, so
+after the square test it decides as :func:`verify_nijenhuis` does.
+"""
 
 from __future__ import annotations
 
@@ -36,13 +42,9 @@ class ComplexReport:
     eigen_minus_i: Subspace
 
 
-def _is_involution(M: Matrix) -> bool:
-    return M @ M == Matrix.identity(M.rows)
-
-
-def _is_anti_involution(M: Matrix) -> bool:
-    return M.is_square() and (
-        M @ M == Matrix.identity(M.rows).scale(Scalar.of(-1)))
+def _squares_to(M: Matrix, c: int) -> bool:
+    """M^2 = cI: an involution for c = 1, an anti-involution for c = -1."""
+    return M.is_square() and M @ M == Matrix.diagonal([Scalar.of(c)] * M.rows)
 
 
 def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
@@ -55,35 +57,45 @@ def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
                                   transport(inner, R=N))])
 
 
-def _strict_abelian(A: LeibnizAlgebra, M: Matrix, sign: int):
-    """(strict, abelian) for an operator M on all basis pairs.
+def integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
+    """M[x,y] = [Mx,y] + [x,My] - c M[Mx,My] on all basis pairs."""
+    T = A.brackets
+    return first_witness(A.dim, [(
+        "INTEGRABILITY_FAILS", transport(T, R=M),
+        tensor_sum(transport(T, M), transport(T, None, M),
+                   transport(T, M, M, M if c < 0 else -M)))])
 
-    Strict: M[x,y] = [Mx,y] = [x,My].  Abelian: [x,y] = sign * [Mx,My],
-    with sign -1 for product and +1 for complex structures.
+
+def _eigenspaces(M: Matrix, lam: Scalar):
+    """The lam and -lam eigenspaces of M."""
+    return tuple(Subspace(tuple(eigenspace(M, s))) for s in (lam, -lam))
+
+
+def _report(A: LeibnizAlgebra, M: Matrix, c: int):
+    """(integrable, strict, abelian, +lam and -lam eigenspaces) of an
+    operator with M^2 = cI, where lam = 1 for c = 1 and lam = i for c = -1.
+
+    Strict: M[x,y] = [Mx,y] = [x,My].  Abelian: [x,y] = -c [Mx,My].
     """
     T = A.brackets
-    m_of_bracket = transport(T, R=M)
-    return (m_of_bracket == transport(T, M) == transport(T, None, M),
-            T == transport(T, M if sign > 0 else -M, M))
+    return (integrability(A, M, c).ok,
+            transport(T, R=M) == transport(T, M) == transport(T, None, M),
+            T == transport(T, M if c < 0 else -M, M),
+            *_eigenspaces(M, Scalar.one() if c > 0 else Scalar.i()))
+
+
+def _require_involution(A: LeibnizAlgebra, E: Matrix):
+    _require_square(E, A.dim, "operator")
+    if not _squares_to(E, 1):
+        raise NotInvolution("E^2 != I")
 
 
 def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
     """Full integrability/strict/abelian/paracomplex report for an involution."""
-    _require_square(E, A.dim, "operator")
-    if not _is_involution(E):
-        raise NotInvolution("E^2 != I")
-    nijenhuis = verify_nijenhuis(A, E).ok
-    strict, abelian = _strict_abelian(A, E, -1)
-    plus = Subspace(tuple(eigenspace(E, Scalar.one())))
-    minus = Subspace(tuple(eigenspace(E, Scalar.of(-1))))
-    return StructureReport(
-        is_nijenhuis=nijenhuis,
-        is_product=nijenhuis,
-        is_strict=strict,
-        is_abelian=abelian,
-        is_paracomplex=nijenhuis and plus.dim == minus.dim,
-        plus_eigenspace=plus,
-        minus_eigenspace=minus)
+    _require_involution(A, E)
+    product, strict, abelian, plus, minus = _report(A, E, 1)
+    return StructureReport(product, product, strict, abelian,
+                           product and plus.dim == minus.dim, plus, minus)
 
 
 def product_from_decomposition(A: LeibnizAlgebra, w_plus: Subspace,
@@ -189,37 +201,25 @@ def complexify(A: LeibnizAlgebra) -> LeibnizAlgebra:
     return replace(A, field=GAUSSIAN)
 
 
-def complex_integrability(A: LeibnizAlgebra, J: Matrix) -> CheckResult:
-    """J[x,y] = [Jx,y] + [x,Jy] + J[Jx,Jy] on all basis pairs."""
-    T = A.brackets
-    return first_witness(A.dim, [(
-        "INTEGRABILITY_FAILS", transport(T, R=J),
-        tensor_sum(transport(T, J), transport(T, None, J),
-                   transport(T, J, J, J)))])
-
-
-def _require_complex_candidate(A: LeibnizAlgebra, J: Matrix):
-    """A complex structure needs a rational algebra and J^2 = -I."""
+def _complex_candidate(A: LeibnizAlgebra, J: Matrix) -> bool:
+    """J^2 = -I, for a square J (else DimensionMismatch) on a rational
+    algebra (else WrongField)."""
     _require_square(J, A.dim, "operator")
     if A.field != RATIONAL:
         raise WrongField("complex structures live on rational ('real') algebras")
-    if not _is_anti_involution(J):
-        raise NotAntiInvolution("J^2 != -I")
+    return _squares_to(J, -1)
 
 
 def classify_complex(A: LeibnizAlgebra, J: Matrix) -> ComplexReport:
     """Integrability report plus eigenspaces inside the complexification."""
-    _require_complex_candidate(A, J)
-    integrable = complex_integrability(A, J).ok
-    strict, abelian = _strict_abelian(A, J, 1)
-    eigen_i = Subspace(tuple(eigenspace(J, Scalar.i())))
-    eigen_minus_i = Subspace(tuple(eigenspace(J, -Scalar.i())))
-    return ComplexReport(integrable, strict, abelian, eigen_i, eigen_minus_i)
+    if not _complex_candidate(A, J):
+        raise NotAntiInvolution("J^2 != -I")
+    return ComplexReport(*_report(A, J, -1))
 
 
 def _half_shift(J: Matrix, c: Scalar) -> Matrix:
     """x -> (x + c Jx)/2 over the Gaussian field, for J^2 = -I."""
-    if not _is_anti_involution(J):
+    if not _squares_to(J, -1):
         raise NotAntiInvolution("J^2 != -I")
     half = Fraction(1, 2)
     return (Matrix.identity(J.rows) + J.scale(c)).scale(half)
@@ -237,8 +237,9 @@ def psi_map(J: Matrix) -> Matrix:
 
 def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
     """The halved difference bracket [x,y]_J = ([x,y] - [Jx,Jy]) / 2."""
-    _require_complex_candidate(A, J)
-    if not complex_integrability(A, J).ok:
+    if not _complex_candidate(A, J):
+        raise NotAntiInvolution("J^2 != -I")
+    if not integrability(A, J, -1).ok:
         raise NotComplexStructure("J fails the integrability condition")
     half = Matrix.identity(A.dim).scale(Fraction(1, 2))
     T = A.brackets
@@ -249,27 +250,19 @@ def bracket_J(A: LeibnizAlgebra, J: Matrix) -> LeibnizAlgebra:
 def check_complex_product_pair(A: LeibnizAlgebra, J: Matrix,
                                E: Matrix) -> CheckResult:
     """Complex structure + product structure + anticommutation."""
-    return _complex_product_pair(A, J, E)[0]
-
-
-def _complex_product_pair(A: LeibnizAlgebra, J: Matrix, E: Matrix):
     _require_square(E, A.dim, "operator")   # J: in the candidate check
-    try:
-        _require_complex_candidate(A, J)
-    except NotAntiInvolution:
-        return CheckResult(False, "NOT_ANTI_INVOLUTION"), None
-    if not complex_integrability(A, J).ok:
-        return CheckResult(False, "COMPLEX_FAILS"), None
-    try:
-        report = classify_product(A, E)
-    except NotInvolution:
-        return CheckResult(False, "NOT_INVOLUTION"), None
-    if not report.is_product:
-        return CheckResult(False, "PRODUCT_FAILS"), report
-    if J @ E != (E @ J).scale(Scalar.of(-1)):
-        return CheckResult(False, "ANTICOMMUTATION_FAILS"), report
+    if not _complex_candidate(A, J):
+        return CheckResult(False, "NOT_ANTI_INVOLUTION")
+    if not integrability(A, J, -1).ok:
+        return CheckResult(False, "COMPLEX_FAILS")
+    if not _squares_to(E, 1):
+        return CheckResult(False, "NOT_INVOLUTION")
+    if not integrability(A, E, 1).ok:
+        return CheckResult(False, "PRODUCT_FAILS")
+    if J @ E != -(E @ J):
+        return CheckResult(False, "ANTICOMMUTATION_FAILS")
     # JE = -EJ makes J swap the eigenspaces (Ev = v gives E(Jv) = -Jv).
-    return OK, report
+    return OK
 
 
 def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
@@ -279,10 +272,10 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
     (deterministic reduced-echelon order): column j holds the coefficients
     of phi(p_j) in the minus-eigenspace basis.
     """
-    report = classify_product(A, E)
-    if not report.is_product:
+    _require_involution(A, E)
+    if not integrability(A, E, 1).ok:
         raise NotInvolution("E is not a product structure")
-    plus, minus = report.plus_eigenspace, report.minus_eigenspace
+    plus, minus = _eigenspaces(E, Scalar.one())
     if plus.dim != minus.dim:
         raise DimensionMismatch("eigenspaces of different dimensions")
     k = plus.dim
@@ -311,8 +304,7 @@ def product_iff_iE(A: LeibnizAlgebra, E: Matrix):
         raise WrongField("the correspondence lives over the Gaussian field")
     J = E.scale(Scalar.i())
     product_ok = classify_product(A, E).is_product
-    complex_ok = (_is_anti_involution(J)
-                  and complex_integrability(A, J).ok)
+    complex_ok = _squares_to(J, -1) and integrability(A, J, -1).ok
     return J, product_ok == complex_ok, product_ok, complex_ok
 
 
@@ -324,10 +316,10 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
     in the eigenspace coordinates: proj reads the coordinates of a vector
     along one eigenspace basis in the basis of both.
     """
-    check, report = _complex_product_pair(A, J, E)
+    check = check_complex_product_pair(A, J, E)
     if not check.ok:
         raise NotComplexProduct("pair fails: %s" % check.reason)
-    plus, minus = report.plus_eigenspace, report.minus_eigenspace
+    plus, minus = _eigenspaces(E, Scalar.one())
     coords = invert(Matrix.from_rows(plus.basis + minus.basis).transpose())
 
     def build(space: Subspace, rows) -> DendriformAlgebra:

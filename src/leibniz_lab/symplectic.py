@@ -44,7 +44,9 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
 
     Nondegeneracy is an open condition and is not imposed; a deterministic
     sampling pass looks for one nonsingular member (sum of the basis first,
-    then ``SAMPLE_ATTEMPTS`` seeded small-integer combinations).
+    then ``SAMPLE_ATTEMPTS`` seeded small-integer combinations).  On the
+    0-dim algebra the basis is empty and the one form, 0 x 0, is the sample:
+    it is nondegenerate.
     """
     n = A.dim
     # The identity with B unknown: B(e_p, e_q) = B(e_q, e_p) is coordinate
@@ -60,7 +62,8 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
                                for p in range(n)])
              for c in kernel_basis(constraints)]
-    return basis, sample_nondegenerate(basis, seed=seed)
+    return basis, (sample_nondegenerate(basis, seed=seed) if n
+                   else Matrix.zero(0, 0))
 
 
 def form_space_radical(basis: Sequence[Matrix]) -> list:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from leibniz_lab.cli import run_command
+from leibniz_lab.cli import main, run_command
 from leibniz_lab.io import (parse_algebra, parse_dendriform, parse_document,
                             parse_matrix, parse_representation,
                             serialize_algebra, serialize_dendriform,
@@ -425,3 +425,18 @@ def test_matrices_of_a_zero_dim_module_must_be_empty(write_doc):
     doc.update(left=[[]], right=[[]])
     verdict, status = run_command(["construct", "semidirect", write_doc(doc)])
     assert status == 0 and verdict["payload"]["dim"] == 1
+
+
+def test_solve_and_verify_agree_on_the_zero_algebra(write_doc, capsys):
+    """The 0 x 0 form is the one member of the 0-dim algebra's form space
+    and it is nondegenerate: solve samples it and verify accepts it."""
+    algebra = write_doc({"dim": 0, "brackets": []})
+    verdict, status = run_command(["verify", "symplectic", algebra,
+                                   write_doc({"matrix": []})])
+    assert status == 0 and verdict["ok"]
+    verdict, status = run_command(["solve", "symplectic", algebra])
+    assert status == 0
+    assert verdict["payload"] == {"dim": 0, "basis": [],
+                                  "sampleNondegenerate": []}
+    assert main(["solve", "symplectic", algebra]) == 0
+    assert '"sampleNondegenerate": []' in capsys.readouterr().out

@@ -26,7 +26,7 @@ from leibniz_lab import (DendriformAlgebra, J_from_phi, LeibnizAlgebra,
                          omega_to_J, rb_to_dendriform, regular_rep,
                          semidirect_product, verify_nijenhuis,
                          verify_representation, verify_rota_baxter)
-from leibniz_lab import structures
+from leibniz_lab import kahler, structures
 from leibniz_lab.errors import LeibnizLabError
 from leibniz_lab.leibniz import tensor_from, tensor_product, transport, unit
 from leibniz_lab.linalg import Matrix, invert, is_singular
@@ -79,6 +79,22 @@ def ref_integrability(A, J):
                     J.apply(A.bracket(je[i], je[j]))))
 
     return first_failure(A.dim, 2, sides)
+
+
+def ref_product_integrability(A, E):
+    """E[x,y] = [Ex,y] + [x,Ey] - E[Ex,Ey], the identity with c = 1."""
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    ee = [E.apply(x) for x in e]
+
+    def sides(i, j):
+        yield ("INTEGRABILITY_FAILS", E.apply(A.bracket_basis(i, j)),
+               vsub(vadd(A.bracket(ee[i], e[j]), A.bracket(e[i], ee[j])),
+                    E.apply(A.bracket(ee[i], ee[j]))))
+
+    return first_failure(A.dim, 2, sides)
+
+
+REF_INTEGRABILITY = {1: ref_product_integrability, -1: ref_integrability}
 
 
 def ref_phi(A, E, phi):
@@ -382,11 +398,63 @@ def test_nijenhuis_integrability_strict_abelian_match_closures(case):
     A, M = case
     assert outcome(lambda: verify_nijenhuis(A, M)) == outcome(
         lambda: ref_nijenhuis(A, M))
-    assert outcome(lambda: structures.complex_integrability(A, M)) == outcome(
-        lambda: ref_integrability(A, M))
-    for sign in (1, -1):
-        assert structures._strict_abelian(A, M, sign) == ref_strict_abelian(
-            A, M, sign)
+    for c in (1, -1):
+        assert outcome(lambda: structures.integrability(A, M, c)) == outcome(
+            lambda: REF_INTEGRABILITY[c](A, M))
+        assert structures._report(A, M, c)[1:3] == ref_strict_abelian(
+            A, M, -c)
+
+
+def conjugate(A, P, P_inv):
+    """The algebra carried over by P: [Px, Py] = P[x, y]."""
+    return LeibnizAlgebra(A.dim, transport(A.brackets, P_inv, P_inv, P),
+                          A.field)
+
+
+@st.composite
+def square_root_cases(draw):
+    """(algebra, M, c) with M = P D P^-1 and M^2 = cI: D = diag(+-1), with
+    both signs from n = 2 on, for c = 1 and D = J0 = [[0, -I], [I, 0]] for
+    c = -1.  In half the cases the algebra is carried over by P from one on
+    which D is integrable: for c = 1 its brackets respect the signs, for
+    c = -1 it is a Gaussian algebra over the rationals (on the basis e_a,
+    i e_a, where J0 is multiplication by i)."""
+    field, c = draw(FIELDS), draw(st.sampled_from((1, -1)))
+    integrable = draw(st.booleans())
+    if c == 1:
+        n = draw(st.integers(0, 4))
+        signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+        signs[1:2] = [-signs[0]] if n > 1 else []
+        D = Matrix.diagonal([Scalar.of(s) for s in signs])
+        A = (algebra(draw, n, field, signs) if integrable
+             else algebra(draw, n, field))
+    else:
+        k = draw(st.integers(0, 2))
+        n = 2 * k
+        D = Matrix.from_rows([[Scalar.of(-1) if b == a + k else Scalar.one()
+                               if a == b + k else Scalar.zero()
+                               for b in range(n)] for a in range(n)])
+        A = (LeibnizAlgebra(n, kahler._realified_brackets(
+                algebra(draw, k, GAUSSIAN)), field) if integrable
+             else algebra(draw, n, field))
+    P = unitriangular(draw, n, field) @ unitriangular(
+        draw, n, field).transpose()
+    P_inv = invert(P)
+    return conjugate(A, P, P_inv), P @ D @ P_inv, c
+
+
+@SETTINGS
+@given(square_root_cases())
+def test_integrability_decides_as_nijenhuis_when_squares_to_c(case):
+    """With M^2 = cI the c-identity and the Nijenhuis identity agree, and
+    the witness of the c-identity is its dense closure's."""
+    A, M, c = case
+    assert structures._squares_to(M, c)
+    check = structures.integrability(A, M, c)
+    assert check.ok == verify_nijenhuis(A, M).ok
+    assert outcome(lambda: check) == outcome(
+        lambda: REF_INTEGRABILITY[c](A, M))
+    assert structures._report(A, M, c)[1:3] == ref_strict_abelian(A, M, -c)
 
 
 @SETTINGS

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import diag, mat, random_leibniz
-from leibniz_lab import (LeibnizAlgebra, J_from_phi, bracket_J,
+from leibniz_lab import (LeibnizAlgebra, J_from_phi, bracket_J, structures,
                          check_complex_product_pair, classify_complex,
                          classify_product, complexify,
                          enumerate_diagonal_products,
@@ -36,6 +36,20 @@ def test_nijenhuis_scalar_multiples(sl2):
     N = diag(1, 0, 0)
     check = verify_nijenhuis(sl2, N)
     assert not check.ok and check.reason == "NIJENHUIS_FAILS"
+
+
+def test_integrability_needs_the_square_test(sl2):
+    """3I is Nijenhuis, but with (3I)^2 = 9I != cI the c-identity
+    3[x,y] = 6[x,y] - 27c[x,y] fails for c = 1 and c = -1 alike, so the
+    two verdicts agree only after M^2 = cI is tested."""
+    M = Matrix.identity(3).scale(Scalar.of(3))
+    assert verify_nijenhuis(sl2, M).ok
+    for c, rhs in ((1, -42), (-1, 66)):
+        assert not structures._squares_to(M, c)
+        check = structures.integrability(sl2, M, c)
+        assert (check.ok, check.reason, check.indices) == (
+            False, "INTEGRABILITY_FAILS", (0, 1))
+        assert check.lhs == [0, 6, 0] and check.rhs == [0, rhs, 0]
 
 
 def test_product_classification_catalogue(heisenberg_like):
@@ -250,11 +264,14 @@ def test_J_from_phi_identity_guard(heisenberg_like):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_induced_dendriform_classifies_the_product_once(monkeypatch, seed):
+def test_induced_dendriform_classifies_no_product(monkeypatch, seed):
+    """The pair check, the induced dendriform structures and J_from_phi
+    read verdicts and eigenspaces directly: no classify_product report."""
     from conftest import random_dendriform_with_skew
-    from leibniz_lab import omega_to_J, structures
+    from leibniz_lab import omega_to_J
     D = random_dendriform_with_skew(random.Random(seed))
-    P, J = omega_to_J(D, mat([[0, 3], [-3, 0]]))
+    omega = mat([[0, 3], [-3, 0]])
+    P, J = omega_to_J(D, omega)
     E = diag(1, 1, -1, -1)
     calls = []
 
@@ -263,6 +280,8 @@ def test_induced_dendriform_classifies_the_product_once(monkeypatch, seed):
         return classify_product(A, M)
 
     monkeypatch.setattr(structures, "classify_product", counted)
+    assert check_complex_product_pair(P.total, J, E).ok
     dp, dm = induced_dendriform_on_eigenspaces(P.total, J, E)
-    assert len(calls) == 1
+    assert J_from_phi(P.total, E, omega.transpose()) == J
+    assert calls == []
     assert verify_dendriform(dp).ok and verify_dendriform(dm).ok

@@ -86,7 +86,16 @@ def test_sample_nondegenerate_deterministic():
     s1 = sample_nondegenerate(basis, seed=5)
     s2 = sample_nondegenerate(basis, seed=5)
     assert s1 is not None and s1 == s2
+    # From n = 1 on, an empty basis spans only the singular zero form.
     assert sample_nondegenerate([], seed=0) is None
+
+
+def test_solver_samples_the_zero_form_of_the_zero_algebra():
+    """The 0-dim algebra has one form, 0 x 0, and it is nondegenerate."""
+    A = LeibnizAlgebra.abelian(0)
+    basis, sample = solve_symplectic_space(A)
+    assert basis == [] and sample == Matrix.zero(0, 0)
+    assert verify_symplectic(A, sample).ok
 
 
 def test_symplectic_to_dendriform_roundtrip(heisenberg_like, sl2):

@@ -11,8 +11,9 @@ import pathlib
 import types
 from random import Random
 
-from conftest import random_dendriform
-from leibniz_lab import build_phase_space, kahler, linalg, structures
+from conftest import mat, random_dendriform
+from leibniz_lab import (DendriformAlgebra, build_phase_space, kahler, linalg,
+                         omega_to_J, structures)
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import Scalar
 
@@ -92,22 +93,39 @@ def test_enumeration_classifies_each_result_once(heisenberg_like):
     assert metrics["structures.enum_hit_ratio"] == 1.0
 
 
-def test_para_kahler_check_builds_no_product_report():
-    """``check_para_kahler`` reads its verdicts from the Nijenhuis check
-    and the trace, so ``classify_calls`` counts no bridge check."""
+def traced_names(check):
+    """The span names recorded while ``check()`` runs."""
     spans = load_spans()
-    P = build_phase_space(random_dendriform(Random(1), 3))
-    E = Matrix.diagonal([Scalar.one()] * 3 + [Scalar.of(-1)] * 3)
     tracer = spans.Tracer()
     tracer.install_spans()
     try:
         tracer.on = True
-        check = kahler.check_para_kahler(P.total, P.form, E)
+        result = check()
         tracer.on = False
     finally:
         tracer.uninstall()
     table = tracer.table()
-    names = {table["names"][i] for i in table["name"]}
+    return result, {table["names"][i] for i in table["name"]}
+
+
+def test_para_kahler_check_builds_no_product_report():
+    """``check_para_kahler`` reads its verdicts from the integrability
+    identity and the trace, so ``classify_calls`` counts no bridge check."""
+    P = build_phase_space(random_dendriform(Random(1), 3))
+    E = Matrix.diagonal([Scalar.one()] * 3 + [Scalar.of(-1)] * 3)
+    check, names = traced_names(
+        lambda: kahler.check_para_kahler(P.total, P.form, E))
     assert check.ok
-    assert "structures.verify_nijenhuis" in names
+    assert "structures.integrability" in names
+    assert "structures.classify_product" not in names
+
+
+def test_complex_product_pair_check_builds_no_product_report():
+    """``check_complex_product_pair`` computes its verdicts directly."""
+    P, J = omega_to_J(DendriformAlgebra.zero(2), mat([[0, 1], [-1, 0]]))
+    E = Matrix.diagonal([Scalar.one()] * 2 + [Scalar.of(-1)] * 2)
+    check, names = traced_names(
+        lambda: structures.check_complex_product_pair(P.total, J, E))
+    assert check.ok
+    assert "structures.integrability" in names
     assert "structures.classify_product" not in names

@@ -15,7 +15,7 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, Representation,
                          verify_rota_baxter, verify_symplectic)
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import Scalar
-from leibniz_lab.structures import complex_integrability
+from leibniz_lab.structures import integrability
 
 
 def mat(rows):
@@ -96,8 +96,8 @@ CASES = {
     "symplectic": lambda: verify_symplectic(sl2(), Matrix.identity(3)),
     "nijenhuis": lambda: verify_nijenhuis(
         sl2(), Matrix.diagonal([Scalar.of(1), Scalar.of(0), Scalar.of(0)])),
-    "integrability": lambda: complex_integrability(
-        sl2(), mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])),
+    "integrability": lambda: integrability(
+        sl2(), mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), -1),
 }
 
 EXPECTED = {
