@@ -303,7 +303,8 @@ def product_iff_iE(A: LeibnizAlgebra, E: Matrix):
     if A.field != GAUSSIAN:
         raise WrongField("the correspondence lives over the Gaussian field")
     J = E.scale(Scalar.i())
-    product_ok = classify_product(A, E).is_product
+    _require_involution(A, E)
+    product_ok = integrability(A, E, 1).ok
     complex_ok = _squares_to(J, -1) and integrability(A, J, -1).ok
     return J, product_ok == complex_ok, product_ok, complex_ok
 

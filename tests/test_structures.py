@@ -186,6 +186,25 @@ def test_product_iff_iE_correspondence():
         product_iff_iE(LeibnizAlgebra.abelian(2), diag(1, -1))
 
 
+def test_product_iff_iE_builds_no_product_report(monkeypatch):
+    """The product verdict is classify_product's, read without a report."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(10):
+        A = complexify(random_leibniz(rng, rng.randint(2, 3)))
+        E = diag(*[rng.choice((1, -1)) for _ in range(A.dim)])
+        cases.append((A, E, classify_product(A, E).is_product))
+    assert {ok for _, _, ok in cases} == {True, False}
+    calls = []
+    monkeypatch.setattr(structures, "classify_product",
+                        lambda A, M: calls.append(M))
+    for A, E, ok in cases:
+        assert product_iff_iE(A, E)[2] == ok
+    with pytest.raises(NotInvolution):
+        product_iff_iE(complexify(LeibnizAlgebra.abelian(2)), diag(1, 2))
+    assert calls == []
+
+
 def test_complex_product_pair_and_induced_dendriform():
     from leibniz_lab import DendriformAlgebra, omega_to_J
     rng = random.Random(6)
