@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
                      NotSymmetric, SingularMatrix)
 from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
@@ -11,16 +9,21 @@ from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
                       first_defect, first_witness, form_tensor, tensor_sum,
                       transport, unit)
 from .linalg import Matrix, invert, is_singular
+from .record import Record
 from .representations import Representation
 from .scalars import RATIONAL
 
 
-@dataclass(frozen=True)
-class DendriformAlgebra:
-    dim: int
-    left_brackets: dict   # sparse tensor {(i, j): {k: c}} of the left product
-    right_brackets: dict  # sparse tensor of the right product
-    field: str = RATIONAL
+class DendriformAlgebra(Record):
+    __slots__ = ("dim", "left_brackets", "right_brackets", "field")
+
+    def __init__(self, dim: int, left_brackets: dict, right_brackets: dict,
+                 field: str = RATIONAL):
+        """The two products as sparse tensors {(i, j): {k: c}}."""
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "left_brackets", left_brackets)
+        object.__setattr__(self, "right_brackets", right_brackets)
+        object.__setattr__(self, "field", field)
 
     @staticmethod
     def from_constants(left, right, field: str = RATIONAL) -> "DendriformAlgebra":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
 
@@ -13,21 +12,24 @@ from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       _dense, _require_square, form_tensor, functionals,
                       transport)
 from .linalg import Matrix, invert, is_singular, trace
+from .record import Record
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 from .structures import _squares_to, integrability
 from .symplectic import _isotropic_split, build_phase_space, verify_symplectic
 
 
-@dataclass(frozen=True)
-class LeviCivitaPair:
+class LeviCivitaPair(Record):
     """The two products of a pseudo-Riemannian Leibniz algebra.
 
     ``star`` and ``starstar`` are sparse tensors {(i, j): {k: c}}, e_i * e_j
     and its companion; the two always sum to the bracket.
     """
-    dim: int
-    star: dict
-    starstar: dict
+    __slots__ = ("dim", "star", "starstar")
+
+    def __init__(self, dim: int, star: dict, starstar: dict):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "starstar", starstar)
 
     def star_product(self, i: int, j: int) -> list:
         return _dense(self.star, (i, j), self.dim)
@@ -42,7 +44,8 @@ def _kahler_check(A: LeibnizAlgebra, B: Matrix, M: Matrix, c: int,
     reason or None), then B(Mx, My) = -c B(x, y), i.e. M^T B M = -c B."""
     check = verify_symplectic(A, B)
     if not check.ok:
-        return replace(check, reason="SYMPLECTIC_FAILS")
+        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
+                           check.lhs, check.rhs)
     reason = structure_fails()
     if reason is None and M.transpose() @ B @ M != (-B if c > 0 else B):
         reason = "COMPAT_FAILS"
@@ -72,7 +75,8 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
     """Two B-isotropic subalgebras that split the algebra as a vector space."""
     check = verify_symplectic(A, B)
     if not check.ok:
-        return replace(check, reason="SYMPLECTIC_FAILS")
+        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
+                           check.lhs, check.rhs)
     return _isotropic_split(A, B, w_plus, w_minus, (A.brackets,))
 
 
@@ -216,4 +220,5 @@ def complexify_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix):
     check = check_pseudo_kahler(A, B, J)
     if not check.ok:
         raise NotPseudoKahler("triple fails: %s" % check.reason)
-    return replace(A, field=GAUSSIAN), B, J.scale(-Scalar.i())
+    return (LeibnizAlgebra(A.dim, A.brackets, GAUSSIAN, A.labels), B,
+            J.scale(-Scalar.i()))

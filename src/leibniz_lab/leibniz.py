@@ -37,24 +37,28 @@ in it the first failing equation, is the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Matrix, rank
+from .record import Record
 from .scalars import _ZERO, RATIONAL, Scalar
 
 Vector = list  # coordinate list or tuple of field elements, ambient basis
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of a verification, with a re-checkable witness on failure."""
-    ok: bool
-    reason: Optional[str] = None
-    indices: Optional[tuple] = None
-    lhs: Optional[list] = None
-    rhs: Optional[list] = None
+    __slots__ = ("ok", "reason", "indices", "lhs", "rhs")
+
+    def __init__(self, ok: bool, reason: str | None = None,
+                 indices: tuple | None = None, lhs: list | None = None,
+                 rhs: list | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -292,10 +296,12 @@ def _require_square(M: Matrix, dim: int, what: str = "form"):
         raise DimensionMismatch("%s must be %d x %d" % (what, dim, dim))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Span of linearly independent coordinate vectors."""
-    basis: tuple  # tuple of coordinate tuples
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple):   # a tuple of coordinate tuples
+        object.__setattr__(self, "basis", basis)
 
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
@@ -318,12 +324,17 @@ class Subspace:
         return rank(Matrix.from_rows([*self.basis, *vectors])) == self.dim
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
-    dim: int
-    brackets: dict  # sparse structure tensor {(i, j): {k: c}}, c nonzero
-    field: str = RATIONAL
-    labels: Optional[tuple] = None
+class LeibnizAlgebra(Record):
+    __slots__ = ("dim", "brackets", "field", "labels")
+
+    def __init__(self, dim: int, brackets: dict, field: str = RATIONAL,
+                 labels: tuple | None = None):
+        """``brackets`` is the sparse structure tensor {(i, j): {k: c}},
+        c nonzero."""
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "brackets", brackets)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "labels", labels)
 
     @staticmethod
     def from_constants(constants, field: str = RATIONAL,

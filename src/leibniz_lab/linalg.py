@@ -1,39 +1,49 @@
 """Exact linear algebra over Q and Q(i).
 
-A :class:`Matrix` is its shape, kept also without rows, and one
-``{column: value}`` dict per row holding only the nonzero entries
-(``Fraction`` or :class:`Scalar`), so ``==`` is exact; stored rows are
-never mutated.  Every operation reads the stored rows, as does the one
-sparse, incremental elimination (:func:`_echelon`) behind rank, kernel,
-solve, inverse and singularity, whose unique reduced row echelon form
-needs no tolerance.  ``M[i, j]``, ``row``, ``col`` and ``entries`` read
-dense values.  Vectors, kernel and eigenspace bases and solutions are
-coordinate tuples; ``leibniz.Subspace.contains`` tests vectors against a
-span with one :func:`rank` of the stacked rows.
+A :class:`Matrix` is an immutable record (:mod:`record`): its shape, kept
+also without rows, and one ``{column: value}`` dict per row holding only
+the nonzero entries (``Fraction`` or :class:`Scalar`), so ``==``, which
+compares the shape and the stored rows, is exact; stored rows are never
+mutated, and a matrix is unhashable.  Every operation reads the stored
+rows, as does the one sparse, incremental elimination (:func:`_echelon`)
+behind rank, kernel, solve, inverse and singularity, whose unique reduced
+row echelon form needs no tolerance.  ``M[i, j]``, ``row``, ``col`` and
+``entries`` read dense values.  Vectors, kernel and eigenspace bases and
+solutions are coordinate tuples; ``leibniz.Subspace.contains`` tests
+vectors against a span with one :func:`rank` of the stacked rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import add, sub
-from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
+from .record import Record
 from .scalars import _ONE, _ZERO, Scalar
 
 
-@dataclass(frozen=True)
-class Matrix:
-    rows: int
-    cols: int
-    nonzero: tuple  # one {column: nonzero value} dict per row
+class Matrix(Record):
+    __slots__ = ("rows", "cols", "nonzero")
 
-    def __post_init__(self):
-        """Only the row count and the row type are checked, in O(rows):
+    def __init__(self, rows: int, cols: int, nonzero: tuple):
+        """``nonzero`` holds one {column: nonzero value} dict per row.
+        Only the row count and the row type are checked, in O(rows):
         :meth:`from_rows` is the checked entry point for dense rows."""
-        if len(self.nonzero) != self.rows or not all(
-                isinstance(row, dict) for row in self.nonzero):
+        if len(nonzero) != rows or not all(
+                isinstance(row, dict) for row in nonzero):
             raise DimensionMismatch("a Matrix stores one dict per row")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nonzero", nonzero)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows == other.rows and self.cols == other.cols
+                    and self.nonzero == other.nonzero)
+        return NotImplemented
+
+    __hash__ = Record.__hash__   # a tuple of dicts: unhashable
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":

@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionMismatch, NotRotaBaxter
 from .leibniz import (CheckResult, LeibnizAlgebra, _mult_matrix, contract,
                       first_witness, tensor_sum, transport)
 from .linalg import Matrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """The actions l and r of an algebra on an m-dim module V, stored as
     two sparse tensors in the layout of the semidirect product:
     ``left[(i, b)] = l(e_i) v_b`` and ``right[(b, i)] = r(e_i) v_b``."""
-    algebra: LeibnizAlgebra
-    rep_dim: int
-    left: dict
-    right: dict
+    __slots__ = ("algebra", "rep_dim", "left", "right")
+
+    def __init__(self, algebra: LeibnizAlgebra, rep_dim: int, left: dict,
+                 right: dict):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "rep_dim", rep_dim)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @staticmethod
     def build(algebra: LeibnizAlgebra, left_maps: Sequence[Matrix],

@@ -3,12 +3,14 @@
 c = 1 gives a product structure E, c = -1 a complex structure J; both are
 integrable when M[x,y] = [Mx,y] + [x,My] - c M[Mx,My] (:func:`integrability`).
 Applied to the Nijenhuis identity, M^2 = cI gives exactly this identity, so
-after the square test it decides as :func:`verify_nijenhuis` does.
+after the square test it decides as :func:`verify_nijenhuis` does.  A report
+(:func:`classify_product`, :func:`classify_complex`) computes the sides
+M[x,y], [Mx,y] and [x,My] once, for this identity and for the strict test
+M[x,y] = [Mx,y] = [x,My].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dendriform import DendriformAlgebra
@@ -19,27 +21,37 @@ from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       _require_square, first_witness, is_subalgebra,
                       tensor_sum, transport)
 from .linalg import Matrix, eigenspace, invert, rank
+from .record import Record
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    is_nijenhuis: bool
-    is_product: bool
-    is_strict: bool
-    is_abelian: bool
-    is_paracomplex: bool
-    plus_eigenspace: Subspace
-    minus_eigenspace: Subspace
+class StructureReport(Record):
+    __slots__ = ("is_nijenhuis", "is_product", "is_strict", "is_abelian",
+                 "is_paracomplex", "plus_eigenspace", "minus_eigenspace")
+
+    def __init__(self, is_nijenhuis: bool, is_product: bool, is_strict: bool,
+                 is_abelian: bool, is_paracomplex: bool,
+                 plus_eigenspace: Subspace, minus_eigenspace: Subspace):
+        object.__setattr__(self, "is_nijenhuis", is_nijenhuis)
+        object.__setattr__(self, "is_product", is_product)
+        object.__setattr__(self, "is_strict", is_strict)
+        object.__setattr__(self, "is_abelian", is_abelian)
+        object.__setattr__(self, "is_paracomplex", is_paracomplex)
+        object.__setattr__(self, "plus_eigenspace", plus_eigenspace)
+        object.__setattr__(self, "minus_eigenspace", minus_eigenspace)
 
 
-@dataclass(frozen=True)
-class ComplexReport:
-    is_complex: bool
-    is_strict: bool
-    is_abelian: bool
-    eigen_i: Subspace
-    eigen_minus_i: Subspace
+class ComplexReport(Record):
+    __slots__ = ("is_complex", "is_strict", "is_abelian", "eigen_i",
+                 "eigen_minus_i")
+
+    def __init__(self, is_complex: bool, is_strict: bool, is_abelian: bool,
+                 eigen_i: Subspace, eigen_minus_i: Subspace):
+        object.__setattr__(self, "is_complex", is_complex)
+        object.__setattr__(self, "is_strict", is_strict)
+        object.__setattr__(self, "is_abelian", is_abelian)
+        object.__setattr__(self, "eigen_i", eigen_i)
+        object.__setattr__(self, "eigen_minus_i", eigen_minus_i)
 
 
 def _squares_to(M: Matrix, c: int) -> bool:
@@ -59,11 +71,22 @@ def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
 
 def integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
     """M[x,y] = [Mx,y] + [x,My] - c M[Mx,My] on all basis pairs."""
-    T = A.brackets
+    return _integrability(A, M, c, *_sides(A.brackets, M))
+
+
+def _sides(T: dict, M: Matrix) -> tuple:
+    """M[x,y], [Mx,y] and [x,My], shared by the integrability identity and
+    the strict test."""
+    return transport(T, R=M), transport(T, M), transport(T, None, M)
+
+
+def _integrability(A: LeibnizAlgebra, M: Matrix, c: int, MT: dict,
+                   TM: dict, TN: dict) -> CheckResult:
+    """:func:`integrability` from the three :func:`_sides` of M."""
     return first_witness(A.dim, [(
-        "INTEGRABILITY_FAILS", transport(T, R=M),
-        tensor_sum(transport(T, M), transport(T, None, M),
-                   transport(T, M, M, M if c < 0 else -M)))])
+        "INTEGRABILITY_FAILS", MT,
+        tensor_sum(TM, TN, transport(A.brackets, M, M,
+                                     M if c < 0 else -M)))])
 
 
 def _eigenspaces(M: Matrix, lam: Scalar):
@@ -78,8 +101,8 @@ def _report(A: LeibnizAlgebra, M: Matrix, c: int):
     Strict: M[x,y] = [Mx,y] = [x,My].  Abelian: [x,y] = -c [Mx,My].
     """
     T = A.brackets
-    return (integrability(A, M, c).ok,
-            transport(T, R=M) == transport(T, M) == transport(T, None, M),
+    MT, TM, TN = _sides(T, M)
+    return (_integrability(A, M, c, MT, TM, TN).ok, MT == TM == TN,
             T == transport(T, M if c < 0 else -M, M),
             *_eigenspaces(M, Scalar.one() if c > 0 else Scalar.i()))
 
@@ -198,7 +221,7 @@ def complexify(A: LeibnizAlgebra) -> LeibnizAlgebra:
     """The same structure constants reinterpreted over the Gaussian field."""
     if A.field != RATIONAL:
         raise WrongField("only rational algebras complexify")
-    return replace(A, field=GAUSSIAN)
+    return LeibnizAlgebra(A.dim, A.brackets, GAUSSIAN, A.labels)
 
 
 def _complex_candidate(A: LeibnizAlgebra, J: Matrix) -> bool:

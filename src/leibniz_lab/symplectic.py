@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .dendriform import (DendriformAlgebra, dendriform_rep,
                          verify_quadratic_dendriform)
@@ -15,6 +14,7 @@ from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, _closed,
                       form_tensor, functionals, is_subalgebra, transport,
                       verify_leibniz)
 from .linalg import Matrix, invert, is_singular, kernel_basis, rank
+from .record import Record
 from .representations import dual_rep, semidirect_product
 from .scalars import Scalar
 
@@ -76,7 +76,7 @@ def form_space_radical(basis: Sequence[Matrix]) -> list:
 
 
 def sample_nondegenerate(basis: Sequence[Matrix],
-                         seed: int = 0) -> Optional[Matrix]:
+                         seed: int = 0) -> Matrix | None:
     """Deterministic search for a nonsingular member of a form space.
 
     An empty basis or a nonzero :func:`form_space_radical` makes every
@@ -125,12 +125,15 @@ def canonical_pairing(n: int) -> Matrix:
                                       for i in range(2 * n)))
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
-    total: LeibnizAlgebra
-    base_dim: int
-    form: Matrix
-    origin: Optional[DendriformAlgebra] = None
+class PhaseSpace(Record):
+    __slots__ = ("total", "base_dim", "form", "origin")
+
+    def __init__(self, total: LeibnizAlgebra, base_dim: int, form: Matrix,
+                 origin: DendriformAlgebra | None = None):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "origin", origin)
 
     def base_subspace(self) -> Subspace:
         return Subspace.from_vectors(
@@ -147,7 +150,7 @@ def _gram(B: Matrix, U: Matrix, W: Matrix) -> Matrix:
     return U.transpose() @ B @ W
 
 
-def _non_isotropic_pair(B: Matrix, C: Matrix) -> Optional[tuple]:
+def _non_isotropic_pair(B: Matrix, C: Matrix) -> tuple | None:
     """The first basis pair (a, b) of the span of C's columns with
     B(w_a, w_b) != 0, or None: the first stored entry of the Gram matrix."""
     return next(((a, min(row)) for a, row in enumerate(_gram(B, C, C).nonzero)
@@ -185,7 +188,8 @@ def verify_phase_space(P: PhaseSpace, base: Subspace,
         return check
     check = verify_symplectic(P.total, P.form)
     if not check.ok:
-        return replace(check, reason="SYMPLECTIC_FAILS")
+        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
+                           check.lhs, check.rhs)
     if not is_subalgebra(P.total, base) or not is_subalgebra(P.total, dual):
         return CheckResult(False, "SUBALGEBRA_FAILS")
     # The two blocks must pair canonically: isotropic against themselves,

@@ -351,6 +351,20 @@ def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
         assert (proc.wait(), stderr) == (expected, b"")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    """The records are plain slotted classes, so a fresh ``leibniz-lab``
+    process does not import dataclasses and what it pulls in; ``-S`` keeps
+    the modules of ``site`` and its ``.pth`` files out."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import leibniz_lab.cli, sys; "
+         "print(*[m for m in %r if m in sys.modules])" % (heavy,)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+
 TWICE_I3 = endo([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 WIDE = endo([[1, 0, 0], [0, 1, 0]])
 

@@ -205,6 +205,23 @@ def test_product_iff_iE_builds_no_product_report(monkeypatch):
     assert calls == []
 
 
+def test_product_report_shares_the_integrability_sides(monkeypatch):
+    """A report computes M[x,y], [Mx,y] and [x,My] once, for the
+    integrability identity and the strict test: 5 transports with the
+    -c M[Mx,My] term and the abelian test's -c [Mx,My], where recomputing
+    the sides made 7 (the strict chain stops at its first unequal pair)."""
+    A = random_leibniz(random.Random(0), 6)
+    E = diag(1, -1, 1, -1, 1, -1)
+    expected = classify_product(A, E)
+    calls = []
+    transport = structures.transport
+    monkeypatch.setattr(structures, "transport",
+                        lambda *args, **kw: calls.append(1)
+                        or transport(*args, **kw))
+    assert classify_product(A, E) == expected
+    assert len(calls) == 5
+
+
 def test_complex_product_pair_and_induced_dendriform():
     from leibniz_lab import DendriformAlgebra, omega_to_J
     rng = random.Random(6)
