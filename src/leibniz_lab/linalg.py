@@ -2,7 +2,7 @@
 
 A :class:`Matrix` is an immutable record (:mod:`record`): its shape, kept
 also without rows, and one ``{column: value}`` dict per row holding only
-the nonzero entries (``Fraction`` or :class:`Scalar`), so ``==``, which
+the nonzero entries (rationals or :class:`Scalar`), so ``==``, which
 compares the shape and the stored rows, is exact; stored rows are never
 mutated, and a matrix is unhashable.  Every operation reads the stored
 rows, as does the one sparse, incremental elimination (:func:`_echelon`)
@@ -20,7 +20,7 @@ from operator import add, sub
 
 from .errors import DimensionMismatch, SingularMatrix
 from .record import Record
-from .scalars import _ONE, _ZERO, Scalar
+from .scalars import _ONE, _ZERO, Scalar, _quotient
 
 
 class Matrix(Record):
@@ -185,7 +185,7 @@ def _echelon(rows, ncols: int) -> dict:
         if not row:
             continue
         lead = min(row)
-        inv = _ONE / row[lead]
+        inv = _quotient(_ONE, row[lead])
         row = {c: inv * v for c, v in row.items()}
         for other in pivots.values():
             if lead in other:

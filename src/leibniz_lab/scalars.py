@@ -1,13 +1,18 @@
 """Exact field elements of Q and Q(i).
 
 The field is a property of an algebra or a document (its ``field``
-string), not of each number.  A rational value is a plain
-:class:`fractions.Fraction`; a Gaussian rational with a nonzero imaginary
-part is a :class:`Scalar` ``real + imag*i``.  Both expose ``real`` and
-``imag``, mixed arithmetic is exact in either operand order, and every
-result whose imaginary part vanishes comes back as a ``Fraction``, so
-each value has exactly one representation.  There is no rounding anywhere
-in the package.
+string), not of each number.  A rational value is an ``int`` when it is
+integral and a :class:`fractions.Fraction` otherwise; a Gaussian rational
+with a nonzero imaginary part is a :class:`Scalar` ``real + imag*i`` with
+parts of that kind.  Every value made here (by ``Scalar.of``, ``zero``,
+``one``, ``i`` or :func:`parse_scalar`, as the parts of a :class:`Scalar`,
+as a result whose imaginary part vanishes, or as a quotient) has that
+canonical kind; other arithmetic keeps Python's (``int * int`` is an ``int``, a
+``Fraction`` result stays a ``Fraction``, equal and hash-equal to its
+``int`` value).  Both kinds expose ``real`` and ``imag``, and mixed
+arithmetic is exact in either operand order.  Since ``int / int`` is a
+float, the package divides only through :func:`_quotient`.  There is no
+rounding anywhere in the package.
 """
 
 from __future__ import annotations
@@ -21,13 +26,38 @@ RATIONAL = "Q"
 GAUSSIAN = "Q(i)"
 
 _RATIONALS = (Fraction, int)
-# Shared by every caller: Fraction is immutable, so one of each will do.
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE = 0, 1
+
+
+def _rational(q):
+    """The rational q (an int, a Fraction or anything ``Fraction`` reads)
+    as an int when it is integral, else as a Fraction."""
+    if type(q) is not int:
+        q = q if type(q) is Fraction else Fraction(q)
+        if q.denominator == 1:
+            return q.numerator
+    return q
+
+
+def _quotient(a, b):
+    """The exact quotient a / b of field elements, canonical when rational.
+
+    This is the package's one division: ``int / int`` would be a float.
+    """
+    if type(b) is Scalar:
+        return b._inverse() * a
+    if not b:
+        raise DivisionByZero("division by zero scalar")
+    if type(a) is Scalar:
+        return Scalar(_quotient(a.real, b), _quotient(a.imag, b))
+    q = Fraction(a, b) if type(a) is int and type(b) is int else a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def _make(real, imag):
-    """real + imag*i: a Fraction when imag vanishes, else a Scalar."""
-    return Scalar(real, imag) if imag else real
+    """real + imag*i: a canonical rational when imag vanishes, else a
+    Scalar."""
+    return Scalar(real, imag) if imag else _rational(real)
 
 
 class Scalar:
@@ -39,10 +69,8 @@ class Scalar:
         if not imag:
             raise ValueError("a Scalar has a nonzero imaginary part; "
                              "use Scalar.of for rationals")
-        object.__setattr__(self, "real",
-                           real if type(real) is Fraction else Fraction(real))
-        object.__setattr__(self, "imag",
-                           imag if type(imag) is Fraction else Fraction(imag))
+        object.__setattr__(self, "real", _rational(real))
+        object.__setattr__(self, "imag", _rational(imag))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -51,20 +79,20 @@ class Scalar:
 
     @staticmethod
     def of(re, im=0):
-        """re + im*i; a Fraction when im == 0."""
-        return _make(Fraction(re), Fraction(im))
+        """re + im*i; a canonical rational when im == 0."""
+        return _make(re, _rational(im))
 
     @staticmethod
-    def zero() -> Fraction:
+    def zero() -> int:
         return _ZERO
 
     @staticmethod
-    def one() -> Fraction:
+    def one() -> int:
         return _ONE
 
     @staticmethod
     def i() -> "Scalar":
-        return Scalar(Fraction(0), Fraction(1))
+        return Scalar(0, 1)
 
     # -- arithmetic: the other operand is a Scalar or a rational ----------
 
@@ -103,22 +131,18 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Scalar):
-            return self * other._inverse()
-        if isinstance(other, _RATIONALS):
-            if not other:
-                raise DivisionByZero("division by zero scalar")
-            return Scalar(self.real / other, self.imag / other)
+        if isinstance(other, (Scalar, *_RATIONALS)):
+            return _quotient(self, other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _RATIONALS):
-            return self._inverse() * other
+            return _quotient(other, self)
         return NotImplemented
 
     def _inverse(self) -> "Scalar":
         norm = self.real * self.real + self.imag * self.imag
-        return Scalar(self.real / norm, -self.imag / norm)
+        return Scalar(_quotient(self.real, norm), _quotient(-self.imag, norm))
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.real, -self.imag)
@@ -142,7 +166,7 @@ class Scalar:
         return "Scalar(%s)" % format_scalar(self)
 
 
-def _format_fraction(q: Fraction) -> str:
+def _format_fraction(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -183,10 +207,10 @@ def parse_scalar(text: str):
             and m.group("isign") not in ("+", "-")):
         raise ParseError("missing sign before imaginary part in %r" % text)
     try:
-        re_part = Fraction(m.group("real")) if m.group("real") else Fraction(0)
+        re_part = _rational(m.group("real")) if m.group("real") else 0
         if "i" not in s:
             return re_part
-        mag = Fraction(m.group("imag")) if m.group("imag") else Fraction(1)
+        mag = _rational(m.group("imag")) if m.group("imag") else 1
         return _make(re_part, -mag if m.group("isign") == "-" else mag)
     except ZeroDivisionError:
         raise ParseError("zero denominator in scalar %r" % text) from None

@@ -51,13 +51,16 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     n = A.dim
     # The identity with B unknown: B(e_p, e_q) = B(e_q, e_p) is coordinate
     # t of the upper-triangle unknowns, and each failing triple is a row.
+    # With B symmetric the rows of (x, y, z) and (x, z, y) are equal, so
+    # only y <= z is kept.
     index = {}
     for t, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
         index[(p, q)] = index[(q, p)] = t
     m = n * (n + 1) // 2
     rows = defect(SYMPLECTIC[0], {".": A.brackets, "|": {
         pq: {t: Scalar.one()} for pq, t in index.items()}})
-    nonzero = tuple(rows[key] for key in sorted(rows)) or ({},)
+    nonzero = tuple(rows[key] for key in sorted(rows)
+                    if key[1] <= key[2]) or ({},)
     constraints = Matrix(len(nonzero), m, nonzero)
     basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
                                for p in range(n)])

@@ -1,6 +1,7 @@
 """Shared fixtures: worked examples and deterministic random generators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,28 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
                          verify_leibniz)
 from leibniz_lab.linalg import Matrix, kernel_basis
 from leibniz_lab.scalars import Scalar
+
+
+def canonical(value):
+    """Whether a field element has the one form of a value made in
+    ``scalars``: an int when rational and integral, a Fraction when
+    rational and not, and a Scalar (nonzero imaginary part) of canonical
+    parts."""
+    if type(value) is Scalar:
+        return (value.imag != 0 and canonical(value.real)
+                and canonical(value.imag))
+    return type(value) is int or (type(value) is Fraction
+                                  and value.denominator != 1)
+
+
+def kind(value):
+    """"Q" for a rational (an int or a Fraction), "Q(i)" for a Scalar of
+    canonical parts; a float, a bool or any other type fails the test."""
+    if type(value) in (int, Fraction):
+        return "Q"
+    assert type(value) is Scalar and canonical(value), \
+        "not an exact field element: %r" % (value,)
+    return "Q(i)"
 
 
 def mat(rows):

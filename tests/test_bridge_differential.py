@@ -5,7 +5,7 @@ bracket through ``tensor_from`` over dense ``bracket_basis`` lists, each
 coordinate multiplied by its unit product and split with ``Scalar.of``,
 and B', J' from dense unit products.  ``ref_check_para_kahler`` reads the
 product and paracomplex verdicts from a full ``classify_product`` report.
-Both must agree with the library in every value and entry type, over
+Both must agree with the library in every value and entry kind, over
 Gaussian algebras whose coefficients have nonzero imaginary parts, which
 the complexified rational algebras of the benchmark never have.
 """
@@ -16,7 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_dendriform
+from conftest import kind, random_dendriform
 from leibniz_lab import (LeibnizAlgebra, build_phase_space,
                          check_para_kahler, check_pseudo_kahler,
                          classify_product, realify, verify_symplectic)
@@ -77,12 +77,12 @@ def ref_check_para_kahler(A, B, E):
 
 
 def typed_tensor(tensor):
-    return {key: {k: (type(c), c) for k, c in value.items()}
+    return {key: {k: (kind(c), c) for k, c in value.items()}
             for key, value in tensor.items()}
 
 
 def typed_matrix(M):
-    return (M.rows, M.cols, [[(type(e), e) for e in row] for row in M.entries])
+    return (M.rows, M.cols, [[(kind(e), e) for e in row] for row in M.entries])
 
 
 small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense, mat, random_dendriform, random_leibniz
+from conftest import dense, kind, mat, random_dendriform, random_leibniz
 from leibniz_lab import build_phase_space, complexify
 from leibniz_lab.errors import DimensionMismatch, SingularMatrix
 from leibniz_lab.leibniz import Subspace, is_subalgebra, is_two_sided_ideal
@@ -145,7 +145,7 @@ def dense_rref(rows: list) -> list:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Scalar.one() / rows[r][c]
+        inv = Fraction(1) / rows[r][c]   # exact: int / int is a float
         rows[r] = [inv * e for e in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
@@ -206,15 +206,15 @@ def ref_in_span(vectors, v):
 
 
 def exact(value):
-    """A Matrix, a coordinate tuple or a list of either with the type of
-    every entry, so that equal values in another representation do not
-    compare equal."""
+    """A Matrix, a coordinate tuple or a list of either with the kind of
+    every entry (:func:`conftest.kind`), so that a rational and a Gaussian
+    value never compare equal and a float fails."""
     if isinstance(value, list):
         return [exact(M) for M in value]
     if isinstance(value, tuple):
-        return [(type(e), e) for e in value]
+        return [(kind(e), e) for e in value]
     return (value.rows, value.cols,
-            [[(type(e), e) for e in row] for row in value.entries])
+            [[(kind(e), e) for e in row] for row in value.entries])
 
 
 small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

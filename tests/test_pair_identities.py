@@ -7,7 +7,7 @@ over basis pairs became an equation of sparse tensors: dense brackets,
 on every basis pair, fed to ``first_failure`` (kept in
 ``test_term_tables.py``).  The rewritten verifiers must agree with them on
 the verdict, reason, indices and both witness sides, and the constructions
-on every entry and its type, over Q and Q(i), with diagonal +-1 operators,
+on every entry and its kind, over Q and Q(i), with diagonal +-1 operators,
 rectangular Rota-Baxter operators and empty operators and modules.
 """
 

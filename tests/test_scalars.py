@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import leibniz_lab
+from conftest import canonical, kind
 from leibniz_lab import build_phase_space, solve_symplectic_space
 from leibniz_lab.errors import DivisionByZero, ParseError
 from leibniz_lab.io import parse_algebra, parse_dendriform, parse_matrix
-from leibniz_lab.scalars import Scalar, format_scalar, parse_scalar
+from leibniz_lab.scalars import Scalar, _quotient, format_scalar, parse_scalar
 
 fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
                       st.integers(1, 10 ** 4))
@@ -56,7 +57,9 @@ def test_field_axioms_add_mul(a, b):
 @given(scalars(True), scalars(True))
 def test_division_inverts_multiplication(a, b):
     if b:
-        assert (a * b) / b == a
+        # Two rationals divide through the quotient: int / int is a float.
+        quotient = _quotient(a * b, b)
+        assert quotient == a and canonical(quotient)
 
 
 @given(scalars(True))
@@ -67,12 +70,16 @@ def test_conjugation_norm(a):
 
 
 def test_constructors_and_tags():
-    assert type(Scalar.of(3)) is Fraction
-    assert type(Scalar.zero()) is Fraction and Scalar.zero() == 0
-    assert type(Scalar.one()) is Fraction and Scalar.one() == 1
-    assert type(Scalar.i()) is Scalar
-    assert type(Scalar.of(1, 2)) is Scalar
-    assert type(Scalar.of(5, 0)) is Fraction
+    assert type(Scalar.of(3)) is int and Scalar.of(3) == 3
+    assert type(Scalar.of(Fraction(6, 2))) is int
+    assert type(Scalar.of(Fraction(1, 2))) is Fraction
+    assert type(Scalar.zero()) is int and Scalar.zero() == 0
+    assert type(Scalar.one()) is int and Scalar.one() == 1
+    assert type(Scalar.i()) is Scalar and canonical(Scalar.i())
+    assert type(Scalar.of(1, 2)) is Scalar and canonical(Scalar.of(1, 2))
+    assert type(Scalar.of(5, 0)) is int
+    assert canonical(Scalar.of(Fraction(4, 2), Fraction(1, 3)))
+    assert canonical(Scalar(Fraction(4, 2), Fraction(3, 3)))
 
 
 def test_rational_rejects_imaginary_part():
@@ -92,15 +99,22 @@ def test_division_by_zero():
 
 def test_mixed_field_arithmetic_promotes():
     assert type(Scalar.of(2) + Scalar.i()) is Scalar
-    assert type(Scalar.of(2) * Scalar.of(3)) is Fraction
+    assert type(Scalar.of(2) * Scalar.of(3)) is int
 
 
 @given(pairs, pairs, st.sampled_from(OPERATORS))
 def test_arithmetic_matches_pair_reference(a, b, op):
     assume(op is not operator.truediv or b != (0, 0))
-    result = op(Scalar.of(*a), Scalar.of(*b))
-    assert (result.real, result.imag) == pair_reference(op, a, b)
-    assert type(result) is (Scalar if result.imag else Fraction)
+    x, y = Scalar.of(*a), Scalar.of(*b)
+    built = isinstance(x, Scalar) or isinstance(y, Scalar)
+    want = pair_reference(op, a, b)
+    if op is operator.truediv and not built:
+        op = _quotient   # two rationals: int / int is a float
+    result = op(x, y)
+    assert (result.real, result.imag) == want
+    assert kind(result) == ("Q(i)" if result.imag else "Q")
+    # A Scalar operand or the quotient builds the result: it is canonical.
+    assert canonical(result) or not (built or op is _quotient)
 
 
 @given(fractions | st.integers(-50, 50),
@@ -109,20 +123,24 @@ def test_arithmetic_matches_pair_reference(a, b, op):
 def test_mixed_operands_stay_exact(q, z, op):
     assume(op is not operator.truediv or q)
     for result in (op(q, z), op(z, q)):
-        assert type(result) in (Fraction, Scalar)
+        assert canonical(result)   # an int, a Fraction or a Scalar
     assert type(-z) is Scalar and type(z.conjugate()) is Scalar
 
 
-def test_zero_imaginary_part_normalizes_to_fraction():
+def test_zero_imaginary_part_normalizes_to_a_canonical_rational():
     assert Scalar.of(2, 3) * Scalar.of(2, -3) == 13
-    assert type(Scalar.of(2, 3) * Scalar.of(2, -3)) is Fraction
-    assert type(Scalar.of(1, 1) - Scalar.of(4, 1)) is Fraction
-    assert type(Scalar.i() * Scalar.i()) is Fraction
+    assert type(Scalar.of(2, 3) * Scalar.of(2, -3)) is int
+    assert type(Scalar.of(1, 1) - Scalar.of(4, 1)) is int
+    assert type(Scalar.i() * Scalar.i()) is int
+    assert Scalar.of(2, 3) / Scalar.of(4, 6) == Fraction(1, 2)
     assert type(Scalar.of(2, 3) / Scalar.of(4, 6)) is Fraction
-    assert type(parse_scalar("3+0*i")) is Fraction
+    assert type(Scalar.of(4, 6) / Scalar.of(2, 3)) is int
+    assert type(Scalar.of(Fraction(1, 2), 1) + Scalar.of(Fraction(1, 2), -1)) \
+        is int
+    assert type(parse_scalar("3+0*i")) is int
 
 
-def test_rational_documents_hold_fractions(heisenberg_like):
+def test_rational_documents_hold_canonical_rationals(heisenberg_like):
     algebra = parse_algebra({"dim": 2, "brackets": [
         {"i": 0, "j": 0, "value": [{"k": 1, "c": "-3/4"}]}]})
     dendriform = parse_dendriform({"dim": 1, "left": [
@@ -137,7 +155,12 @@ def test_rational_documents_hold_fractions(heisenberg_like):
                 for j in range(A.dim) for c in A.bracket_basis(i, j)]
     for M in basis + [sample, phase.form, parse_matrix([["1/2", "0"]])]:
         entries += [c for row in M.entries for c in row]
-    assert entries and all(type(c) is Fraction for c in entries)
+    parsed = [c for T in (algebra.brackets, dendriform.left_brackets)
+              for value in T.values() for c in value.values()]
+    parsed += parse_matrix([["1/2", "0"]]).entries[0]
+    assert entries and all(kind(c) == "Q" for c in entries)
+    assert [type(c) for c in parsed] == [Fraction, int, Fraction, int]
+    assert all(canonical(c) for c in parsed)
 
 
 @pytest.mark.parametrize("text,re_part,im_part", [
@@ -183,17 +206,17 @@ def test_equality_ignores_field_tag():
     assert Scalar.of(1, 1) != 1
 
 
-def test_zero_and_one_are_shared_fractions():
+def test_zero_and_one_are_shared_ints():
     for shared, fresh in ((Scalar.zero(), Fraction(0)),
                           (Scalar.one(), Fraction(1))):
-        assert shared == fresh and type(shared) is type(fresh) is Fraction
+        assert shared == fresh and type(shared) is int
         assert hash(shared) == hash(fresh) and str(shared) == str(fresh)
     assert Scalar.zero() is Scalar.zero() and Scalar.one() is Scalar.one()
 
 
 def test_no_code_mutates_the_shared_constants():
-    """Scalar.zero() and Scalar.one() hand out one Fraction each, so the
-    package may not touch a Fraction's internals, set attributes on
+    """Scalar.zero() and Scalar.one() hand out one shared value each, so
+    the package may not touch a Fraction's internals, set attributes on
     anything but ``self``, or bind the constants anywhere but once at the
     top of scalars.py."""
     found, bindings = [], []

@@ -8,7 +8,7 @@ verifiers must agree with them on the verdict, reason, indices and both
 witness sides, over Q and Q(i), on passing tensors and on tensors with one
 coefficient changed.  The symplectic solver, ``symplectic_to_dendriform``
 and ``levi_civita`` are compared with their earlier hand-folded loops, entry
-types included.
+kinds (rational or Gaussian) included.
 """
 
 import random
@@ -19,7 +19,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import form_value, random_invariant_skew, vadd
+from conftest import form_value, kind, random_invariant_skew, vadd
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
                          levi_civita, solve_symplectic_space,
                          symplectic_to_dendriform, verify_dendriform,
@@ -215,14 +215,17 @@ def ref_levi_civita(A, S):
 
 
 def typed(value):
-    """A value with the type of every scalar in it, for exact comparison."""
+    """A value with the kind of every scalar in it (:func:`conftest.kind`),
+    for exact comparison; None stays None."""
+    if value is None:
+        return None
     if isinstance(value, (list, tuple)):
         return [typed(v) for v in value]
     if isinstance(value, dict):
         return {k: typed(v) for k, v in value.items()}
     if isinstance(value, Matrix):
         return typed(value.entries)
-    return (type(value).__name__, value)
+    return (kind(value), value)
 
 
 def outcome(call):
