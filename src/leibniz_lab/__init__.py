@@ -7,8 +7,8 @@ fields Q and Q(i).
 """
 
 from .dendriform import (DendriformAlgebra, compatible_dendriform_from_invertible_rb,
-                         dendriform_rep, dendriforms_equal, rb_to_dendriform,
-                         subadjacent, verify_dendriform, verify_invariant_form,
+                         dendriform_rep, rb_to_dendriform, subadjacent,
+                         verify_dendriform, verify_invariant_form,
                          verify_quadratic_dendriform, verify_rota_baxter)
 from .errors import LeibnizLabError
 from .kahler import (LeviCivitaPair, S_from_B_E, S_from_B_J, check_para_kahler,
@@ -17,7 +17,7 @@ from .kahler import (LeviCivitaPair, S_from_B_E, S_from_B_J, check_para_kahler,
                      realify)
 from .leibniz import (CheckResult, LeibnizAlgebra, Subspace, direct_sum,
                       is_abelian_subalgebra, is_subalgebra, is_two_sided_ideal,
-                      killing_form, tensors_equal, verify_leibniz)
+                      killing_form, verify_leibniz)
 from .linalg import Matrix
 from .representations import (Representation, bowtie_algebra, dual_rep,
                               regular_rep, semidirect_product,

@@ -54,16 +54,6 @@ class DendriformAlgebra(Record):
         """x right-product y."""
         return _checked_product(self.right_brackets, self.dim, x, y)
 
-    def both(self, x, y):
-        """The sub-adjacent bracket value x<y + x>y."""
-        both = tensor_sum(self.left_brackets, self.right_brackets)
-        return _checked_product(both, self.dim, x, y)
-
-
-def dendriforms_equal(D1: DendriformAlgebra, D2: DendriformAlgebra) -> bool:
-    return (D1.dim == D2.dim and D1.left_brackets == D2.left_brackets
-            and D1.right_brackets == D2.right_brackets)
-
 
 # The three defining identities, with "<" and ">" the two products.
 DENDRIFORM = (

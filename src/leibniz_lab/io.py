@@ -10,8 +10,8 @@ Unlisted (i, j) pairs are zero.  Dendriform documents carry two such
 bracket lists under ``"left"`` and ``"right"``.  Representation documents
 embed (or reference by path) an algebra plus per-basis-index matrices.
 Forms and endomorphisms are ``{"matrix": [[...]]}``; subspaces are
-``{"vectors": [[...]]}`` (rows are basis vectors).  ``"validate": false``
-skips the structural verification that otherwise runs on load.
+``{"vectors": [[...]]}`` (rows are basis vectors); they have no field of
+their own and are read in the field their caller passes.
 """
 
 from __future__ import annotations
@@ -92,16 +92,23 @@ def _bracket_map(entries, dim: int, field: str, where: str) -> dict:
             raise ParseError("%s: indices out of range" % spot)
         if not isinstance(value, list):
             raise ParseError("%s: value list expected" % spot)
-        target = brackets.setdefault((i, j), {})
+        terms = []
         for term in value:
             k = _require(term, "k", spot)
             if not _natural(k, dim):
                 raise ParseError("%s: k out of range" % spot)
-            target[k] = _scalar(_require(term, "c", spot), field, spot)
+            terms.append((k, _scalar(_require(term, "c", spot), field, spot)))
+        # After the terms, so that a bad term is reported before a repeat.
+        target = dict(terms)
+        if len(target) != len(terms):
+            raise ParseError("%s: repeated k" % spot)
+        if (i, j) in brackets:
+            raise ParseError("%s: repeated entry for (%d, %d)" % (spot, i, j))
+        brackets[(i, j)] = target
     return brackets
 
 
-def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
+def parse_algebra(doc: dict, validate: bool = True) -> LeibnizAlgebra:
     dim = _size(doc, "dim", "algebra")
     field = _field_of(doc, "algebra")
     labels = doc.get("basis")
@@ -111,7 +118,7 @@ def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
     brackets = _bracket_map(doc.get("brackets", []), dim, field,
                             "algebra.brackets")
     algebra = LeibnizAlgebra.from_brackets(dim, brackets, field, labels)
-    if _should_validate(doc, validate):
+    if validate:
         check = verify_leibniz(algebra)
         if not check.ok:
             raise ValidationError("algebra fails the Leibniz identity at %s"
@@ -119,7 +126,7 @@ def parse_algebra(doc: dict, validate: bool = None) -> LeibnizAlgebra:
     return algebra
 
 
-def parse_dendriform(doc: dict, validate: bool = None) -> DendriformAlgebra:
+def parse_dendriform(doc: dict, validate: bool = True) -> DendriformAlgebra:
     dim = _size(doc, "dim", "dendriform")
     field = _field_of(doc, "dendriform")
     left = _bracket_map(_require(doc, "left", "dendriform"), dim, field,
@@ -127,7 +134,7 @@ def parse_dendriform(doc: dict, validate: bool = None) -> DendriformAlgebra:
     right = _bracket_map(_require(doc, "right", "dendriform"), dim, field,
                          "dendriform.right")
     algebra = DendriformAlgebra.from_brackets(dim, left, right, field)
-    if _should_validate(doc, validate):
+    if validate:
         check = verify_dendriform(algebra)
         if not check.ok:
             raise ValidationError("dendriform axiom %s fails at %s"
@@ -135,13 +142,12 @@ def parse_dendriform(doc: dict, validate: bool = None) -> DendriformAlgebra:
     return algebra
 
 
-def parse_matrix(doc, field: str = None, where: str = "matrix") -> Matrix:
-    """Parse ``{"matrix": [[...]]}`` or a bare row-major string array."""
+def parse_matrix(doc, field: str, where: str = "matrix") -> Matrix:
+    """Parse ``{"matrix": [[...]]}`` or a bare row-major string array in
+    ``field``."""
     rows = doc.get("matrix") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError("%s: array of rows expected" % where)
-    if field is None:
-        field = doc.get("field", RATIONAL) if isinstance(doc, dict) else RATIONAL
     parsed = [[_scalar(entry, field, "%s[%d][%d]" % (where, i, j))
                for j, entry in enumerate(row)]
               for i, row in enumerate(rows)]
@@ -153,22 +159,21 @@ def parse_matrix(doc, field: str = None, where: str = "matrix") -> Matrix:
     return Matrix.from_rows(parsed)
 
 
-def parse_subspace(doc: dict, field: str = None,
+def parse_subspace(doc: dict, field: str,
                    where: str = "subspace") -> Subspace:
-    """Parse ``{"vectors": [[...]]}``, in ``field`` when one is given."""
+    """Parse ``{"vectors": [[...]]}`` in ``field``."""
     vectors = _require(doc, "vectors", where)
     if not (isinstance(vectors, list)
             and all(isinstance(v, list) and len(v) == len(vectors[0])
                     for v in vectors)):
         raise ParseError("%s: array of equal-length vectors expected" % where)
-    field = field or _field_of(doc, where)
     parsed = [[_scalar(entry, field, "%s[%d][%d]" % (where, i, j))
                for j, entry in enumerate(vec)]
               for i, vec in enumerate(vectors)]
     return Subspace.from_vectors(parsed)
 
 
-def parse_representation(doc: dict, validate: bool = None) -> Representation:
+def parse_representation(doc: dict, validate: bool = True) -> Representation:
     algebra_doc = _require(doc, "algebra", "representation")
     if isinstance(algebra_doc, str):
         algebra_doc = load_json(algebra_doc)
@@ -179,7 +184,7 @@ def parse_representation(doc: dict, validate: bool = None) -> Representation:
     rights = _matrix_list(_require(doc, "right", "representation"),
                           algebra, m, "representation.right")
     rep = Representation.build(algebra, lefts, rights, m)
-    if _should_validate(doc, validate):
+    if validate:
         check = verify_representation(rep)
         if not check.ok:
             raise ValidationError("representation axiom %s fails at %s"
@@ -197,30 +202,6 @@ def _matrix_list(docs, algebra: LeibnizAlgebra, m: int, where: str):
             raise ParseError("%s[%d]: matrix must be %dx%d" % (where, pos, m, m))
         out.append(M)
     return out
-
-
-def _should_validate(doc: dict, override) -> bool:
-    if override is not None:
-        return override
-    return bool(doc.get("validate", True))
-
-
-def parse_document(doc: dict):
-    """Dispatch on document shape: algebra, dendriform, representation,
-    matrix (form/endo) or subspace."""
-    if not isinstance(doc, dict):
-        raise ParseError("document: JSON object expected")
-    if "repDim" in doc:
-        return parse_representation(doc)
-    if "left" in doc and "right" in doc:
-        return parse_dendriform(doc)
-    if "brackets" in doc or ("dim" in doc and "matrix" not in doc):
-        return parse_algebra(doc)
-    if "matrix" in doc:
-        return parse_matrix(doc)
-    if "vectors" in doc:
-        return parse_subspace(doc)
-    raise ParseError("document: unrecognized shape")
 
 
 # -- serialization ---------------------------------------------------------

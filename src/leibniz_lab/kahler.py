@@ -15,7 +15,7 @@ from .linalg import Matrix, invert, is_singular, trace
 from .record import Record
 from .scalars import GAUSSIAN, RATIONAL, Scalar
 from .structures import _squares_to, integrability
-from .symplectic import _isotropic_split, build_phase_space, verify_symplectic
+from .symplectic import _isotropic_split, _symplectic_gate, build_phase_space
 
 
 class LeviCivitaPair(Record):
@@ -42,10 +42,9 @@ def _kahler_check(A: LeibnizAlgebra, B: Matrix, M: Matrix, c: int,
                   structure_fails) -> CheckResult:
     """B symplectic, then the structure step (``structure_fails()`` gives a
     reason or None), then B(Mx, My) = -c B(x, y), i.e. M^T B M = -c B."""
-    check = verify_symplectic(A, B)
+    check = _symplectic_gate(A, B)
     if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
+        return check
     reason = structure_fails()
     if reason is None and M.transpose() @ B @ M != (-B if c > 0 else B):
         reason = "COMPAT_FAILS"
@@ -73,11 +72,9 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
                                   w_plus: Subspace,
                                   w_minus: Subspace) -> CheckResult:
     """Two B-isotropic subalgebras that split the algebra as a vector space."""
-    check = verify_symplectic(A, B)
-    if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
-    return _isotropic_split(A, B, w_plus, w_minus, (A.brackets,))
+    check = _symplectic_gate(A, B)
+    return check if not check.ok else _isotropic_split(
+        A, B, w_plus, w_minus, (A.brackets,))
 
 
 def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:

@@ -12,12 +12,12 @@ both actions of a representation, every construction) is one sparse map
 ``{(i, j): {k: c}}``, meaning ``e_i . e_j = sum_k c e_k``, holding nonzero
 ``c`` only, so tensors are equal exactly when their maps are.
 Constructions build one with :func:`transport` or straight from the
-stored entries; callers pass one to ``from_brackets`` or a dense
-``c[i][j][k]`` list to ``from_constants``, the one caller of
-:func:`tensor_from`.  Stored maps are never mutated.  The package reads a
-tensor through the tensor operations; a subspace enters them as the matrix
-of its basis columns, so the products of its basis pairs are one
-:func:`transport` and a closure test is one rank.  ``bracket`` and
+stored entries; callers pass one to ``from_brackets``, or two dense
+``c[i][j][k]`` lists to ``DendriformAlgebra.from_constants``, the one
+caller of :func:`tensor_from`.  Stored maps are never mutated.  The
+package reads a tensor through the tensor operations; a subspace enters
+them as the matrix of its basis columns, so the products of its basis
+pairs are one :func:`transport` and a closure test is one rank.  ``bracket`` and
 ``bracket_basis`` read dense vectors for callers outside the package.
 Besides the tensor operations, only :mod:`io` serialization,
 :func:`direct_sum`, the representation constructions and ``realify``
@@ -337,14 +337,6 @@ class LeibnizAlgebra(Record):
         object.__setattr__(self, "labels", labels)
 
     @staticmethod
-    def from_constants(constants, field: str = RATIONAL,
-                       labels=None) -> "LeibnizAlgebra":
-        """Build from a dense n x n x n list c[i][j][k]."""
-        n = len(constants)
-        return LeibnizAlgebra(n, _dense_tensor(constants, n), field,
-                              tuple(labels) if labels else None)
-
-    @staticmethod
     def from_brackets(dim: int, brackets: dict, field: str = RATIONAL,
                       labels=None) -> "LeibnizAlgebra":
         """Build from a sparse map (i, j) -> {k: Scalar}."""
@@ -363,14 +355,6 @@ class LeibnizAlgebra(Record):
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         return _dense(self.brackets, (i, j), self.dim)
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.from_vectors([self.basis_vector(i)
-                                      for i in range(self.dim)])
-
-
-def tensors_equal(A: LeibnizAlgebra, B: LeibnizAlgebra) -> bool:
-    return A.dim == B.dim and A.brackets == B.brackets
 
 
 # [x,[y,z]] = [[x,y],z] + [y,[x,z]], with "." the bracket.

@@ -27,28 +27,19 @@ class Representation(Record):
     @staticmethod
     def build(algebra: LeibnizAlgebra, left_maps: Sequence[Matrix],
               right_maps: Sequence[Matrix],
-              rep_dim: int = None) -> "Representation":
-        """From the m x m matrices l(e_i) and r(e_i), one per basis index.
-
-        ``rep_dim`` is m; without it, m is read from the first matrix,
-        which a 0-dim algebra does not have.
-        """
+              rep_dim: int) -> "Representation":
+        """From the m x m matrices l(e_i) and r(e_i), one per basis index,
+        with m = ``rep_dim``."""
         if len(left_maps) != algebra.dim or len(right_maps) != algebra.dim:
             raise DimensionMismatch("need one l and one r matrix per basis index")
-        m = (rep_dim if rep_dim is not None
-             else left_maps[0].rows if left_maps else 0)
         for M in list(left_maps) + list(right_maps):
-            if M.rows != m or M.cols != m:
+            if M.rows != rep_dim or M.cols != rep_dim:
                 raise DimensionMismatch("representation matrices must be m x m")
         left = {(i, b): col for i, M in enumerate(left_maps)
                 for b, col in enumerate(M.transpose().nonzero) if col}
         right = {(b, i): col for i, M in enumerate(right_maps)
                  for b, col in enumerate(M.transpose().nonzero) if col}
-        return Representation(algebra, m, left, right)
-
-    @staticmethod
-    def zero(algebra: LeibnizAlgebra, rep_dim: int) -> "Representation":
-        return Representation(algebra, rep_dim, {}, {})
+        return Representation(algebra, rep_dim, left, right)
 
     @property
     def left_maps(self) -> tuple:

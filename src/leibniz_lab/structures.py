@@ -26,13 +26,12 @@ from .scalars import GAUSSIAN, RATIONAL, Scalar
 
 
 class StructureReport(Record):
-    __slots__ = ("is_nijenhuis", "is_product", "is_strict", "is_abelian",
-                 "is_paracomplex", "plus_eigenspace", "minus_eigenspace")
+    __slots__ = ("is_product", "is_strict", "is_abelian", "is_paracomplex",
+                 "plus_eigenspace", "minus_eigenspace")
 
-    def __init__(self, is_nijenhuis: bool, is_product: bool, is_strict: bool,
-                 is_abelian: bool, is_paracomplex: bool,
-                 plus_eigenspace: Subspace, minus_eigenspace: Subspace):
-        object.__setattr__(self, "is_nijenhuis", is_nijenhuis)
+    def __init__(self, is_product: bool, is_strict: bool, is_abelian: bool,
+                 is_paracomplex: bool, plus_eigenspace: Subspace,
+                 minus_eigenspace: Subspace):
         object.__setattr__(self, "is_product", is_product)
         object.__setattr__(self, "is_strict", is_strict)
         object.__setattr__(self, "is_abelian", is_abelian)
@@ -117,7 +116,7 @@ def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
     """Full integrability/strict/abelian/paracomplex report for an involution."""
     _require_involution(A, E)
     product, strict, abelian, plus, minus = _report(A, E, 1)
-    return StructureReport(product, product, strict, abelian,
+    return StructureReport(product, strict, abelian,
                            product and plus.dim == minus.dim, plus, minus)
 
 

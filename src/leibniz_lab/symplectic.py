@@ -39,6 +39,14 @@ def verify_symplectic(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
                         {".": A.brackets, "|": form_tensor(B)})
 
 
+def _symplectic_gate(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
+    """:func:`verify_symplectic` as the first step of a larger check: a
+    failure becomes SYMPLECTIC_FAILS with the same witness."""
+    check = verify_symplectic(A, B)
+    return check if check.ok else CheckResult(
+        False, "SYMPLECTIC_FAILS", check.indices, check.lhs, check.rhs)
+
+
 def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     """Exact basis of the space of symmetric forms satisfying the identity.
 
@@ -189,10 +197,9 @@ def verify_phase_space(P: PhaseSpace, base: Subspace,
     check = verify_leibniz(P.total)
     if not check.ok:
         return check
-    check = verify_symplectic(P.total, P.form)
+    check = _symplectic_gate(P.total, P.form)
     if not check.ok:
-        return CheckResult(False, "SYMPLECTIC_FAILS", check.indices,
-                           check.lhs, check.rhs)
+        return check
     if not is_subalgebra(P.total, base) or not is_subalgebra(P.total, dual):
         return CheckResult(False, "SUBALGEBRA_FAILS")
     # The two blocks must pair canonically: isotropic against themselves,

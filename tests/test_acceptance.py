@@ -22,10 +22,10 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, S_from_B_E,
                          enumerate_diagonal_products, killing_form,
                          levi_civita, omega_to_J, realify, regular_rep,
                          solve_symplectic_space, subadjacent,
-                         symplectic_to_dendriform, tensors_equal,
-                         verify_dendriform, verify_leibniz,
-                         verify_manin_triple, verify_phase_space,
-                         verify_representation, verify_symplectic)
+                         symplectic_to_dendriform, verify_dendriform,
+                         verify_leibniz, verify_manin_triple,
+                         verify_phase_space, verify_representation,
+                         verify_symplectic)
 from leibniz_lab.dendriform import dendriform_rep
 from leibniz_lab.linalg import Matrix, is_singular
 from leibniz_lab.representations import Representation, dual_rep
@@ -164,7 +164,7 @@ def test_criterion_5_quadratic_roundtrip():
                 continue
             A, B = got
         D = symplectic_to_dendriform(A, B)
-        ok = ok and tensors_equal(subadjacent(D), A)
+        ok = ok and subadjacent(D) == A
         from leibniz_lab import verify_quadratic_dendriform
         ok = ok and verify_quadratic_dendriform(D, B).ok
         instances += 1
@@ -295,7 +295,7 @@ def test_criterion_10_negative_certificates():
     perturbed = list(R.left_maps)
     perturbed[0] = perturbed[0] + Matrix.identity(2)
     check = verify_representation(
-        Representation.build(good, perturbed, R.right_maps))
+        Representation.build(good, perturbed, R.right_maps, 2))
     ok = ok and not check.ok and check.lhs != check.rhs
 
     # dendriform verifier

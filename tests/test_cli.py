@@ -8,18 +8,21 @@ import sys
 import pytest
 
 from leibniz_lab.cli import main, run_command
-from leibniz_lab.io import (parse_algebra, parse_dendriform, parse_document,
-                            parse_matrix, parse_representation,
+from leibniz_lab.io import (parse_algebra, parse_dendriform, parse_matrix,
+                            parse_representation, parse_subspace,
                             serialize_algebra, serialize_dendriform,
                             serialize_matrix, serialize_representation)
 from leibniz_lab.errors import ParseError, ValidationError
 from leibniz_lab import (LeibnizAlgebra, regular_rep, subadjacent,
-                         tensors_equal, verify_leibniz)
+                         verify_leibniz)
 from leibniz_lab.scalars import Scalar
 
 ALGEBRA_DOC = {"dim": 4, "field": "Q", "basis": ["e1", "e2", "e3", "e4"],
                "brackets": [{"i": 0, "j": 2, "value": [{"k": 3, "c": "2"}]}]}
 ZERO_DENDRIFORM_DOC = {"dim": 2, "field": "Q", "left": [], "right": []}
+NON_LEIBNIZ_DOC = {"dim": 2, "brackets": [
+    {"i": 0, "j": 1, "value": [{"k": 0, "c": "1"}]},
+    {"i": 1, "j": 0, "value": [{"k": 1, "c": "1"}]}]}
 
 
 @pytest.fixture
@@ -44,16 +47,17 @@ def test_parse_algebra_roundtrip():
     assert A.dim == 4 and A.labels == ("e1", "e2", "e3", "e4")
     assert A.bracket_basis(0, 2)[3] == 2
     doc = serialize_algebra(A)
-    assert tensors_equal(parse_algebra(doc), A)
+    assert parse_algebra(doc) == A
 
 
 def test_parse_validation_flag():
-    bad = {"dim": 2, "brackets": [
-        {"i": 0, "j": 1, "value": [{"k": 0, "c": "1"}]},
-        {"i": 1, "j": 0, "value": [{"k": 1, "c": "1"}]}]}
+    bad = NON_LEIBNIZ_DOC
     with pytest.raises(ValidationError):
         parse_algebra(bad)
-    A = parse_algebra(dict(bad, validate=False))
+    # The document cannot switch the check off; only the caller can.
+    with pytest.raises(ValidationError):
+        parse_algebra(dict(bad, validate=False))
+    A = parse_algebra(bad, validate=False)
     assert not verify_leibniz(A).ok
 
 
@@ -72,7 +76,7 @@ def test_parse_errors():
         parse_algebra({"dim": 1, "brackets": [
             {"i": 0, "j": 0, "value": [{"k": 0, "c": "i"}]}]})  # i over Q
     with pytest.raises(ParseError):
-        parse_matrix({"matrix": [["1", "2"], ["3"]]})
+        parse_matrix({"matrix": [["1", "2"], ["3"]]}, "Q")
 
 
 def test_parse_gaussian_document():
@@ -81,18 +85,6 @@ def test_parse_gaussian_document():
     A = parse_algebra(doc, validate=False)
     assert A.field == "Q(i)"
     assert A.brackets[(0, 0)][0] == Scalar.of(1, 2)
-
-
-def test_parse_document_dispatch(write_doc):
-    assert parse_document(ALGEBRA_DOC).dim == 4
-    assert parse_document(ZERO_DENDRIFORM_DOC).dim == 2
-    assert parse_document(endo([[1, 0], [0, 1]])).rows == 2
-    assert parse_document({"vectors": [["1", "0"]]}).dim == 1
-    rep_doc = serialize_representation(
-        regular_rep(parse_algebra(ALGEBRA_DOC)))
-    assert parse_document(rep_doc).rep_dim == 4
-    with pytest.raises(ParseError):
-        parse_document({"unknown": 1})
 
 
 def test_representation_roundtrip():
@@ -108,8 +100,8 @@ def test_dendriform_roundtrip():
                                "value": [{"k": 0, "c": "2"}]}],
            "right": [{"i": 0, "j": 0, "value": [{"k": 0, "c": "-2"}]}]}
     D = parse_dendriform(doc)
-    assert tensors_equal(parse_algebra(serialize_algebra(subadjacent(D))),
-                         LeibnizAlgebra.abelian(1))
+    assert (parse_algebra(serialize_algebra(subadjacent(D)))
+            == LeibnizAlgebra.abelian(1))
     doc2 = serialize_dendriform(D)
     assert parse_dendriform(doc2).left_brackets == D.left_brackets
 
@@ -325,10 +317,50 @@ def test_bool_index_is_a_parse_error(write_doc):
         assert _parse_error(write_doc, {"dim": 2, "brackets": [entry]})
 
 
+@pytest.mark.parametrize("command", [("verify", "symplectic"),
+                                     ("solve", "symplectic"),
+                                     ("enumerate", "products")])
+def test_a_document_cannot_skip_validation(write_doc, command):
+    """These verdicts only mean something on a Leibniz algebra, so a
+    ``"validate": false`` key in the document does not skip the check."""
+    paths = [write_doc(dict(NON_LEIBNIZ_DOC, validate=False))]
+    if command == ("verify", "symplectic"):
+        paths.append(write_doc(endo([[1, 0], [0, 1]])))
+    verdict, status = run_command(list(command) + paths)
+    assert status == 2 and verdict["reason"] == "ValidationError"
+
+
+def _term(c):
+    return {"k": 1, "c": c}
+
+
+@pytest.mark.parametrize("entries", [
+    [{"i": 0, "j": 0, "value": [_term("1"), _term("2")]}],
+    [{"i": 0, "j": 0, "value": [_term("1")]},
+     {"i": 0, "j": 0, "value": [_term("5")]}]])
+def test_repeated_bracket_entries_are_parse_errors(write_doc, entries):
+    """A repeated k in an entry, or a repeated (i, j), is refused: it used
+    to be merged silently, the last value winning."""
+    algebra = {"dim": 2, "brackets": entries}
+    assert _parse_error(write_doc, algebra)
+    assert _parse_error(write_doc, {"dim": 2, "left": entries, "right": []},
+                        ("verify", "dendriform"))
+    assert _parse_error(write_doc, {"algebra": algebra, "repDim": 0,
+                                    "left": [[], []], "right": [[], []]},
+                        ("construct", "semidirect"))
+
+
+def test_a_bad_scalar_is_reported_before_a_repeated_entry(write_doc):
+    verdict, status = run_command(["solve", "symplectic", write_doc(
+        {"dim": 2, "brackets": [{"i": 0, "j": 0, "value": [_term("1")]},
+                                {"i": 0, "j": 0, "value": [_term("3*i")]}]})])
+    assert status == 2 and "imaginary scalar" in verdict["error"]
+
+
 def test_subspace_vectors_must_be_equal_length_lists():
     for vectors in (5, [5], [["1", "0"], ["1"]]):
         with pytest.raises(ParseError):
-            parse_document({"vectors": vectors})
+            parse_subspace({"vectors": vectors}, "Q")
 
 
 def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):

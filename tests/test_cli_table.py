@@ -2,8 +2,8 @@
 
 ``cli.COMMANDS`` is the one list of commands, so the fuzz draws from it,
 the tracer test checks that its entries reach the library through names a
-tracer can rebind, and the README's command table and document examples
-are pinned to it and to the parser.
+tracer can rebind, and the README's command table, document examples and
+Python example are pinned to it, to the parsers and to the library.
 """
 
 import json
@@ -14,7 +14,7 @@ import types
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from leibniz_lab import cli
-from leibniz_lab.io import parse_document
+from leibniz_lab.scalars import format_scalar, parse_scalar
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
@@ -85,6 +85,33 @@ def _apply(doc, mutation, data):
     return doc
 
 
+def _floats(value):
+    """Every JSON float below a value."""
+    if isinstance(value, float):
+        yield value
+    for child in (value.values() if isinstance(value, dict)
+                  else value if isinstance(value, list) else ()):
+        yield from _floats(child)
+
+
+def _scalar_strings(value):
+    """The scalar strings of a witness or payload: bracket coefficients
+    ``"c"`` and the entries of every list except an algebra's labels."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if isinstance(child, str):
+                if key == "c":
+                    yield child
+            elif not (key == "basis" and "brackets" in value):
+                yield from _scalar_strings(child)
+    elif isinstance(value, list):
+        for child in value:
+            if isinstance(child, str):
+                yield child
+            else:
+                yield from _scalar_strings(child)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -105,6 +132,10 @@ def test_mutated_documents_keep_the_exit_contract(data, tmp_path):
         paths.append(str(path))
     verdict, status = cli.run_command(list(key) + paths)
     assert status in (0, 1, 2)
+    assert not list(_floats(verdict))
+    for text in _scalar_strings([verdict["witnesses"],
+                                 verdict.get("payload")]):
+        assert format_scalar(parse_scalar(text)) == text
     if status == 1:
         assert verdict["reason"] not in BAD_INPUT
     if mutation[0] == "resize":
@@ -174,6 +205,14 @@ def test_readme_document_examples_parse():
             doc, end = decoder.raw_decode(text)
             docs.append(doc)
             text = text[end:].strip()
-    assert len(docs) == 5
-    for doc in docs:
-        parse_document(doc)
+    kinds = ("algebra", "dendriform", "representation", "matrix", "subspace")
+    assert len(docs) == len(kinds)
+    for kind, doc in zip(kinds, docs):
+        cli._PARSERS[kind](doc, "Q")
+
+
+def test_readme_python_example_runs(capsys):
+    section = README.split("A minimal example:", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "7\n"

@@ -7,7 +7,7 @@ import pytest
 from conftest import mat, random_dendriform, random_invariant_skew
 from leibniz_lab import (DendriformAlgebra,
                          compatible_dendriform_from_invertible_rb,
-                         dendriforms_equal, rb_to_dendriform, subadjacent,
+                         rb_to_dendriform, subadjacent,
                          verify_dendriform, verify_invariant_form,
                          verify_leibniz, verify_quadratic_dendriform,
                          verify_rota_baxter)
@@ -58,7 +58,8 @@ def test_subadjacent_sums_products(matrix_plus_vector):
     for i in range(D.dim):
         for j in range(D.dim):
             x, y = D.basis_vector(i), D.basis_vector(j)
-            assert A.bracket_basis(i, j) == D.both(x, y)
+            assert A.bracket_basis(i, j) == [
+                a + b for a, b in zip(D.left(x, y), D.right(x, y))]
 
 
 def test_dendriform_rep_axioms(matrix_plus_vector):
@@ -87,9 +88,8 @@ def test_identity_is_rota_baxter_for_dendriform_rep(matrix_plus_vector):
     R = dendriform_rep(D)
     T = Matrix.identity(D.dim)
     assert verify_rota_baxter(R.algebra, R, T).ok
-    assert dendriforms_equal(rb_to_dendriform(R.algebra, R, T), D)
-    assert dendriforms_equal(
-        compatible_dendriform_from_invertible_rb(R.algebra, R, T), D)
+    assert rb_to_dendriform(R.algebra, R, T) == D
+    assert compatible_dendriform_from_invertible_rb(R.algebra, R, T) == D
 
 
 def test_rota_baxter_rejects(sl2):
@@ -146,7 +146,7 @@ def test_products_reject_vectors_of_the_wrong_length():
     # dendriform used to give a length-3 product without complaint.
     D = DendriformAlgebra.zero(2)
     long = [Scalar.of(1)] * 3
-    for product in (D.left, D.right, D.both):
+    for product in (D.left, D.right, subadjacent(D).bracket):
         for x, y in ((long, long), (long, D.basis_vector(0)),
                      (D.basis_vector(0), long)):
             with pytest.raises(DimensionMismatch):

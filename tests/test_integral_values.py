@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import leibniz_lab
 from conftest import canonical
+from leibniz_lab import cli
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, Matrix,
                          build_phase_space, check_complex_product_pair,
                          check_para_kahler, check_pseudo_kahler,
@@ -30,9 +31,9 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, Matrix,
                          verify_manin_triple, verify_phase_space,
                          verify_symplectic)
 from leibniz_lab.errors import LeibnizLabError
-from leibniz_lab.io import (parse_algebra, parse_dendriform, parse_document,
-                            parse_matrix, serialize_algebra,
-                            serialize_dendriform, serialize_matrix)
+from leibniz_lab.io import (parse_algebra, parse_dendriform, parse_matrix,
+                            serialize_algebra, serialize_dendriform,
+                            serialize_matrix)
 from leibniz_lab.record import Record
 from leibniz_lab.scalars import Scalar
 
@@ -229,8 +230,8 @@ def test_parsed_entries_are_canonical(tensor, denominator):
     assert D.left_brackets == A.brackets and all(
         canonical(c) for value in D.right_brackets.values()
         for c in value.values())
-    M = parse_matrix({"matrix": [["6/3", "1/2+4/2*i", "0*i", "-4/4"]],
-                      "field": "Q(i)"})
+    M = parse_matrix({"matrix": [["6/3", "1/2+4/2*i", "0*i", "-4/4"]]},
+                     "Q(i)")
     assert [type(c) for c in M.row(0)] == [int, Scalar, int, int]
     assert M.row(0) == (2, Scalar.of(Fraction(1, 2), 2), 0, -1)
     assert_exact(M)
@@ -241,10 +242,17 @@ def test_golden_documents_parse_to_canonical_values():
     canonical values: its entries come straight from the parser."""
     golden = json.loads((pathlib.Path(__file__).parent
                          / "cli_golden.json").read_text())
+    kinds = {}   # each document's kind, from the commands that read it
+    for case in golden["cases"]:
+        key = tuple(case["argv"][:2])
+        if key in cli.COMMANDS:
+            for kind, name in zip(cli.COMMANDS[key][0], case["argv"][2:]):
+                if name in golden["documents"]:
+                    kinds.setdefault(name, kind)
     parsed = 0
-    for doc in golden["documents"].values():
-        try:
-            obj = parse_document(doc)
+    for name, kind in kinds.items():
+        try:   # in Q(i), so that a matrix of either field parses
+            obj = cli._PARSERS[kind](golden["documents"][name], "Q(i)")
         except LeibnizLabError:
             continue
         parsed += 1

@@ -332,10 +332,10 @@ def representation(draw, A, m, field):
     if kind == "regular" and m == A.dim:
         return regular_rep(A)
     if kind == "zero":
-        return Representation.zero(A, m)
+        return Representation(A, m, {}, {})
     return Representation.build(
         A, [matrix(draw, m, m, field) for _ in range(A.dim)],
-        [matrix(draw, m, m, field) for _ in range(A.dim)])
+        [matrix(draw, m, m, field) for _ in range(A.dim)], m)
 
 
 FIELDS = st.sampled_from((RATIONAL, GAUSSIAN))
@@ -377,7 +377,7 @@ def module_cases(draw):
         G_inv = invert(G)
         R = Representation.build(R.algebra,
                                  [G_inv @ M @ G for M in R.left_maps],
-                                 [G_inv @ M @ G for M in R.right_maps])
+                                 [G_inv @ M @ G for M in R.right_maps], n)
         c = Scalar.of(draw(st.sampled_from((1, -1, 3))))
         return R.algebra, R, G.scale(c)
     n = draw(st.integers(0, 3))
@@ -526,7 +526,7 @@ def test_module_constructions_match_matrix_round_trips(case):
     same_tensors((Rd.left_maps, Rd.right_maps), ref_dual_maps(R))
     Rr = regular_rep(A)
     same_tensors((Rr.left_maps, Rr.right_maps), ref_regular_maps(A))
-    rebuilt = Representation.build(A, R.left_maps, R.right_maps)
+    rebuilt = Representation.build(A, R.left_maps, R.right_maps, R.rep_dim)
     assert (rebuilt.left, rebuilt.right) == (R.left, R.right)
 
 

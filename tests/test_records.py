@@ -37,11 +37,11 @@ CASES = [
      (ABELIAN, 1, {}, {}), (ABELIAN, 2, {}, {})),
     (LeviCivitaPair, ("dim", "star", "starstar"),
      (1, {(0, 0): {0: ONE}}, {}), (1, {}, {})),
-    (StructureReport, ("is_nijenhuis", "is_product", "is_strict",
-                       "is_abelian", "is_paracomplex", "plus_eigenspace",
+    (StructureReport, ("is_product", "is_strict", "is_abelian",
+                       "is_paracomplex", "plus_eigenspace",
                        "minus_eigenspace"),
-     (True, True, False, False, True, LINE, EMPTY),
-     (True, True, False, False, True, EMPTY, LINE)),
+     (True, False, False, True, LINE, EMPTY),
+     (True, False, False, True, EMPTY, LINE)),
     (ComplexReport, ("is_complex", "is_strict", "is_abelian", "eigen_i",
                      "eigen_minus_i"),
      (True, False, True, LINE, EMPTY), (True, True, True, LINE, EMPTY)),

@@ -37,7 +37,8 @@ def test_verify_representation_rejects_with_witness(sl2):
     R = regular_rep(sl2)
     bad = list(R.left_maps)
     bad[0] = bad[0] + Matrix.identity(3)
-    check = verify_representation(Representation.build(sl2, bad, R.right_maps))
+    check = verify_representation(
+        Representation.build(sl2, bad, R.right_maps, 3))
     assert not check.ok
     assert check.indices is not None and check.lhs != check.rhs
 
@@ -70,9 +71,13 @@ def test_semidirect_blocks(sl2):
 
 
 def test_zero_rep_and_build_guards(sl2):
-    assert verify_representation(Representation.zero(sl2, 2)).ok
+    assert verify_representation(Representation(sl2, 2, {}, {})).ok
     with pytest.raises(DimensionMismatch):
-        Representation.build(sl2, [Matrix.identity(2)], [Matrix.identity(2)])
+        Representation.build(sl2, [Matrix.identity(2)], [Matrix.identity(2)],
+                             2)
+    with pytest.raises(DimensionMismatch):   # m is given, never inferred
+        Representation.build(sl2, [Matrix.identity(2)] * 3,
+                             [Matrix.identity(2)] * 3, 3)
 
 
 def test_rota_baxter_zero_map_and_bowtie():
@@ -90,8 +95,7 @@ def test_rota_baxter_zero_map_and_bowtie():
 def test_bowtie_with_zero_T_equals_semidirect(sl2):
     R = dual_rep(regular_rep(sl2))
     T = Matrix.zero(3, 3)
-    from leibniz_lab import tensors_equal
-    assert tensors_equal(bowtie_algebra(sl2, R, T), semidirect_product(R))
+    assert bowtie_algebra(sl2, R, T) == semidirect_product(R)
 
 
 def test_bowtie_rejects_non_rota_baxter(sl2):

@@ -86,7 +86,7 @@ def test_rational_rejects_imaginary_part():
     with pytest.raises(ValueError):
         Scalar(Fraction(1), Fraction(0))   # a Scalar is never rational
     with pytest.raises(ParseError):
-        parse_matrix({"matrix": [["i"]]})  # rational document
+        parse_matrix({"matrix": [["i"]]}, "Q")  # rational document
 
 
 def test_division_by_zero():
@@ -153,11 +153,11 @@ def test_rational_documents_hold_canonical_rationals(heisenberg_like):
                for value in T.values() for c in value.values()]
     entries += [c for A in (algebra, phase.total) for i in range(A.dim)
                 for j in range(A.dim) for c in A.bracket_basis(i, j)]
-    for M in basis + [sample, phase.form, parse_matrix([["1/2", "0"]])]:
+    for M in basis + [sample, phase.form, parse_matrix([["1/2", "0"]], "Q")]:
         entries += [c for row in M.entries for c in row]
     parsed = [c for T in (algebra.brackets, dendriform.left_brackets)
               for value in T.values() for c in value.values()]
-    parsed += parse_matrix([["1/2", "0"]]).entries[0]
+    parsed += parse_matrix([["1/2", "0"]], "Q").entries[0]
     assert entries and all(kind(c) == "Q" for c in entries)
     assert [type(c) for c in parsed] == [Fraction, int, Fraction, int]
     assert all(canonical(c) for c in parsed)

@@ -11,7 +11,7 @@ from leibniz_lab import (LeibnizAlgebra, J_from_phi, bracket_J, structures,
                          enumerate_diagonal_products,
                          induced_dendriform_on_eigenspaces, phi_map,
                          product_from_decomposition, product_iff_iE, psi_map,
-                         subadjacent, tensors_equal, verify_dendriform,
+                         subadjacent, verify_dendriform,
                          verify_leibniz, verify_nijenhuis)
 from leibniz_lab.errors import (NotAntiInvolution, NotComplexProduct,
                                 NotComplexStructure, NotInvolution,
@@ -132,7 +132,7 @@ def test_complexify(sl2):
     C = complexify(sl2)
     assert C.field == GAUSSIAN
     assert verify_leibniz(C).ok
-    assert tensors_equal(C, sl2)
+    assert (C.dim, C.brackets) == (sl2.dim, sl2.brackets)
     with pytest.raises(WrongField):
         complexify(C)
 
@@ -155,7 +155,7 @@ def test_bracket_J_is_leibniz(squares_algebra):
         half_diff = bracket_J(squares_algebra, J)
         assert verify_leibniz(half_diff).ok
         # abelian J means [x,y] = [Jx,Jy], so the halved difference is zero
-        assert tensors_equal(half_diff, LeibnizAlgebra.abelian(4))
+        assert (half_diff.dim, half_diff.brackets) == (4, {})
     with pytest.raises(NotComplexStructure):
         bad = LeibnizAlgebra.from_brackets(
             2, {(0, 0): {0: Scalar.of(1)}})
@@ -248,7 +248,7 @@ def test_complex_product_pair_and_induced_dendriform():
                 for b in range(space.dim):
                     ambient = P.total.bracket(list(space.basis[a]),
                                               list(space.basis[b]))
-                    induced = DD.both(DD.basis_vector(a), DD.basis_vector(b))
+                    induced = subadjacent(DD).bracket_basis(a, b)
                     rebuilt = [Scalar.zero() for _ in range(P.total.dim)]
                     for t, c in enumerate(induced):
                         rebuilt = [rc + c * sc for rc, sc

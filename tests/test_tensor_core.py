@@ -17,16 +17,19 @@ from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, complexify,
 from leibniz_lab.errors import DimensionMismatch
 from leibniz_lab.io import (parse_algebra, parse_dendriform,
                             serialize_algebra, serialize_dendriform)
-from leibniz_lab.leibniz import tensor_product
+from leibniz_lab.leibniz import tensor_from, tensor_product
 from leibniz_lab.scalars import Scalar
 
 # Private copies that the shared helpers of ``leibniz_lab.leibniz``
-# (vadd, vsub, unit, form_value, tensor_product) replaced, and removed API,
-# including the per-scalar field tag and its conversions and the dense to
-# sparse tensor conversion.
+# (vadd, vsub, unit, form_value, tensor_product) replaced, and removed API:
+# the per-scalar field tag and its conversions, the dense to sparse tensor
+# conversion, the record comparisons that ``==`` does, the whole-space
+# subspace, the shape-sniffing document parser and the document's switch
+# for validation.
 FORBIDDEN = {"_add", "_sub", "_vadd", "_vsub", "_unit", "_form_value",
              "_product", "scalar_arith", "promote", "demote", "field_tag",
-             "sparse_brackets"}
+             "sparse_brackets", "tensors_equal", "dendriforms_equal",
+             "full_subspace", "parse_document", "_should_validate"}
 DENSE_TENSOR_ATTRIBUTES = {"constants", "left_constants", "right_constants"}
 
 
@@ -43,6 +46,15 @@ def test_no_private_helper_copies():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined.setdefault(node.name, []).append(name)
     assert {name: defined[name] for name in FORBIDDEN & defined.keys()} == {}
+
+
+def test_documents_cannot_switch_validation_off():
+    """Only a caller decides whether a parsed document is validated: the
+    parser reads no ``"validate"`` key."""
+    tree = dict(_package_trees())["io.py"]
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value == "validate"] == []
 
 
 def test_field_is_not_a_scalar_flag():
@@ -103,7 +115,9 @@ def tensor_and_vectors(draw):
 @given(tensor_and_vectors())
 def test_tensor_product_matches_dense_reference(case):
     dense, x, y = case
-    A = LeibnizAlgebra.from_constants(dense)
+    n = len(dense)
+    A = LeibnizAlgebra.from_brackets(n, tensor_from(
+        n, lambda i, j: dense[i][j]))
     assert tensor_product(A.brackets, x, y) == dense_reference(dense, x, y)
     assert A.bracket(x, y) == dense_reference(dense, x, y)
     assert all(c for value in A.brackets.values() for c in value.values())
@@ -112,7 +126,8 @@ def test_tensor_product_matches_dense_reference(case):
 def test_dense_and_sparse_constructors_agree():
     z, one, two = Scalar.zero(), Scalar.one(), Scalar.of(2)
     dense = [[[z, z], [z, two]], [[one, z], [z, z]]]
-    A = LeibnizAlgebra.from_constants(dense)
+    A = LeibnizAlgebra.from_brackets(2, tensor_from(
+        2, lambda i, j: dense[i][j]))
     B = LeibnizAlgebra.from_brackets(2, {(0, 1): {0: z, 1: two},
                                          (1, 0): {0: one}, (1, 1): {0: z}})
     assert A.brackets == B.brackets == {(0, 1): {1: two}, (1, 0): {0: one}}
@@ -141,24 +156,24 @@ def test_serialization_sorts_entries_and_drops_zeros():
     """Bracket entries out of index order and explicit zero terms give the
     bytes recorded from the dense-tensor implementation."""
     doc = {"dim": 3, "field": "Q(i)", "basis": ["x", "y", "z"],
-           "validate": False, "brackets": [
+           "brackets": [
                {"i": 2, "j": 1, "value": [{"k": 2, "c": "1/3"},
                                           {"k": 0, "c": "-i"}]},
                {"i": 0, "j": 2, "value": [{"k": 1, "c": "0"},
                                           {"k": 0, "c": "2"}]},
                {"i": 1, "j": 1, "value": [{"k": 0, "c": "0"}]},
                {"i": 0, "j": 0, "value": [{"k": 2, "c": "5"}]}]}
-    assert json.dumps(serialize_algebra(parse_algebra(doc))) == (
+    assert json.dumps(serialize_algebra(parse_algebra(doc, False))) == (
         '{"dim": 3, "field": "Q(i)", "brackets": ['
         '{"i": 0, "j": 0, "value": [{"k": 2, "c": "5"}]}, '
         '{"i": 0, "j": 2, "value": [{"k": 0, "c": "2"}]}, '
         '{"i": 2, "j": 1, "value": [{"k": 0, "c": "-i"}, '
         '{"k": 2, "c": "1/3"}]}], "basis": ["x", "y", "z"]}')
-    ddoc = {"dim": 2, "validate": False, "left": [
+    ddoc = {"dim": 2, "left": [
         {"i": 1, "j": 0, "value": [{"k": 1, "c": "0"}, {"k": 0, "c": "3"}]},
         {"i": 0, "j": 1, "value": [{"k": 1, "c": "-1/2"}]}],
         "right": [{"i": 1, "j": 1, "value": [{"k": 0, "c": "0"}]}]}
-    assert json.dumps(serialize_dendriform(parse_dendriform(ddoc))) == (
+    assert json.dumps(serialize_dendriform(parse_dendriform(ddoc, False))) == (
         '{"dim": 2, "field": "Q", "left": ['
         '{"i": 0, "j": 1, "value": [{"k": 1, "c": "-1/2"}]}, '
         '{"i": 1, "j": 0, "value": [{"k": 0, "c": "3"}]}], "right": []}')

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import form_value, kind, random_invariant_skew, vadd
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
-                         levi_civita, solve_symplectic_space,
+                         levi_civita, solve_symplectic_space, subadjacent,
                          symplectic_to_dendriform, verify_dendriform,
                          verify_invariant_form, verify_leibniz,
                          verify_quadratic_dendriform, verify_symplectic)
@@ -132,14 +132,15 @@ def ref_quadratic(D, B, reason=None):
     if is_singular(B):
         return ("DegenerateForm",)
     e = [D.basis_vector(i) for i in range(D.dim)]
+    both = subadjacent(D).bracket
 
     def sides(i, j, k):
         x, y, z = e[i], e[j], e[k]
         yield ("QUADRATIC_LEFT_FAILS", [form_value(B, D.left(x, y), z)],
-               [-form_value(B, y, D.both(x, z))])
+               [-form_value(B, y, both(x, z))])
         yield ("QUADRATIC_RIGHT_FAILS", [form_value(B, D.right(x, y), z)],
-               [form_value(B, x, D.both(y, z))
-                + form_value(B, x, D.both(z, y))])
+               [form_value(B, x, both(y, z))
+                + form_value(B, x, both(z, y))])
 
     return first_failure(D.dim, 3, keep(sides, reason))
 

@@ -56,7 +56,7 @@ def gaussian_algebra():
 def rep(lefts, rights):
     A = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: Scalar.of(1)}})
     return Representation.build(A, [mat(m) for m in lefts],
-                                [mat(m) for m in rights])
+                                [mat(m) for m in rights], 2)
 
 
 CASES = {
