@@ -9,7 +9,7 @@ fields Q and Q(i).
 from .dendriform import (DendriformAlgebra, compatible_dendriform_from_invertible_rb,
                          dendriform_rep, rb_to_dendriform, subadjacent,
                          verify_dendriform, verify_invariant_form,
-                         verify_quadratic_dendriform, verify_rota_baxter)
+                         verify_quadratic_dendriform)
 from .errors import LeibnizLabError
 from .kahler import (LeviCivitaPair, S_from_B_E, S_from_B_J, check_para_kahler,
                      check_pseudo_kahler, complexify_pseudo_kahler,
@@ -21,7 +21,7 @@ from .leibniz import (CheckResult, LeibnizAlgebra, Subspace, direct_sum,
 from .linalg import Matrix
 from .representations import (Representation, bowtie_algebra, dual_rep,
                               regular_rep, semidirect_product,
-                              verify_representation)
+                              verify_representation, verify_rota_baxter)
 from .scalars import GAUSSIAN, RATIONAL, Scalar, format_scalar, parse_scalar
 from .structures import (classify_complex, classify_product, complexify,
                          check_complex_product_pair,

@@ -21,8 +21,7 @@ import os
 import sys
 
 from .dendriform import (subadjacent, verify_dendriform,
-                         verify_invariant_form, verify_quadratic_dendriform,
-                         verify_rota_baxter)
+                         verify_invariant_form, verify_quadratic_dendriform)
 from .errors import (DimensionMismatch, FieldMismatch, LeibnizLabError,
                      ParseError, TooLarge, ValidationError, WrongField)
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
@@ -32,7 +31,7 @@ from .kahler import (check_para_kahler, check_pseudo_kahler,
                      complexify_pseudo_kahler, levi_civita, realify)
 from .leibniz import OK, CheckResult, verify_leibniz
 from .representations import (bowtie_algebra, dual_rep, semidirect_product,
-                              verify_representation)
+                              verify_representation, verify_rota_baxter)
 from .scalars import format_scalar
 from .structures import (check_complex_product_pair, classify_complex,
                          classify_product, enumerate_diagonal_products)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from .errors import (DegenerateForm, DimensionMismatch, NotRotaBaxter,
-                     NotSymmetric, SingularMatrix)
+from .errors import DegenerateForm, NotSymmetric, SingularMatrix
 from .leibniz import (CheckResult, LeibnizAlgebra, _checked_product,
                       _checked_tensor, _dense_tensor, _require_square,
-                      first_defect, first_witness, form_tensor, tensor_sum,
-                      transport, unit)
+                      first_defect, form_tensor, tensor_sum, transport, unit)
 from .linalg import Matrix, invert, is_singular
 from .record import Record
-from .representations import Representation
+from .representations import Representation, _require_rota_baxter
 from .scalars import RATIONAL
 
 
@@ -38,10 +36,6 @@ class DendriformAlgebra(Record):
         """Build from two sparse maps (i, j) -> {k: Scalar}."""
         return DendriformAlgebra(dim, _checked_tensor(dim, left),
                                  _checked_tensor(dim, right), field)
-
-    @staticmethod
-    def zero(dim: int, field: str = RATIONAL) -> "DendriformAlgebra":
-        return DendriformAlgebra.from_brackets(dim, {}, {}, field)
 
     def basis_vector(self, i: int):
         return unit(self.dim, i)
@@ -95,24 +89,6 @@ def dendriform_rep(D: DendriformAlgebra) -> Representation:
     algebra: the two products are the two actions."""
     return Representation(subadjacent(D), D.dim, D.left_brackets,
                           D.right_brackets)
-
-
-def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
-                       T: Matrix) -> CheckResult:
-    """[Tu, Tv] = T(l(Tu)v + r(Tv)u), checked on all basis pairs of V."""
-    if T.rows != A.dim or T.cols != R.rep_dim:
-        raise DimensionMismatch("T must map the %d-dim module into the algebra"
-                                % R.rep_dim)
-    return first_witness(A.dim, [(
-        "ROTA_BAXTER_FAILS", transport(A.brackets, T, T),
-        tensor_sum(transport(R.left, T, None, T),
-                   transport(R.right, None, T, T)))])
-
-
-def _require_rota_baxter(A: LeibnizAlgebra, R: Representation, T: Matrix):
-    check = verify_rota_baxter(A, R, T)
-    if not check.ok:
-        raise NotRotaBaxter("identity fails at basis pair %s" % (check.indices,))
 
 
 def rb_to_dendriform(A: LeibnizAlgebra, R: Representation,

@@ -9,8 +9,8 @@ from .dendriform import DendriformAlgebra, verify_invariant_form
 from .errors import (DegenerateForm, NotInvariant, NotInvolution,
                      NotParaKahler, NotPseudoKahler, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _dense, _require_square, form_tensor, functionals,
-                      transport)
+                      _dense, _require, _require_square, form_tensor,
+                      functionals, transport)
 from .linalg import Matrix, invert, is_singular, trace
 from .record import Record
 from .scalars import GAUSSIAN, RATIONAL, Scalar
@@ -79,8 +79,7 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
 
 def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
     """S = B M for a triple that passed ``check``; S must be skew."""
-    if not check.ok:
-        raise error("triple fails: %s" % check.reason)
+    _require(check, error, "triple fails")
     S = B @ M
     if S.transpose() != -S:
         raise error("derived form is not skew")
@@ -144,9 +143,8 @@ def omega_to_J(D: DendriformAlgebra, omega: Matrix):
     ``sharp`` sends x to the functional omega(x, .); in coordinates its
     matrix is the transpose of omega.  Returns (phase space, J).
     """
-    check = verify_invariant_form(D, omega)
-    if not check.ok:
-        raise NotInvariant("form fails invariance: %s" % check.reason)
+    _require(verify_invariant_form(D, omega), NotInvariant,
+             "form fails invariance")
     P = build_phase_space(D)
     n = D.dim
     sharp = omega.transpose()
@@ -197,9 +195,7 @@ def realify(A: LeibnizAlgebra, B: Matrix, E: Matrix):
     """
     if A.field != GAUSSIAN:
         raise WrongField("realification starts from a Gaussian algebra")
-    check = check_para_kahler(A, B, E)
-    if not check.ok:
-        raise NotParaKahler("triple fails: %s" % check.reason)
+    _require(check_para_kahler(A, B, E), NotParaKahler, "triple fails")
     algebra = LeibnizAlgebra(2 * A.dim, _realified_brackets(A), RATIONAL)
     # B'(u e_a, v e_b) = Re(u v B[a, b]) with u v = 1, i, i or -1.
     P, Q = _parts(B)
@@ -214,8 +210,6 @@ def complexify_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix):
     """Gaussian para-Kahler structure over a rational pseudo-Kahler one."""
     if A.field != RATIONAL:
         raise WrongField("complexification starts from a rational algebra")
-    check = check_pseudo_kahler(A, B, J)
-    if not check.ok:
-        raise NotPseudoKahler("triple fails: %s" % check.reason)
+    _require(check_pseudo_kahler(A, B, J), NotPseudoKahler, "triple fails")
     return (LeibnizAlgebra(A.dim, A.brackets, GAUSSIAN, A.labels), B,
             J.scale(-Scalar.i()))

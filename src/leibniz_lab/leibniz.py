@@ -15,10 +15,11 @@ Constructions build one with :func:`transport` or straight from the
 stored entries; callers pass one to ``from_brackets``, or two dense
 ``c[i][j][k]`` lists to ``DendriformAlgebra.from_constants``, the one
 caller of :func:`tensor_from`.  Stored maps are never mutated.  The
-package reads a tensor through the tensor operations; a subspace enters
-them as the matrix of its basis columns, so the products of its basis
-pairs are one :func:`transport` and a closure test is one rank.  ``bracket`` and
-``bracket_basis`` read dense vectors for callers outside the package.
+package reads a tensor through the tensor operations; a :class:`Subspace`
+stores the matrix of its basis columns, which enters them as it is, so the
+products of its basis pairs are one :func:`transport` and a closure test
+is one rank.  ``bracket`` and ``bracket_basis`` read dense vectors for
+callers outside the package.
 Besides the tensor operations, only :mod:`io` serialization,
 :func:`direct_sum`, the representation constructions and ``realify``
 iterate a stored map.
@@ -297,31 +298,23 @@ def _require_square(M: Matrix, dim: int, what: str = "form"):
 
 
 class Subspace(Record):
-    """Span of linearly independent coordinate vectors."""
-    __slots__ = ("basis",)
+    """Span of linearly independent vectors, stored as ``columns``: the
+    sparse ambient x dim matrix of its basis columns, 0 x 0 for {0}."""
+    __slots__ = ("columns",)
 
-    def __init__(self, basis: tuple):   # a tuple of coordinate tuples
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, columns: Matrix):
+        object.__setattr__(self, "columns", columns)
 
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
-        vecs = tuple(tuple(v) for v in vectors)
-        if vecs and rank(Matrix.from_rows(vecs)) != len(vecs):
+        rows = Matrix.from_rows(vectors)
+        if rank(rows) != rows.rows:
             raise DimensionMismatch("subspace basis is linearly dependent")
-        return Subspace(vecs)
+        return Subspace(rows.transpose())
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.basis[0]) if self.basis else 0
-
-    def contains(self, *vectors: Sequence[Scalar]) -> bool:
-        """Whether every vector lies in the span, by one elimination: the
-        basis is independent, so the stack has rank dim exactly then."""
-        return rank(Matrix.from_rows([*self.basis, *vectors])) == self.dim
+        return self.columns.cols
 
 
 class LeibnizAlgebra(Record):
@@ -342,10 +335,6 @@ class LeibnizAlgebra(Record):
         """Build from a sparse map (i, j) -> {k: Scalar}."""
         return LeibnizAlgebra(dim, _checked_tensor(dim, brackets), field,
                               tuple(labels) if labels else None)
-
-    @staticmethod
-    def abelian(dim: int, field: str = RATIONAL) -> "LeibnizAlgebra":
-        return LeibnizAlgebra.from_brackets(dim, {}, field)
 
     def basis_vector(self, i: int) -> Vector:
         return unit(self.dim, i)
@@ -371,13 +360,20 @@ def verify_leibniz(A: LeibnizAlgebra) -> CheckResult:
 
 
 def _columns(A, W: Subspace) -> Matrix:
-    """W's basis as the columns of an A.dim-row matrix, also for W = {0};
-    W must live in the space of the algebra ``A`` (anything with a dim)."""
-    if W.basis and W.ambient_dim != A.dim:
+    """W's basis columns, A.dim x 0 for W = {0}; W must live in the space
+    of the algebra ``A`` (anything with a dim)."""
+    C = W.columns
+    if not C.cols:
+        return Matrix.zero(A.dim, 0)
+    if C.rows != A.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
-    return Matrix(A.dim, W.dim, tuple(
-        {a: v[i] for a, v in enumerate(W.basis) if v[i]}
-        for i in range(A.dim)))
+    return C
+
+
+def _require(check: CheckResult, error, what: str):
+    """Raise ``error("<what>: <reason>")`` when ``check`` failed."""
+    if not check.ok:
+        raise error("%s: %s" % (what, check.reason))
 
 
 def _closed(C: Matrix, *tensors: dict) -> bool:

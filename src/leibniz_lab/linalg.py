@@ -9,8 +9,8 @@ rows, as does the one sparse, incremental elimination (:func:`_echelon`)
 behind rank, kernel, solve, inverse and singularity, whose unique reduced
 row echelon form needs no tolerance.  ``M[i, j]``, ``row``, ``col`` and
 ``entries`` read dense values.  Vectors, kernel and eigenspace bases and
-solutions are coordinate tuples; ``leibniz.Subspace.contains`` tests
-vectors against a span with one :func:`rank` of the stacked rows.
+solutions are coordinate tuples; a ``leibniz.Subspace`` stores its basis
+as the columns of a matrix.
 """
 
 from __future__ import annotations

@@ -120,6 +120,24 @@ def semidirect_product(R: Representation) -> LeibnizAlgebra:
     return LeibnizAlgebra.from_brackets(n + R.rep_dim, brackets, A.field)
 
 
+def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
+                       T: Matrix) -> CheckResult:
+    """[Tu, Tv] = T(l(Tu)v + r(Tv)u), checked on all basis pairs of V."""
+    if T.rows != A.dim or T.cols != R.rep_dim:
+        raise DimensionMismatch("T must map the %d-dim module into the algebra"
+                                % R.rep_dim)
+    return first_witness(A.dim, [(
+        "ROTA_BAXTER_FAILS", transport(A.brackets, T, T),
+        tensor_sum(transport(R.left, T, None, T),
+                   transport(R.right, None, T, T)))])
+
+
+def _require_rota_baxter(A: LeibnizAlgebra, R: Representation, T: Matrix):
+    check = verify_rota_baxter(A, R, T)
+    if not check.ok:
+        raise NotRotaBaxter("identity fails at basis pair %s" % (check.indices,))
+
+
 def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
                    T: Matrix) -> LeibnizAlgebra:
     """The twisted double on E + V induced by a relative Rota-Baxter T.
@@ -127,12 +145,7 @@ def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
     With S the semidirect product and K(x + u) = Tu, the product is
     S + S(K., .) + S(., K.) - K S.
     """
-    from .dendriform import verify_rota_baxter  # cycle-free at call time
-
-    check = verify_rota_baxter(A, R, T)
-    if not check.ok:
-        raise NotRotaBaxter("T is not a relative Rota-Baxter operator: %s"
-                            % (check.indices,))
+    _require_rota_baxter(A, R, T)
     n, m = A.dim, R.rep_dim
     S = semidirect_product(R).brackets
     K = Matrix(n + m, n + m, tuple({n + b: c for b, c in row.items()}

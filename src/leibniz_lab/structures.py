@@ -17,9 +17,9 @@ from .dendriform import DendriformAlgebra
 from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
                      NotComplexStructure, NotDirectSum, NotInvolution,
                      NotSubalgebra, PhiIdentityFails, TooLarge, WrongField)
-from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
-                      _require_square, first_witness, is_subalgebra,
-                      tensor_sum, transport)
+from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, _columns,
+                      _require, _require_square, first_witness,
+                      is_subalgebra, tensor_sum, transport)
 from .linalg import Matrix, eigenspace, invert, rank
 from .record import Record
 from .scalars import GAUSSIAN, RATIONAL, Scalar
@@ -90,7 +90,8 @@ def _integrability(A: LeibnizAlgebra, M: Matrix, c: int, MT: dict,
 
 def _eigenspaces(M: Matrix, lam: Scalar):
     """The lam and -lam eigenspaces of M."""
-    return tuple(Subspace(tuple(eigenspace(M, s))) for s in (lam, -lam))
+    return tuple(Subspace(Matrix.from_rows(eigenspace(M, s)).transpose())
+                 for s in (lam, -lam))
 
 
 def _report(A: LeibnizAlgebra, M: Matrix, c: int):
@@ -127,7 +128,7 @@ def product_from_decomposition(A: LeibnizAlgebra, w_plus: Subspace,
         raise NotSubalgebra("both summands must be subalgebras")
     if w_plus.dim + w_minus.dim != A.dim:
         raise NotDirectSum("dimensions do not sum to %d" % A.dim)
-    U = Matrix.from_rows(w_plus.basis + w_minus.basis).transpose()
+    U = _columns(A, w_plus).hstack(_columns(A, w_minus))
     if rank(U) != A.dim:
         raise NotDirectSum("summands intersect nontrivially")
     signs = ([Scalar.one()] * w_plus.dim
@@ -303,8 +304,8 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
     k = plus.dim
     _require_square(phi, k, "phi")
     invert(phi)  # raises SingularMatrix when phi is not an isomorphism
-    P = Matrix.from_rows(plus.basis).transpose()   # columns p_j
-    Q = Matrix.from_rows(minus.basis).transpose() @ phi   # q_j = phi(p_j)
+    P = _columns(A, plus)   # columns p_j
+    Q = _columns(A, minus) @ phi   # q_j = phi(p_j)
     # J sends p_j to q_j and q_j to -p_j.
     J = Q.hstack(-P) @ invert(P.hstack(Q))
     # The defining identity for phi, checked on plus-eigenspace basis pairs:
@@ -339,14 +340,13 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
     in the eigenspace coordinates: proj reads the coordinates of a vector
     along one eigenspace basis in the basis of both.
     """
-    check = check_complex_product_pair(A, J, E)
-    if not check.ok:
-        raise NotComplexProduct("pair fails: %s" % check.reason)
+    _require(check_complex_product_pair(A, J, E), NotComplexProduct,
+             "pair fails")
     plus, minus = _eigenspaces(E, Scalar.one())
-    coords = invert(Matrix.from_rows(plus.basis + minus.basis).transpose())
+    coords = invert(_columns(A, plus).hstack(_columns(A, minus)))
 
     def build(space: Subspace, rows) -> DendriformAlgebra:
-        X = Matrix.from_rows(space.basis).transpose()
+        X = _columns(A, space)
         JX, proj = J @ X, -(Matrix(space.dim, A.dim, rows) @ J)
         return DendriformAlgebra(space.dim, transport(A.brackets, X, JX, proj),
                                  transport(A.brackets, JX, X, proj), A.field)

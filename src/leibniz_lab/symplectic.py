@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .dendriform import (DendriformAlgebra, dendriform_rep,
+from .dendriform import (QUADRATIC, DendriformAlgebra, dendriform_rep,
                          verify_quadratic_dendriform)
 from .errors import (DegenerateForm, DimensionMismatch, NotQuadratic,
                      NotSymmetric, NotSymplectic)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, _closed,
-                      _columns, _require_square, defect, first_defect,
-                      form_tensor, functionals, is_subalgebra, transport,
-                      verify_leibniz)
+                      _columns, _require, _require_square, defect,
+                      first_defect, form_tensor, functionals, is_subalgebra,
+                      transport, verify_leibniz)
 from .linalg import Matrix, invert, is_singular, kernel_basis, rank
 from .record import Record
 from .representations import dual_rep, semidirect_product
@@ -111,23 +111,18 @@ def sample_nondegenerate(basis: Sequence[Matrix],
 
 
 def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
-    """Solve the two invariance identities for the two products columnwise.
-
-    B(x<y, z) = -B(y, [x,z]) and B(x>y, z) = B(x, [y,z]) + B(x, [z,y])
-    determine x<y and x>y uniquely because B is nondegenerate.
+    """Solve the two :data:`~dendriform.QUADRATIC` identities, with the
+    bracket as ``*``, for the two products columnwise: they determine x<y
+    and x>y uniquely because B is nondegenerate.
     """
-    check = verify_symplectic(A, B)
-    if not check.ok:
-        raise NotSymplectic("form fails the symplectic check: %s" % check.reason)
+    _require(verify_symplectic(A, B), NotSymplectic,
+             "form fails the symplectic check")
     b_inv = invert(B)
-    tensors = {".": A.brackets, "|": form_tensor(B)}
-
+    tensors = {"*": A.brackets, "|": form_tensor(B)}
     # B(v, e_k) = (B v)_k for symmetric B: each product is B^{-1} w.
-    def solve(terms):
-        return transport(functionals(terms, tensors), R=b_inv)
-
-    return DendriformAlgebra(A.dim, solve(((-1, "y|(x.z)"),)),
-                             solve(((1, "x|(y.z)"), (1, "x|(z.y)"))), A.field)
+    return DendriformAlgebra(A.dim, *(
+        transport(functionals(rhs, tensors), R=b_inv)
+        for _, _, rhs in QUADRATIC), A.field)
 
 
 def canonical_pairing(n: int) -> Matrix:
@@ -137,23 +132,24 @@ def canonical_pairing(n: int) -> Matrix:
 
 
 class PhaseSpace(Record):
-    __slots__ = ("total", "base_dim", "form", "origin")
+    __slots__ = ("total", "base_dim", "form")
 
-    def __init__(self, total: LeibnizAlgebra, base_dim: int, form: Matrix,
-                 origin: DendriformAlgebra | None = None):
+    def __init__(self, total: LeibnizAlgebra, base_dim: int, form: Matrix):
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "base_dim", base_dim)
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "origin", origin)
 
     def base_subspace(self) -> Subspace:
-        return Subspace.from_vectors(
-            [self.total.basis_vector(i) for i in range(self.base_dim)])
+        """The block [I; 0] of the first base_dim coordinates."""
+        n = self.base_dim
+        return Subspace(Matrix(2 * n, n, Matrix.identity(n).nonzero
+                               + ({},) * n))
 
     def dual_subspace(self) -> Subspace:
-        return Subspace.from_vectors(
-            [self.total.basis_vector(i)
-             for i in range(self.base_dim, 2 * self.base_dim)])
+        """The block [0; I] of the last base_dim coordinates."""
+        n = self.base_dim
+        return Subspace(Matrix(2 * n, n, ({},) * n
+                               + Matrix.identity(n).nonzero))
 
 
 def _gram(B: Matrix, U: Matrix, W: Matrix) -> Matrix:
@@ -186,7 +182,7 @@ def _isotropic_split(A, B: Matrix, W1: Subspace, W2: Subspace,
 def build_phase_space(D: DendriformAlgebra) -> PhaseSpace:
     """Semidirect product with the dual of the tautological representation."""
     total = semidirect_product(dual_rep(dendriform_rep(D)))
-    return PhaseSpace(total, D.dim, canonical_pairing(D.dim), D)
+    return PhaseSpace(total, D.dim, canonical_pairing(D.dim))
 
 
 def verify_phase_space(P: PhaseSpace, base: Subspace,
@@ -216,12 +212,10 @@ def verify_phase_space(P: PhaseSpace, base: Subspace,
 
 def verify_manin_triple(D: DendriformAlgebra, B: Matrix, W1: Subspace,
                         W2: Subspace) -> CheckResult:
+    what = "the ambient pair is not quadratic"
     try:
         check = verify_quadratic_dendriform(D, B)
     except (NotSymmetric, DegenerateForm) as exc:
-        raise NotQuadratic("the ambient pair is not quadratic: %s"
-                           % exc) from None
-    if not check.ok:
-        raise NotQuadratic("the ambient pair is not quadratic: %s"
-                           % check.reason)
+        raise NotQuadratic("%s: %s" % (what, exc)) from None
+    _require(check, NotQuadratic, what)
     return _isotropic_split(D, B, W1, W2, (D.left_brackets, D.right_brackets))

@@ -54,6 +54,11 @@ def diag(*signs):
 # -- dense references: vectors as coordinate lists -----------------------------
 
 
+def basis_vectors(W):
+    """The basis vectors of a Subspace: the columns it stores."""
+    return [W.columns.col(a) for a in range(W.dim)]
+
+
 def vadd(x, y):
     return [a + b for a, b in zip(x, y)]
 

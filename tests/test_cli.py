@@ -101,7 +101,7 @@ def test_dendriform_roundtrip():
            "right": [{"i": 0, "j": 0, "value": [{"k": 0, "c": "-2"}]}]}
     D = parse_dendriform(doc)
     assert (parse_algebra(serialize_algebra(subadjacent(D)))
-            == LeibnizAlgebra.abelian(1))
+            == LeibnizAlgebra.from_brackets(1, {}))
     doc2 = serialize_dendriform(D)
     assert parse_dendriform(doc2).left_brackets == D.left_brackets
 

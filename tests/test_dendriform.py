@@ -109,7 +109,7 @@ def test_invariant_form_checks(matrix_plus_vector):
     if omega is not None:
         assert verify_invariant_form(D, omega).ok
     # Zero dendriform: every nonsingular form is invariant.
-    Z = DendriformAlgebra.zero(2)
+    Z = DendriformAlgebra(2, {}, {})
     assert verify_invariant_form(Z, mat([[1, 0], [0, 1]])).ok
     with pytest.raises(DegenerateForm):
         verify_invariant_form(Z, mat([[1, 0], [0, 0]]))
@@ -122,7 +122,7 @@ def test_invariant_form_rejects(matrix_plus_vector):
 
 
 def test_quadratic_form_guards():
-    Z = DendriformAlgebra.zero(2)
+    Z = DendriformAlgebra(2, {}, {})
     assert verify_quadratic_dendriform(Z, mat([[0, 1], [1, 0]])).ok
     with pytest.raises(NotSymmetric):
         verify_quadratic_dendriform(Z, mat([[0, 1], [-1, 0]]))
@@ -132,19 +132,20 @@ def test_quadratic_form_guards():
 
 def test_invariant_form_must_match_dimension():
     with pytest.raises(DimensionMismatch):
-        verify_invariant_form(DendriformAlgebra.zero(1), mat([[1, 0], [0, 1]]))
+        verify_invariant_form(DendriformAlgebra(1, {}, {}),
+                              mat([[1, 0], [0, 1]]))
 
 
 def test_quadratic_form_must_match_dimension():
     with pytest.raises(DimensionMismatch):
-        verify_quadratic_dendriform(DendriformAlgebra.zero(2), mat(
+        verify_quadratic_dendriform(DendriformAlgebra(2, {}, {}), mat(
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_products_reject_vectors_of_the_wrong_length():
     # Like LeibnizAlgebra.bracket: a length-3 vector on the 2-dim zero
     # dendriform used to give a length-3 product without complaint.
-    D = DendriformAlgebra.zero(2)
+    D = DendriformAlgebra(2, {}, {})
     long = [Scalar.of(1)] * 3
     for product in (D.left, D.right, subadjacent(D).bracket):
         for x, y in ((long, long), (long, D.basis_vector(0)),

@@ -79,7 +79,7 @@ def test_isotropic_decomposition_roundtrip():
 
 def test_isotropic_decomposition_rejects():
     from leibniz_lab import Subspace
-    D = DendriformAlgebra.zero(1)
+    D = DendriformAlgebra(1, {}, {})
     P = build_phase_space(D)
     mixed = Subspace.from_vectors([[Scalar.of(1), Scalar.of(1)]])
     check = isotropic_decomposition_check(P.total, P.form, mixed,
@@ -92,7 +92,7 @@ def test_isotropic_decomposition_rejects_subspace_of_wrong_ambient_dim():
     isotropy test indexes the form with their coordinates."""
     from leibniz_lab import Subspace
     z, o = Scalar.zero(), Scalar.one()
-    A = LeibnizAlgebra.abelian(2)
+    A = LeibnizAlgebra.from_brackets(2, {})
     B = mat([[0, 1], [1, 0]])
     with pytest.raises(DimensionMismatch):
         isotropic_decomposition_check(A, B, Subspace.from_vectors([[z, z, o]]),
@@ -116,7 +116,7 @@ def test_para_kahler_iff_isotropic_decomposition():
 
 
 def test_S_from_B_E_canonical():
-    D = DendriformAlgebra.zero(2)
+    D = DendriformAlgebra(2, {}, {})
     P = build_phase_space(D)
     S = S_from_B_E(P.total, P.form, canonical_E(2))
     z2 = [[0, 0], [0, 0]]
@@ -159,7 +159,7 @@ def test_levi_civita_properties_random():
 
 
 def test_levi_civita_abelian_vanishes():
-    A = LeibnizAlgebra.abelian(2)
+    A = LeibnizAlgebra.from_brackets(2, {})
     S = mat([[0, 1], [-1, 0]])
     pair = levi_civita(A, S)
     assert not pair.star and not pair.starstar
@@ -169,7 +169,7 @@ def test_levi_civita_guards(sl2):
     with pytest.raises(DegenerateForm):
         levi_civita(sl2, Matrix.identity(3))   # not skew
     with pytest.raises(DegenerateForm):
-        levi_civita(LeibnizAlgebra.abelian(3),
+        levi_civita(LeibnizAlgebra.from_brackets(3, {}),
                     mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))  # singular
 
 
@@ -215,7 +215,7 @@ def test_levi_civita_restricts_to_dendriform_on_eigenspaces():
 
 
 def test_pseudo_kahler_basics():
-    A = LeibnizAlgebra.abelian(2)
+    A = LeibnizAlgebra.from_brackets(2, {})
     J = mat([[0, -1], [1, 0]])
     assert check_pseudo_kahler(A, Matrix.identity(2), J).ok
     check = check_pseudo_kahler(A, diag(1, 2), J)
@@ -242,14 +242,14 @@ def test_pseudo_kahler_complex_fails_without_integrable_anti_involution():
 
 
 def test_pseudo_kahler_rejects_gaussian_input():
-    A = LeibnizAlgebra.abelian(2, "Q(i)")
+    A = LeibnizAlgebra.from_brackets(2, {}, "Q(i)")
     J = mat([[0, -1], [1, 0]])
     with pytest.raises(WrongField):
         check_pseudo_kahler(A, Matrix.identity(2), J)
 
 
 def test_omega_to_J_structure():
-    D = DendriformAlgebra.zero(2)
+    D = DendriformAlgebra(2, {}, {})
     omega = mat([[0, 1], [-1, 0]])
     P, J = omega_to_J(D, omega)
     assert J @ J == Matrix.identity(4).scale(Scalar.of(-1))
@@ -263,7 +263,7 @@ def test_omega_to_J_structure():
 
 
 def test_omega_to_J_guards():
-    D = DendriformAlgebra.zero(2)
+    D = DendriformAlgebra(2, {}, {})
     with pytest.raises(DegenerateForm):
         omega_to_J(D, mat([[1, 0], [0, 0]]))
     # a non-invariant form on a nonzero dendriform
@@ -278,7 +278,7 @@ def test_omega_to_J_guards():
 
 def test_bridge_pipeline_complexify_realify():
     rng = random.Random(67)
-    cases = [DendriformAlgebra.zero(1), DendriformAlgebra.zero(2)]
+    cases = [DendriformAlgebra(1, {}, {}), DendriformAlgebra(2, {}, {})]
     for _ in range(6):
         cases.append(random_dendriform(rng, 2))
     exercised = 0
@@ -300,12 +300,13 @@ def test_bridge_pipeline_complexify_realify():
 
 def test_complexify_realify_guards(sl2):
     with pytest.raises(NotPseudoKahler):
-        complexify_pseudo_kahler(LeibnizAlgebra.abelian(2), diag(1, 2),
+        complexify_pseudo_kahler(LeibnizAlgebra.from_brackets(2, {}),
+                                 diag(1, 2),
                                  mat([[0, -1], [1, 0]]))
     with pytest.raises(WrongField):
-        realify(LeibnizAlgebra.abelian(2), Matrix.identity(2),
+        realify(LeibnizAlgebra.from_brackets(2, {}), Matrix.identity(2),
                 Matrix.identity(2))
     from leibniz_lab import complexify
-    gauss = complexify(LeibnizAlgebra.abelian(1))
+    gauss = complexify(LeibnizAlgebra.from_brackets(1, {}))
     with pytest.raises(NotParaKahler):
         realify(gauss, Matrix.identity(1), Matrix.identity(1))

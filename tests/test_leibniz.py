@@ -76,7 +76,7 @@ def test_direct_sum_block_structure(sl2, heisenberg_like):
 
 
 def test_direct_sum_field_mismatch(sl2):
-    gaussian = LeibnizAlgebra.abelian(1, GAUSSIAN)
+    gaussian = LeibnizAlgebra.from_brackets(1, {}, GAUSSIAN)
     with pytest.raises(FieldMismatch):
         direct_sum(sl2, gaussian)
 
@@ -98,6 +98,6 @@ def test_tensor_shape_guard():
 
 
 def test_zero_dimensional_algebra_vacuous():
-    empty = LeibnizAlgebra.abelian(0)
+    empty = LeibnizAlgebra.from_brackets(0, {})
     assert verify_leibniz(empty).ok
-    assert empty == LeibnizAlgebra.abelian(0)
+    assert empty == LeibnizAlgebra.from_brackets(0, {})

@@ -15,8 +15,8 @@ from leibniz_lab.leibniz import OK
 from leibniz_lab.structures import ComplexReport, StructureReport
 
 ONE = Fraction(1)
-EMPTY = Subspace(())
-LINE = Subspace(((ONE, Fraction(0)),))
+EMPTY = Subspace(Matrix.zero(0, 0))
+LINE = Subspace(Matrix(2, 1, ({0: ONE}, {})))
 ABELIAN = LeibnizAlgebra(2, {})
 
 # (class, field names in order, field values, the same values with one
@@ -27,7 +27,7 @@ CASES = [
     (CheckResult, ("ok", "reason", "indices", "lhs", "rhs"),
      (False, "X_FAILS", (0, 1), [ONE], [ONE, ONE]),
      (False, "X_FAILS", (1, 0), [ONE], [ONE, ONE])),
-    (Subspace, ("basis",), LINE.basis, ((Fraction(0), ONE),)),
+    (Subspace, ("columns",), (LINE.columns,), (Matrix(2, 1, ({}, {0: ONE})),)),
     (LeibnizAlgebra, ("dim", "brackets", "field", "labels"),
      (2, {(0, 0): {1: ONE}}, "Q", ("a", "b")),
      (2, {(0, 0): {1: ONE}}, "Q(i)", ("a", "b"))),
@@ -45,9 +45,8 @@ CASES = [
     (ComplexReport, ("is_complex", "is_strict", "is_abelian", "eigen_i",
                      "eigen_minus_i"),
      (True, False, True, LINE, EMPTY), (True, True, True, LINE, EMPTY)),
-    (PhaseSpace, ("total", "base_dim", "form", "origin"),
-     (ABELIAN, 1, Matrix.identity(2), DendriformAlgebra.zero(1)),
-     (ABELIAN, 1, Matrix.identity(2), None)),
+    (PhaseSpace, ("total", "base_dim", "form"),
+     (ABELIAN, 1, Matrix.identity(2)), (ABELIAN, 1, Matrix.zero(2, 2))),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -66,7 +65,6 @@ def test_defaults():
     assert LeibnizAlgebra(2, {}).field == "Q"
     assert LeibnizAlgebra(2, {}).labels is None
     assert DendriformAlgebra(1, {}, {}).field == "Q"
-    assert PhaseSpace(ABELIAN, 1, Matrix.identity(2)).origin is None
 
 
 @pytest.mark.parametrize("cls, fields, values, changed", CASES, ids=IDS)
@@ -128,7 +126,8 @@ def test_repr_format():
         "CheckResult(ok=False, reason='X_FAILS', indices=(0, 1), lhs=None, "
         "rhs=None)")
     assert repr(Matrix.zero(1, 2)) == "Matrix(rows=1, cols=2, nonzero=({},))"
-    assert repr(Subspace(())) == "Subspace(basis=())"
+    assert repr(EMPTY) == (
+        "Subspace(columns=Matrix(rows=0, cols=0, nonzero=()))")
 
 
 @pytest.mark.parametrize("cls, fields, values, changed", CASES, ids=IDS)

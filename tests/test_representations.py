@@ -7,8 +7,8 @@ import pytest
 from conftest import mat, random_dendriform, random_leibniz
 from leibniz_lab import (Representation, bowtie_algebra, dual_rep,
                          regular_rep, semidirect_product, verify_leibniz,
-                         verify_representation)
-from leibniz_lab.dendriform import dendriform_rep, verify_rota_baxter
+                         verify_representation, verify_rota_baxter)
+from leibniz_lab.dendriform import dendriform_rep
 from leibniz_lab.errors import DimensionMismatch, NotRotaBaxter
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import Scalar

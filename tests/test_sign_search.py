@@ -67,7 +67,7 @@ def test_search_matches_the_pattern_loop(A):
 
 
 def test_zero_dim_algebra_has_the_empty_pattern():
-    A = LeibnizAlgebra.abelian(0)
+    A = LeibnizAlgebra.from_brackets(0, {})
     assert enumerate_diagonal_products(A) == ref_enumerate_diagonal_products(A)
     assert len(enumerate_diagonal_products(A)) == 1
 

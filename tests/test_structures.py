@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import diag, mat, random_leibniz
+from conftest import basis_vectors, diag, mat, random_leibniz
 from leibniz_lab import (LeibnizAlgebra, J_from_phi, bracket_J, structures,
                          check_complex_product_pair, classify_complex,
                          classify_product, complexify,
@@ -18,7 +18,7 @@ from leibniz_lab.errors import (NotAntiInvolution, NotComplexProduct,
                                 NotSubalgebra, PhiIdentityFails, TooLarge,
                                 WrongField)
 from leibniz_lab.leibniz import Subspace
-from leibniz_lab.linalg import Matrix
+from leibniz_lab.linalg import Matrix, rank
 from leibniz_lab.scalars import GAUSSIAN, Scalar
 
 
@@ -71,6 +71,18 @@ def test_product_classification_catalogue(heisenberg_like):
         assert report.is_paracomplex == para
 
 
+def test_an_empty_eigenspace_is_the_zero_subspace(sl2):
+    """E = I has no -1 eigenspace: it is the one zero subspace, whatever
+    the dimension, and the +1 eigenspace stores the identity columns."""
+    report = classify_product(sl2, Matrix.identity(3))
+    assert report.minus_eigenspace == Subspace.from_vectors([])
+    assert report.minus_eigenspace.columns == Matrix.zero(0, 0)
+    assert report.plus_eigenspace.columns == Matrix.identity(3)
+    empty = classify_product(LeibnizAlgebra.from_brackets(1, {}),
+                             diag(-1)).plus_eigenspace
+    assert empty == report.minus_eigenspace
+
+
 def test_classify_product_requires_involution(sl2):
     with pytest.raises(NotInvolution):
         classify_product(sl2, Matrix.identity(3).scale(Scalar.of(2)))
@@ -88,7 +100,7 @@ def test_enumerate_diagonal_products(heisenberg_like):
 
 def test_enumerate_guard():
     with pytest.raises(TooLarge):
-        enumerate_diagonal_products(LeibnizAlgebra.abelian(25))
+        enumerate_diagonal_products(LeibnizAlgebra.from_brackets(25, {}))
 
 
 def test_product_from_decomposition_roundtrip(heisenberg_like):
@@ -115,9 +127,10 @@ def test_complex_classification_catalogue(squares_algebra):
         assert report.is_complex and report.is_abelian
         assert report.eigen_i.dim == 2 and report.eigen_minus_i.dim == 2
         # conjugation swaps the two eigenspaces
-        for v in report.eigen_i.basis:
+        for v in basis_vectors(report.eigen_i):
             conj = [c.conjugate() for c in v]
-            assert report.eigen_minus_i.contains(conj)
+            assert rank(Matrix.from_rows(
+                basis_vectors(report.eigen_minus_i) + [conj])) == 2
 
 
 def test_classify_complex_guards(sl2):
@@ -183,7 +196,7 @@ def test_product_iff_iE_correspondence():
         J, agree, p_ok, c_ok = product_iff_iE(A, diag(*signs))
         assert agree  # the two integrability conditions are equivalent
     with pytest.raises(WrongField):
-        product_iff_iE(LeibnizAlgebra.abelian(2), diag(1, -1))
+        product_iff_iE(LeibnizAlgebra.from_brackets(2, {}), diag(1, -1))
 
 
 def test_product_iff_iE_builds_no_product_report(monkeypatch):
@@ -201,7 +214,8 @@ def test_product_iff_iE_builds_no_product_report(monkeypatch):
     for A, E, ok in cases:
         assert product_iff_iE(A, E)[2] == ok
     with pytest.raises(NotInvolution):
-        product_iff_iE(complexify(LeibnizAlgebra.abelian(2)), diag(1, 2))
+        product_iff_iE(complexify(LeibnizAlgebra.from_brackets(2, {})),
+                       diag(1, 2))
     assert calls == []
 
 
@@ -226,7 +240,7 @@ def test_complex_product_pair_and_induced_dendriform():
     from leibniz_lab import DendriformAlgebra, omega_to_J
     rng = random.Random(6)
     from conftest import random_dendriform_with_skew, random_invariant_skew
-    cases = [DendriformAlgebra.zero(2)]
+    cases = [DendriformAlgebra(2, {}, {})]
     while len(cases) < 6:
         cases.append(random_dendriform_with_skew(rng))
     hits = 0
@@ -244,15 +258,15 @@ def test_complex_product_pair_and_induced_dendriform():
         for space, DD in ((classify_product(P.total, E).plus_eigenspace, dp),
                           (classify_product(P.total, E).minus_eigenspace,
                            dm)):
+            basis = basis_vectors(space)
             for a in range(space.dim):
                 for b in range(space.dim):
-                    ambient = P.total.bracket(list(space.basis[a]),
-                                              list(space.basis[b]))
+                    ambient = P.total.bracket(basis[a], basis[b])
                     induced = subadjacent(DD).bracket_basis(a, b)
                     rebuilt = [Scalar.zero() for _ in range(P.total.dim)]
                     for t, c in enumerate(induced):
                         rebuilt = [rc + c * sc for rc, sc
-                                   in zip(rebuilt, space.basis[t])]
+                                   in zip(rebuilt, basis[t])]
                     assert ambient == rebuilt
         hits += 1
     assert hits >= 4
@@ -278,7 +292,7 @@ def test_complex_product_pair_reason_codes(squares_algebra):
 
 def test_J_from_phi_matches_form_construction():
     from leibniz_lab import DendriformAlgebra, omega_to_J
-    D = DendriformAlgebra.zero(2)
+    D = DendriformAlgebra(2, {}, {})
     omega = mat([[0, 1], [-1, 0]])
     P, J = omega_to_J(D, omega)
     E = diag(1, 1, -1, -1)

@@ -55,7 +55,7 @@ def test_solver_dimension_and_pattern(heisenberg_like):
 
 
 def test_solver_abelian_gives_all_symmetric_forms():
-    A = LeibnizAlgebra.abelian(3)
+    A = LeibnizAlgebra.from_brackets(3, {})
     basis, sample = solve_symplectic_space(A)
     assert len(basis) == 6  # symmetric 3x3 forms
     assert sample is not None
@@ -82,7 +82,7 @@ def test_solver_members_all_satisfy_identity():
 
 
 def test_sample_nondegenerate_deterministic():
-    basis, _ = solve_symplectic_space(LeibnizAlgebra.abelian(2))
+    basis, _ = solve_symplectic_space(LeibnizAlgebra.from_brackets(2, {}))
     s1 = sample_nondegenerate(basis, seed=5)
     s2 = sample_nondegenerate(basis, seed=5)
     assert s1 is not None and s1 == s2
@@ -92,7 +92,7 @@ def test_sample_nondegenerate_deterministic():
 
 def test_solver_samples_the_zero_form_of_the_zero_algebra():
     """The 0-dim algebra has one form, 0 x 0, and it is nondegenerate."""
-    A = LeibnizAlgebra.abelian(0)
+    A = LeibnizAlgebra.from_brackets(0, {})
     basis, sample = solve_symplectic_space(A)
     assert basis == [] and sample == Matrix.zero(0, 0)
     assert verify_symplectic(A, sample).ok
@@ -133,7 +133,7 @@ def test_phase_space_construction_and_checks():
 
 
 def test_phase_space_rejects_wrong_blocks():
-    D = DendriformAlgebra.zero(1)
+    D = DendriformAlgebra(1, {}, {})
     e = Scalar.of(1)
     z = Scalar.zero()
     P = build_phase_space(D)
@@ -157,7 +157,7 @@ def test_manin_triple_on_phase_space():
 
 
 def test_manin_triple_rejects_non_isotropic():
-    Z = DendriformAlgebra.zero(2)
+    Z = DendriformAlgebra(2, {}, {})
     B = mat([[1, 0], [0, 1]])
     from leibniz_lab import Subspace
     W1 = Subspace.from_vectors([[Scalar.of(1), Scalar.zero()]])
@@ -183,7 +183,7 @@ def test_isotropic_split_closes_under_every_product(side):
 
 
 def test_manin_triple_requires_quadratic(sl2):
-    Z = DendriformAlgebra.zero(2)
+    Z = DendriformAlgebra(2, {}, {})
     from leibniz_lab import Subspace
     W = Subspace.from_vectors([[Scalar.of(1), Scalar.zero()]])
     with pytest.raises(NotQuadratic):
@@ -195,7 +195,7 @@ def test_manin_triple_zero_dimensional():
     from leibniz_lab import Subspace
     from leibniz_lab.linalg import Matrix
     W = Subspace.from_vectors([])
-    check = verify_manin_triple(DendriformAlgebra.zero(0),
+    check = verify_manin_triple(DendriformAlgebra(0, {}, {}),
                                 Matrix.from_rows([]), W, W)
     assert check.ok
 

@@ -24,12 +24,14 @@ from leibniz_lab.scalars import Scalar
 # (vadd, vsub, unit, form_value, tensor_product) replaced, and removed API:
 # the per-scalar field tag and its conversions, the dense to sparse tensor
 # conversion, the record comparisons that ``==`` does, the whole-space
-# subspace, the shape-sniffing document parser and the document's switch
-# for validation.
+# subspace, the shape-sniffing document parser, the document's switch
+# for validation, the span test and ambient size of the row-tuple subspace
+# and the abelian-algebra shortcut for ``from_brackets(n, {})``.
 FORBIDDEN = {"_add", "_sub", "_vadd", "_vsub", "_unit", "_form_value",
              "_product", "scalar_arith", "promote", "demote", "field_tag",
              "sparse_brackets", "tensors_equal", "dendriforms_equal",
-             "full_subspace", "parse_document", "_should_validate"}
+             "full_subspace", "parse_document", "_should_validate",
+             "contains", "ambient_dim", "abelian"}
 DENSE_TENSOR_ATTRIBUTES = {"constants", "left_constants", "right_constants"}
 
 
@@ -82,6 +84,15 @@ def test_no_dense_tensor_attribute():
                         and isinstance(node.target, ast.Name)
                         and node.target.id in DENSE_TENSOR_ATTRIBUTES)):
                 found.append((name, node.lineno))
+    assert found == []
+
+
+def test_no_subspace_basis_attribute():
+    """A subspace is stored once, as the matrix of its basis columns:
+    nothing reads or writes a ``basis`` attribute."""
+    found = [(name, node.lineno) for name, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "basis"]
     assert found == []
 
 

@@ -479,7 +479,7 @@ def test_symplectic_identity_is_encoded_once(heisenberg_like, monkeypatch):
 @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
 def test_empty_and_one_dimensional_tables(field):
     for dim in (0, 1):
-        A = LeibnizAlgebra.abelian(dim, field)
+        A = LeibnizAlgebra.from_brackets(dim, {}, field)
         assert verify_leibniz(A).ok
         assert typed(solve_symplectic_space(A)[0]) == typed(
             ref_solve_basis(A))

@@ -122,7 +122,7 @@ def test_para_kahler_check_builds_no_product_report():
 
 def test_complex_product_pair_check_builds_no_product_report():
     """``check_complex_product_pair`` computes its verdicts directly."""
-    P, J = omega_to_J(DendriformAlgebra.zero(2), mat([[0, 1], [-1, 0]]))
+    P, J = omega_to_J(DendriformAlgebra(2, {}, {}), mat([[0, 1], [-1, 0]]))
     E = Matrix.diagonal([Scalar.one()] * 2 + [Scalar.of(-1)] * 2)
     check, names = traced_names(
         lambda: structures.check_complex_product_pair(P.total, J, E))
