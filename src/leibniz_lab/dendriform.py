@@ -13,15 +13,9 @@ from .scalars import RATIONAL
 
 
 class DendriformAlgebra(Record):
+    """The two products as sparse tensors {(i, j): {k: c}}."""
     __slots__ = ("dim", "left_brackets", "right_brackets", "field")
-
-    def __init__(self, dim: int, left_brackets: dict, right_brackets: dict,
-                 field: str = RATIONAL):
-        """The two products as sparse tensors {(i, j): {k: c}}."""
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "left_brackets", left_brackets)
-        object.__setattr__(self, "right_brackets", right_brackets)
-        object.__setattr__(self, "field", field)
+    _defaults = {"field": RATIONAL}
 
     @staticmethod
     def from_constants(left, right, field: str = RATIONAL) -> "DendriformAlgebra":

@@ -6,15 +6,16 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .dendriform import DendriformAlgebra, verify_invariant_form
-from .errors import (DegenerateForm, NotInvariant, NotInvolution,
-                     NotParaKahler, NotPseudoKahler, WrongField)
+from .errors import (DegenerateForm, NotInvariant, NotParaKahler,
+                     NotPseudoKahler, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace,
                       _dense, _require, _require_square, form_tensor,
                       functionals, transport)
 from .linalg import Matrix, invert, is_singular, trace
 from .record import Record
 from .scalars import GAUSSIAN, RATIONAL, Scalar
-from .structures import _squares_to, integrability
+from .structures import (_require_involution, _squares_to, complexify,
+                         integrability)
 from .symplectic import _isotropic_split, _symplectic_gate, build_phase_space
 
 
@@ -25,11 +26,6 @@ class LeviCivitaPair(Record):
     and its companion; the two always sum to the bracket.
     """
     __slots__ = ("dim", "star", "starstar")
-
-    def __init__(self, dim: int, star: dict, starstar: dict):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "star", star)
-        object.__setattr__(self, "starstar", starstar)
 
     def star_product(self, i: int, j: int) -> list:
         return _dense(self.star, (i, j), self.dim)
@@ -60,8 +56,7 @@ def check_para_kahler(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> CheckResult:
     _require_square(E, A.dim, "operator")
 
     def product_fails():
-        if not _squares_to(E, 1):
-            raise NotInvolution("E^2 != I")
+        _require_involution(A, E)
         return ("PRODUCT_FAILS" if not integrability(A, E, 1).ok
                 else "NOT_PARACOMPLEX" if trace(E) else None)
 
@@ -211,5 +206,4 @@ def complexify_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix):
     if A.field != RATIONAL:
         raise WrongField("complexification starts from a rational algebra")
     _require(check_pseudo_kahler(A, B, J), NotPseudoKahler, "triple fails")
-    return (LeibnizAlgebra(A.dim, A.brackets, GAUSSIAN, A.labels), B,
-            J.scale(-Scalar.i()))
+    return complexify(A), B, J.scale(-Scalar.i())

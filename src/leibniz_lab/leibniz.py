@@ -51,15 +51,7 @@ Vector = list  # coordinate list or tuple of field elements, ambient basis
 class CheckResult(Record):
     """Outcome of a verification, with a re-checkable witness on failure."""
     __slots__ = ("ok", "reason", "indices", "lhs", "rhs")
-
-    def __init__(self, ok: bool, reason: str | None = None,
-                 indices: tuple | None = None, lhs: list | None = None,
-                 rhs: list | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+    _defaults = dict.fromkeys(("reason", "indices", "lhs", "rhs"))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -302,9 +294,6 @@ class Subspace(Record):
     sparse ambient x dim matrix of its basis columns, 0 x 0 for {0}."""
     __slots__ = ("columns",)
 
-    def __init__(self, columns: Matrix):
-        object.__setattr__(self, "columns", columns)
-
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
         rows = Matrix.from_rows(vectors)
@@ -318,16 +307,10 @@ class Subspace(Record):
 
 
 class LeibnizAlgebra(Record):
+    """``brackets`` is the sparse structure tensor {(i, j): {k: c}},
+    c nonzero."""
     __slots__ = ("dim", "brackets", "field", "labels")
-
-    def __init__(self, dim: int, brackets: dict, field: str = RATIONAL,
-                 labels: tuple | None = None):
-        """``brackets`` is the sparse structure tensor {(i, j): {k: c}},
-        c nonzero."""
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "labels", labels)
+    _defaults = {"field": RATIONAL, "labels": None}
 
     @staticmethod
     def from_brackets(dim: int, brackets: dict, field: str = RATIONAL,

@@ -17,13 +17,6 @@ class Representation(Record):
     ``left[(i, b)] = l(e_i) v_b`` and ``right[(b, i)] = r(e_i) v_b``."""
     __slots__ = ("algebra", "rep_dim", "left", "right")
 
-    def __init__(self, algebra: LeibnizAlgebra, rep_dim: int, left: dict,
-                 right: dict):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rep_dim", rep_dim)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
     @staticmethod
     def build(algebra: LeibnizAlgebra, left_maps: Sequence[Matrix],
               right_maps: Sequence[Matrix],

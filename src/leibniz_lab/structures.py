@@ -29,28 +29,10 @@ class StructureReport(Record):
     __slots__ = ("is_product", "is_strict", "is_abelian", "is_paracomplex",
                  "plus_eigenspace", "minus_eigenspace")
 
-    def __init__(self, is_product: bool, is_strict: bool, is_abelian: bool,
-                 is_paracomplex: bool, plus_eigenspace: Subspace,
-                 minus_eigenspace: Subspace):
-        object.__setattr__(self, "is_product", is_product)
-        object.__setattr__(self, "is_strict", is_strict)
-        object.__setattr__(self, "is_abelian", is_abelian)
-        object.__setattr__(self, "is_paracomplex", is_paracomplex)
-        object.__setattr__(self, "plus_eigenspace", plus_eigenspace)
-        object.__setattr__(self, "minus_eigenspace", minus_eigenspace)
-
 
 class ComplexReport(Record):
     __slots__ = ("is_complex", "is_strict", "is_abelian", "eigen_i",
                  "eigen_minus_i")
-
-    def __init__(self, is_complex: bool, is_strict: bool, is_abelian: bool,
-                 eigen_i: Subspace, eigen_minus_i: Subspace):
-        object.__setattr__(self, "is_complex", is_complex)
-        object.__setattr__(self, "is_strict", is_strict)
-        object.__setattr__(self, "is_abelian", is_abelian)
-        object.__setattr__(self, "eigen_i", eigen_i)
-        object.__setattr__(self, "eigen_minus_i", eigen_minus_i)
 
 
 def _squares_to(M: Matrix, c: int) -> bool:

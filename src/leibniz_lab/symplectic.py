@@ -134,11 +134,6 @@ def canonical_pairing(n: int) -> Matrix:
 class PhaseSpace(Record):
     __slots__ = ("total", "base_dim", "form")
 
-    def __init__(self, total: LeibnizAlgebra, base_dim: int, form: Matrix):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "form", form)
-
     def base_subspace(self) -> Subspace:
         """The block [I; 0] of the first base_dim coordinates."""
         n = self.base_dim

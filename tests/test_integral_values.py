@@ -45,7 +45,7 @@ def walk(value, path="out"):
     and values, list and tuple items, so also the stored rows of a Matrix.
     Verdict flags (``ok`` and ``is_*`` fields) are bools by design."""
     if isinstance(value, Record):
-        for name in value.__slots__:
+        for name in value._fields:
             if name != "ok" and not name.startswith("is_"):
                 yield from walk(getattr(value, name), path + "." + name)
     elif isinstance(value, dict):

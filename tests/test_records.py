@@ -1,6 +1,6 @@
 """The value classes are immutable records: construction, equality, hash,
 repr, copy and pickle behave as for frozen dataclasses with the same
-fields."""
+fields, also in a subclass that adds no slots."""
 
 import copy
 import pickle
@@ -51,6 +51,18 @@ CASES = [
 IDS = [case[0].__name__ for case in CASES]
 
 
+def _subclass(cls):
+    """``Sub<cls>(cls)`` with ``__slots__ = ()``, a module global so that
+    pickle finds it."""
+    name = "Sub" + cls.__name__
+    sub = globals()[name] = type(name, (cls,), {"__slots__": (),
+                                                "__module__": __name__})
+    return sub
+
+
+SUBCLASSES = {case[0]: _subclass(case[0]) for case in CASES}
+
+
 @pytest.mark.parametrize("cls, fields, values, changed", CASES, ids=IDS)
 def test_fields_in_order_by_position_or_keyword(cls, fields, values, changed):
     record = cls(*values)
@@ -65,6 +77,26 @@ def test_defaults():
     assert LeibnizAlgebra(2, {}).field == "Q"
     assert LeibnizAlgebra(2, {}).labels is None
     assert DendriformAlgebra(1, {}, {}).field == "Q"
+    assert LeibnizAlgebra(2, {}, labels=("a", "b")) == LeibnizAlgebra(
+        2, {}, "Q", ("a", "b"))
+    assert CheckResult(False, rhs=[ONE]) == CheckResult(
+        False, None, None, None, [ONE])
+    assert DendriformAlgebra(1, {}, {}, field="Q(i)").field == "Q(i)"
+
+
+@pytest.mark.parametrize("cls, fields, values, changed", CASES, ids=IDS)
+def test_binding_refuses_what_a_signature_would(cls, fields, values,
+                                                changed):
+    """An extra positional argument, an unknown keyword, a field given by
+    position and by keyword, and a missing required field."""
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="extra"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match=fields[0]):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=fields[0]):
+        cls(**dict(zip(fields[1:], values[1:])))
 
 
 @pytest.mark.parametrize("cls, fields, values, changed", CASES, ids=IDS)
@@ -136,3 +168,16 @@ def test_copy_and_pickle_round_trip(cls, fields, values, changed):
     for twin in (copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record
+
+
+@pytest.mark.parametrize("cls, fields, values, changed", CASES, ids=IDS)
+def test_a_subclass_without_slots_keeps_every_field(cls, fields, values,
+                                                    changed):
+    sub = SUBCLASSES[cls]
+    record = sub(*values)
+    assert record != sub(*changed) and record == sub(*copy.deepcopy(values))
+    assert repr(record) == "%s(%s)" % (sub.__name__, ", ".join(
+        "%s=%r" % pair for pair in zip(fields, values)))
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is sub and twin == record

@@ -96,6 +96,37 @@ def test_no_subspace_basis_attribute():
     assert found == []
 
 
+def test_records_bind_their_fields_in_record_py():
+    """A record class is its ``__slots__``, its docstring and its methods:
+    ``Record.__init__`` binds the fields, so no ``Record`` subclass but the
+    checked ``Matrix`` defines ``__init__``, and ``object.__setattr__``
+    appears only in ``record.py``, ``Matrix.__init__`` and
+    ``Scalar.__init__``."""
+    binders = {("linalg.py", "Matrix"), ("scalars.py", "Scalar")}
+    inits, setattrs = [], []
+    for name, tree in _package_trees():
+        if name == "record.py":
+            continue
+        allowed = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "__init__"):
+                    if (name, cls.name) in binders:
+                        allowed.update(map(id, ast.walk(node)))
+                    elif any(isinstance(base, ast.Name) and base.id == "Record"
+                             for base in cls.bases):
+                        inits.append((name, cls.name))
+        setattrs += [(name, node.lineno) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "__setattr__"
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "object" and id(node) not in allowed]
+    assert (inits, setattrs) == ([], [])
+
+
 # -- the sparse tensor against a dense reference ----------------------------
 
 small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
