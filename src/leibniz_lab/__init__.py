@@ -22,7 +22,8 @@ from .linalg import Matrix
 from .representations import (Representation, bowtie_algebra, dual_rep,
                               regular_rep, semidirect_product,
                               verify_representation, verify_rota_baxter)
-from .scalars import GAUSSIAN, RATIONAL, Scalar, format_scalar, parse_scalar
+from .scalars import (GAUSSIAN, RATIONAL, Scalar, format_scalar, parse_scalar,
+                      quotient)
 from .structures import (classify_complex, classify_product, complexify,
                          check_complex_product_pair,
                          enumerate_diagonal_products, J_from_phi,

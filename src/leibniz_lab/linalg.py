@@ -20,7 +20,7 @@ from operator import add, sub
 
 from .errors import DimensionMismatch, SingularMatrix
 from .record import Record
-from .scalars import _ONE, _ZERO, Scalar, _quotient
+from .scalars import _ONE, _ZERO, Scalar, _canonical, quotient
 
 
 class Matrix(Record):
@@ -154,10 +154,12 @@ class Matrix(Record):
 
 
 def _subtract(row: dict, f: Scalar, pivot_row: dict):
-    """row -= f * pivot_row in place, dropping the zeros it leaves."""
+    """row -= f * pivot_row in place: zeros dropped, the rest canonical."""
     for c, v in pivot_row.items():
-        row[c] = row.get(c, _ZERO) - f * v
-        if not row[c]:
+        v = row.get(c, _ZERO) - f * v
+        if v:
+            row[c] = _canonical(v)
+        else:
             del row[c]
 
 
@@ -185,8 +187,8 @@ def _echelon(rows, ncols: int) -> dict:
         if not row:
             continue
         lead = min(row)
-        inv = _quotient(_ONE, row[lead])
-        row = {c: inv * v for c, v in row.items()}
+        inv = quotient(_ONE, row[lead])
+        row = {c: _canonical(inv * v) for c, v in row.items()}
         for other in pivots.values():
             if lead in other:
                 _subtract(other, other[lead], row)

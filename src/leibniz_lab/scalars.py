@@ -7,12 +7,14 @@ with a nonzero imaginary part is a :class:`Scalar` ``real + imag*i`` with
 parts of that kind.  Every value made here (by ``Scalar.of``, ``zero``,
 ``one``, ``i`` or :func:`parse_scalar`, as the parts of a :class:`Scalar`,
 as a result whose imaginary part vanishes, or as a quotient) has that
-canonical kind; other arithmetic keeps Python's (``int * int`` is an ``int``, a
+canonical kind, and so does every output of the exact elimination in
+:mod:`linalg` (its RREF rows, kernel bases, inverses and solutions);
+other arithmetic keeps Python's (``int * int`` is an ``int``, a
 ``Fraction`` result stays a ``Fraction``, equal and hash-equal to its
 ``int`` value).  Both kinds expose ``real`` and ``imag``, and mixed
 arithmetic is exact in either operand order.  Since ``int / int`` is a
-float, the package divides only through :func:`_quotient`.  There is no
-rounding anywhere in the package.
+float, the package divides only through :func:`quotient`, which callers
+use too.  There is no rounding anywhere in the package.
 """
 
 from __future__ import annotations
@@ -29,29 +31,33 @@ _RATIONALS = (Fraction, int)
 _ZERO, _ONE = 0, 1
 
 
+def _canonical(v):
+    """v with an integral ``Fraction`` turned into its int; any other int,
+    Fraction or Scalar is returned as it is."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 def _rational(q):
     """The rational q (an int, a Fraction or anything ``Fraction`` reads)
     as an int when it is integral, else as a Fraction."""
-    if type(q) is not int:
-        q = q if type(q) is Fraction else Fraction(q)
-        if q.denominator == 1:
-            return q.numerator
-    return q
+    return q if type(q) is int else _canonical(
+        q if type(q) is Fraction else Fraction(q))
 
 
-def _quotient(a, b):
+def quotient(a, b):
     """The exact quotient a / b of field elements, canonical when rational.
 
     This is the package's one division: ``int / int`` would be a float.
+    Raises :class:`DivisionByZero` when b is 0.
     """
     if type(b) is Scalar:
         return b._inverse() * a
     if not b:
         raise DivisionByZero("division by zero scalar")
     if type(a) is Scalar:
-        return Scalar(_quotient(a.real, b), _quotient(a.imag, b))
-    q = Fraction(a, b) if type(a) is int and type(b) is int else a / b
-    return q.numerator if q.denominator == 1 else q
+        return Scalar(quotient(a.real, b), quotient(a.imag, b))
+    return _canonical(Fraction(a, b) if type(a) is int and type(b) is int
+                      else a / b)
 
 
 def _make(real, imag):
@@ -132,17 +138,17 @@ class Scalar:
 
     def __truediv__(self, other):
         if isinstance(other, (Scalar, *_RATIONALS)):
-            return _quotient(self, other)
+            return quotient(self, other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _RATIONALS):
-            return _quotient(other, self)
+            return quotient(other, self)
         return NotImplemented
 
     def _inverse(self) -> "Scalar":
         norm = self.real * self.real + self.imag * self.imag
-        return Scalar(_quotient(self.real, norm), _quotient(-self.imag, norm))
+        return Scalar(quotient(self.real, norm), quotient(-self.imag, norm))
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.real, -self.imag)

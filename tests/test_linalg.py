@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (basis_vectors, dense, kind, mat, random_dendriform,
-                      random_leibniz)
+from conftest import (basis_vectors, canonical, dense, kind, mat,
+                      random_dendriform, random_leibniz)
 from leibniz_lab import build_phase_space, complexify
 from leibniz_lab.errors import DimensionMismatch, SingularMatrix
 from leibniz_lab.leibniz import Subspace, is_subalgebra, is_two_sided_ideal
@@ -308,6 +308,61 @@ def test_invert_matches_dense_reference(M):
             invert(M)
     else:
         assert exact(invert(M)) == exact(want)
+
+
+# -- pivots other than +-1: the elimination keeps its values canonical --------
+
+NON_UNIT = st.sampled_from((0, 1, -1, 2, -2, 3, -3, Fraction(1, 2),
+                            Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3)))
+
+
+@st.composite
+def non_unit_systems(draw):
+    """(M, b): a Q or Q(i) matrix, square about half the time, whose
+    entries, and so whose pivots, are mostly not +-1 (Q(i) entries are
+    Scalar.of(x, y) with both parts drawn alike), a right-hand side of M's
+    image about half the time."""
+    entry = (st.builds(Scalar.of, NON_UNIT, NON_UNIT) if draw(st.booleans())
+             else NON_UNIT)
+    cols = draw(st.integers(1, 5))
+    nrows = cols if draw(st.booleans()) else draw(st.integers(0, 6))
+    M = dense(cols, draw(st.lists(st.lists(entry, min_size=cols,
+                                           max_size=cols),
+                                  min_size=nrows, max_size=nrows)))
+    b = (M.apply(draw(st.lists(entry, min_size=cols, max_size=cols)))
+         if draw(st.booleans())
+         else draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+    return M, column(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_unit_systems())
+def test_elimination_is_canonical_on_non_unit_pivots(system):
+    """rank, kernel_basis, solve_linear and invert agree with the dense
+    reference, and every value they return is canonical
+    (:func:`conftest.canonical`): the elimination turns an integral
+    ``Fraction`` it makes into its int."""
+    M, b = system
+    assert rank(M) == ref_rank(M)
+    kernel, solved, want = kernel_basis(M), solve_linear(M, b), ref_solve(M, b)
+    assert exact(kernel) == exact(ref_kernel(M))
+    returned = [c for v in kernel for c in v]
+    if want == NO_SOLUTION:
+        assert solved == NO_SOLUTION
+    else:
+        assert exact(solved[0]) == exact(want[0])
+        assert exact(solved[1]) == exact(want[1])
+        returned += [c for v in (solved[0], *solved[1]) for c in v]
+    if M.is_square():
+        inverse = ref_invert(M)
+        if isinstance(inverse, str):
+            with pytest.raises(SingularMatrix, match=inverse):
+                invert(M)
+        else:
+            got = invert(M)
+            assert exact(got) == exact(inverse)
+            returned += [c for row in got.entries for c in row]
+    assert [c for c in returned if not canonical(c)] == []
 
 
 # -- subalgebra and ideal tests: one elimination against per-pair membership --

@@ -13,7 +13,7 @@ from conftest import canonical, kind
 from leibniz_lab import build_phase_space, solve_symplectic_space
 from leibniz_lab.errors import DivisionByZero, ParseError
 from leibniz_lab.io import parse_algebra, parse_dendriform, parse_matrix
-from leibniz_lab.scalars import Scalar, _quotient, format_scalar, parse_scalar
+from leibniz_lab.scalars import Scalar, format_scalar, parse_scalar, quotient
 
 fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
                       st.integers(1, 10 ** 4))
@@ -58,8 +58,8 @@ def test_field_axioms_add_mul(a, b):
 def test_division_inverts_multiplication(a, b):
     if b:
         # Two rationals divide through the quotient: int / int is a float.
-        quotient = _quotient(a * b, b)
-        assert quotient == a and canonical(quotient)
+        q = quotient(a * b, b)
+        assert q == a and canonical(q)
 
 
 @given(scalars(True))
@@ -97,6 +97,29 @@ def test_division_by_zero():
         Scalar.i() / Scalar.zero()
 
 
+def test_public_quotient_divides_exactly():
+    """``leibniz_lab.quotient`` is the exact division for callers, whose
+    ``/`` on two ints would be a float."""
+    assert leibniz_lab.quotient is quotient
+    half = quotient(1, 2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert quotient(4, 2) == 2 and type(quotient(4, 2)) is int
+    assert type(quotient(Fraction(9, 2), Fraction(3, 2))) is int
+    # In Q(i): (1+i)/(1-i) = i, (2+2i)/(1+i) = 2 and (2+4i)/2 = 1+2i.
+    one_plus_i = Scalar.of(1, 1)
+    assert quotient(one_plus_i, Scalar.of(1, -1)) == Scalar.i()
+    assert type(quotient(Scalar.of(2, 2), one_plus_i)) is int
+    assert quotient(Scalar.of(2, 4), 2) == Scalar.of(1, 2)
+    assert quotient(1, one_plus_i) == Scalar.of(Fraction(1, 2),
+                                                Fraction(-1, 2))
+    assert all(canonical(quotient(a, b)) for a in (3, one_plus_i)
+               for b in (3, Fraction(2, 3), one_plus_i))
+    for zero in (0, Fraction(0)):
+        for a in (1, Fraction(1, 2), one_plus_i):
+            with pytest.raises(DivisionByZero):
+                quotient(a, zero)
+
+
 def test_mixed_field_arithmetic_promotes():
     assert type(Scalar.of(2) + Scalar.i()) is Scalar
     assert type(Scalar.of(2) * Scalar.of(3)) is int
@@ -109,12 +132,12 @@ def test_arithmetic_matches_pair_reference(a, b, op):
     built = isinstance(x, Scalar) or isinstance(y, Scalar)
     want = pair_reference(op, a, b)
     if op is operator.truediv and not built:
-        op = _quotient   # two rationals: int / int is a float
+        op = quotient   # two rationals: int / int is a float
     result = op(x, y)
     assert (result.real, result.imag) == want
     assert kind(result) == ("Q(i)" if result.imag else "Q")
     # A Scalar operand or the quotient builds the result: it is canonical.
-    assert canonical(result) or not (built or op is _quotient)
+    assert canonical(result) or not (built or op is quotient)
 
 
 @given(fractions | st.integers(-50, 50),
