@@ -72,23 +72,18 @@ def isotropic_decomposition_check(A: LeibnizAlgebra, B: Matrix,
         A, B, w_plus, w_minus, (A.brackets,))
 
 
-def _skew_form(check: CheckResult, B: Matrix, M: Matrix, error) -> Matrix:
-    """S = B M for a triple that passed ``check``; S must be skew."""
-    _require(check, error, "triple fails")
-    S = B @ M
-    if S.transpose() != -S:
-        raise error("derived form is not skew")
-    return S
-
-
 def S_from_B_E(A: LeibnizAlgebra, B: Matrix, E: Matrix) -> Matrix:
-    """The skew form S(x, y) = B(x, Ey) of a para-Kahler triple."""
-    return _skew_form(check_para_kahler(A, B, E), B, E, NotParaKahler)
+    """The skew form S(x, y) = B(x, Ey) of a para-Kahler triple: E^T B E =
+    -B and E^2 = I give E^T B = -B E, so S = B E is skew."""
+    _require(check_para_kahler(A, B, E), NotParaKahler, "triple fails")
+    return B @ E
 
 
 def S_from_B_J(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> Matrix:
-    """The skew form S(x, y) = B(x, Jy) of a pseudo-Kahler triple."""
-    return _skew_form(check_pseudo_kahler(A, B, J), B, J, NotPseudoKahler)
+    """The skew form S(x, y) = B(x, Jy) of a pseudo-Kahler triple: J^T B J
+    = B and J^2 = -I give J^T B = -B J, so S = B J is skew."""
+    _require(check_pseudo_kahler(A, B, J), NotPseudoKahler, "triple fails")
+    return B @ J
 
 
 def levi_civita(A: LeibnizAlgebra, S: Matrix) -> LeviCivitaPair:

@@ -108,7 +108,7 @@ def contract(terms, tensors: dict) -> dict:
     ``{(p, q): {t: 1}}`` for unknown entries t, which gives the rows of a
     linear system in the form.  Only stored entries are visited.
     """
-    out, one = {}, Scalar.one()
+    out = {}
     for sign, text in terms:
         outer, inner, inner_first, slots = _term(text)
         feed = {}   # outer entries by the argument the inner product fills
@@ -123,8 +123,7 @@ def contract(terms, tensors: dict) -> dict:
                     abf = (a, b, f)
                     acc = out.setdefault((abf[x], abf[y], abf[z]), {})
                     for k, d in value.items():
-                        v = c if d is one else c * d   # unknown form
-                        acc[k] = acc[k] + v if k in acc else v
+                        acc[k] = acc[k] + c * d if k in acc else c * d
     return _nonzero(out)
 
 

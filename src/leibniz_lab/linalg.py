@@ -37,14 +37,6 @@ class Matrix(Record):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nonzero", nonzero)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows == other.rows and self.cols == other.cols
-                    and self.nonzero == other.nonzero)
-        return NotImplemented
-
-    __hash__ = Record.__hash__   # a tuple of dicts: unhashable
-
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
         r = len(rows)
@@ -168,19 +160,15 @@ def _echelon(rows, ncols: int) -> dict:
     rows {column: nonzero value} with columns in range(ncols)) as
     {pivot column: sparse row}.  The given rows are left unchanged.
 
-    Rows are inserted one at a time, skipping zero and duplicate rows,
-    until every column has a pivot.  A new row is reduced by the pivot
-    rows it meets; what is left becomes a pivot row, scaled to 1 at its
+    Rows are inserted one at a time until every column has a pivot.  A new
+    row is reduced by the pivot rows it meets (a zero or repeated row
+    vanishes); what is left becomes a pivot row, scaled to 1 at its
     leading column, which is then cleared from the other pivot rows.
     """
-    pivots, seen = {}, set()
+    pivots = {}
     for row in rows:
         if len(pivots) == ncols:
             break
-        key = frozenset(row.items())
-        if key in seen:
-            continue
-        seen.add(key)
         row = dict(row)
         for p in [p for p in row if p in pivots]:
             _subtract(row, row[p], pivots[p])

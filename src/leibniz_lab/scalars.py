@@ -48,8 +48,11 @@ def quotient(a, b):
     """The exact quotient a / b of field elements, canonical when rational.
 
     This is the package's one division: ``int / int`` would be a float.
-    Raises :class:`DivisionByZero` when b is 0.
+    Raises :class:`DivisionByZero` when b is 0, and ``TypeError`` when a or
+    b is not exactly an int, a Fraction or a Scalar (a bool or a float).
     """
+    if type(a) not in _KINDS or type(b) not in _KINDS:
+        raise TypeError("only int, Fraction and Scalar values divide")
     if type(b) is Scalar:
         return b._inverse() * a
     if not b:
@@ -170,6 +173,9 @@ class Scalar:
 
     def __repr__(self) -> str:
         return "Scalar(%s)" % format_scalar(self)
+
+
+_KINDS = (int, Fraction, Scalar)   # the kinds of a field element
 
 
 def _format_fraction(q) -> str:

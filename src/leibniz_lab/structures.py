@@ -285,10 +285,10 @@ def J_from_phi(A: LeibnizAlgebra, E: Matrix, phi: Matrix) -> Matrix:
         raise DimensionMismatch("eigenspaces of different dimensions")
     k = plus.dim
     _require_square(phi, k, "phi")
-    invert(phi)  # raises SingularMatrix when phi is not an isomorphism
     P = _columns(A, plus)   # columns p_j
     Q = _columns(A, minus) @ phi   # q_j = phi(p_j)
-    # J sends p_j to q_j and q_j to -p_j.
+    # J sends p_j to q_j and q_j to -p_j.  [P | Q] has rank k + rank phi,
+    # so its inverse raises SingularMatrix unless phi is an isomorphism.
     J = Q.hstack(-P) @ invert(P.hstack(Q))
     # The defining identity for phi, checked on plus-eigenspace basis pairs:
     # phi[x1,x2] = [phi x1, x2] + [x1, phi x2] - phi^{-1}[phi x1, phi x2].
@@ -310,7 +310,7 @@ def product_iff_iE(A: LeibnizAlgebra, E: Matrix):
     J = E.scale(Scalar.i())
     _require_involution(A, E)
     product_ok = integrability(A, E, 1).ok
-    complex_ok = _squares_to(J, -1) and integrability(A, J, -1).ok
+    complex_ok = integrability(A, J, -1).ok   # J^2 = (iE)^2 = -I
     return J, product_ok == complex_ok, product_ok, complex_ok
 
 

@@ -90,6 +90,13 @@ def squares_algebra():
 
 
 @pytest.fixture
+def e1_squared():
+    """Two-dimensional algebra with the single bracket [e1, e1] = e2: it is
+    Leibniz, and span(e1) is not a subalgebra."""
+    return LeibnizAlgebra.from_brackets(2, {(0, 0): {1: Scalar.of(1)}})
+
+
+@pytest.fixture
 def sl2():
     """sl(2) in the basis (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h."""
     two, m_two, one, m_one = (Scalar.of(2), Scalar.of(-2), Scalar.of(1),

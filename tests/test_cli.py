@@ -1,5 +1,6 @@
 """Command-line interface: verdicts, payload round-trips, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -130,6 +131,49 @@ def test_cli_input_errors(write_doc):
     verdict, status = run_command(["verify", "nonsense",
                                    write_doc(ALGEBRA_DOC)])
     assert status == 2
+
+
+def test_cli_reads_stdin_and_an_algebra_by_path(write_doc, monkeypatch):
+    """``-`` reads the document from standard input, and a representation
+    may name its algebra by an (absolute) path, as the README shows."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(ALGEBRA_DOC)))
+    verdict, status = run_command(["verify", "leibniz", "-"])
+    assert status == 0 and verdict["ok"]
+    path = write_doc({"dim": 2, "brackets": []})
+    assert os.path.isabs(path)
+    verdict, status = run_command(["construct", "semidirect", write_doc(
+        {"algebra": path, "repDim": 1, "left": [[["0"]], [["0"]]],
+         "right": [[["0"]], [["0"]]]})])
+    assert status == 0 and verdict["payload"]["dim"] == 3
+
+
+ONE_TERM = [{"i": 0, "j": 0, "value": [{"k": 0, "c": "1"}]}]
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    (("construct", "subadjacent"),
+     {"dim": 1, "left": ONE_TERM, "right": []}, "dendriform axiom p1 fails"),
+    (("construct", "semidirect"),
+     {"algebra": {"dim": 1}, "repDim": 1, "left": [[["1"]]],
+      "right": [[["1"]]]}, "representation axiom AXIOM_R_COMPOSE fails"),
+], ids=["dendriform", "representation"])
+def test_documents_failing_their_axioms_exit_2(write_doc, capsys, command,
+                                              doc, error):
+    """A dendriform or representation document that fails its axioms is
+    reported on stdout with exit status 2, and nothing on stderr."""
+    assert main(list(command) + [write_doc(doc)]) == 2
+    out, err = capsys.readouterr()
+    verdict = json.loads(out)
+    assert verdict["reason"] == "ValidationError" and err == ""
+    assert verdict["error"].startswith(error + " at ")
+
+
+def test_representation_needs_one_matrix_per_basis_index(write_doc):
+    doc = {"algebra": {"dim": 2}, "repDim": 1, "left": [[["0"]]],
+           "right": [[["0"]], [["0"]]]}
+    assert _parse_error(write_doc, doc, ("construct", "semidirect"))
+    assert _parse_error(write_doc, dict(doc, left=[[["0"]]] * 2, right=[]),
+                        ("construct", "semidirect"))
 
 
 def test_cli_classify_product(write_doc):

@@ -98,6 +98,9 @@ def test_rota_baxter_rejects(sl2):
     R = regular_rep(sl2)
     check = verify_rota_baxter(sl2, R, Matrix.identity(3))
     assert not check.ok and check.reason == "ROTA_BAXTER_FAILS"
+    from leibniz_lab.errors import SingularMatrix
+    with pytest.raises(SingularMatrix):   # only a square T inverts
+        compatible_dendriform_from_invertible_rb(sl2, R, Matrix.zero(3, 2))
     with pytest.raises(NotRotaBaxter):
         rb_to_dendriform(sl2, R, Matrix.identity(3))
 

@@ -118,6 +118,14 @@ def test_public_quotient_divides_exactly():
         for a in (1, Fraction(1, 2), one_plus_i):
             with pytest.raises(DivisionByZero):
                 quotient(a, zero)
+    # Only field elements divide: a float or a bool (an int subclass) is
+    # refused in either place, also behind the Scalar operators.
+    for a, b in ((1, 0.5), (True, 2), (0.5, 2), (1, True),
+                 (Scalar.i(), 0.5), (Fraction(1, 2), False)):
+        with pytest.raises(TypeError):
+            quotient(a, b)
+    with pytest.raises(TypeError):
+        Scalar.i() / True
 
 
 def test_mixed_field_arithmetic_promotes():

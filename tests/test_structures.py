@@ -111,13 +111,21 @@ def test_product_from_decomposition_roundtrip(heisenberg_like):
     assert E == diag(1, 1, -1, -1)
 
 
-def test_product_from_decomposition_rejects(sl2):
+def test_product_from_decomposition_rejects(sl2, e1_squared):
     # span(e) and span(f) are subalgebras but do not fill sl2.
     e_line = Subspace.from_vectors([sl2.basis_vector(1)])
     f_line = Subspace.from_vectors([sl2.basis_vector(2)])
     from leibniz_lab.errors import NotDirectSum
     with pytest.raises(NotDirectSum):
         product_from_decomposition(sl2, e_line, f_line)
+    # [e1, e1] = e2 leaves span(e1); span(e2) twice has the right
+    # dimensions but meets itself.
+    e1, e2 = (Subspace.from_vectors([e1_squared.basis_vector(i)])
+              for i in range(2))
+    with pytest.raises(NotSubalgebra):
+        product_from_decomposition(e1_squared, e1, e2)
+    with pytest.raises(NotDirectSum):
+        product_from_decomposition(e1_squared, e2, e2)
 
 
 def test_complex_classification_catalogue(squares_algebra):
@@ -154,6 +162,9 @@ def test_phi_psi_projections(squares_algebra):
     J = J_BLOCKS[0]
     phi, psi = phi_map(J), psi_map(J)
     I = Matrix.identity(4)
+    for half_shift in (phi_map, psi_map):
+        with pytest.raises(NotAntiInvolution):
+            half_shift(I)   # I^2 = I, not -I
     assert phi + psi == I
     assert phi @ phi == phi   # idempotent projections
     assert psi @ psi == psi
@@ -303,7 +314,7 @@ def test_J_from_phi_matches_form_construction():
     assert check_complex_product_pair(P.total, J2, E).ok
 
 
-def test_J_from_phi_identity_guard(heisenberg_like):
+def test_J_from_phi_identity_guard(heisenberg_like, sl2):
     # [e1, e3] = 2 e4 obstructs every isomorphism between the eigenspaces
     # of diag(1,1,-1,-1): the identity forces [x1, phi(x2)] = 0.
     with pytest.raises(PhiIdentityFails):
@@ -311,6 +322,16 @@ def test_J_from_phi_identity_guard(heisenberg_like):
     from leibniz_lab.errors import SingularMatrix
     with pytest.raises(SingularMatrix):
         J_from_phi(heisenberg_like, diag(1, 1, -1, -1), mat([[0, 0], [0, 0]]))
+    with pytest.raises(SingularMatrix):   # a rank-1 phi: [P | Q] has rank 3
+        J_from_phi(heisenberg_like, diag(1, 1, -1, -1), mat([[1, 1], [1, 1]]))
+    # diag(1, -1, -1) is an involution, but [e, f] = h leaves span(e, f).
+    with pytest.raises(NotInvolution):
+        J_from_phi(sl2, diag(1, -1, -1), Matrix.identity(1))
+    # diag(1, 1, -1) is a product structure with eigenspaces of dimensions
+    # 2 and 1, which no isomorphism phi joins.
+    from leibniz_lab.errors import DimensionMismatch
+    with pytest.raises(DimensionMismatch):
+        J_from_phi(sl2, diag(1, 1, -1), Matrix.identity(1))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

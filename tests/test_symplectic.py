@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import form_value, mat, random_dendriform, random_leibniz
 from test_term_tables import typed
-from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, build_phase_space,
+from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, PhaseSpace,
+                         Subspace, build_phase_space,
                          canonical_pairing, complexify, solve_symplectic_space,
                          subadjacent, symplectic_to_dendriform,
                          verify_dendriform, verify_manin_triple,
@@ -81,13 +82,22 @@ def test_solver_members_all_satisfy_identity():
                         assert lhs == rhs
 
 
-def test_sample_nondegenerate_deterministic():
+def test_sample_nondegenerate_deterministic(monkeypatch):
     basis, _ = solve_symplectic_space(LeibnizAlgebra.from_brackets(2, {}))
     s1 = sample_nondegenerate(basis, seed=5)
     s2 = sample_nondegenerate(basis, seed=5)
     assert s1 is not None and s1 == s2
     # From n = 1 on, an empty basis spans only the singular zero form.
     assert sample_nondegenerate([], seed=0) is None
+    # Every member [[0, a, b], [a, 0, 0], [b, 0, 0]] of this pencil has
+    # rank at most 2, yet its radical is 0: the sum of the basis and each
+    # seeded combination are tried, and then None is returned.
+    basis = [mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+             mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]])]
+    assert form_space_radical(basis) == []
+    calls = count_is_singular(monkeypatch)
+    assert sample_nondegenerate(basis, seed=0) is None
+    assert len(calls) == 1 + symplectic.SAMPLE_ATTEMPTS
 
 
 def test_solver_samples_the_zero_form_of_the_zero_algebra():
@@ -132,16 +142,31 @@ def test_phase_space_construction_and_checks():
         assert verify_symplectic(P.total, P.form).ok
 
 
-def test_phase_space_rejects_wrong_blocks():
+def test_phase_space_rejects_wrong_blocks(e1_squared):
     D = DendriformAlgebra(1, {}, {})
     e = Scalar.of(1)
     z = Scalar.zero()
     P = build_phase_space(D)
-    from leibniz_lab import Subspace
     mixed = Subspace.from_vectors([[e, e]])
     dual = P.dual_subspace()
     check = verify_phase_space(P, mixed, dual)
     assert not check.ok and check.reason == "PAIRING_FAILS"
+    with pytest.raises(DimensionMismatch):
+        verify_phase_space(P, P.base_subspace(), Subspace.from_vectors([]))
+    with pytest.raises(DimensionMismatch):
+        verify_phase_space(P, Subspace.from_vectors([[e, z], [z, e]]), dual)
+    # A non-Leibniz total fails first; on [e1, e1] = e2 the pairing is
+    # symplectic but the base block span(e1) is not closed.
+    base, dual = (Subspace.from_vectors([e1_squared.basis_vector(i)])
+                  for i in range(2))
+    non_leibniz = LeibnizAlgebra.from_brackets(
+        2, {(0, 1): {0: Scalar.one()}, (1, 0): {1: Scalar.one()}})
+    check = verify_phase_space(PhaseSpace(non_leibniz, 1, canonical_pairing(1)),
+                               base, dual)
+    assert (check.reason, check.indices) == ("LEIBNIZ_FAILS", (0, 1, 0))
+    P = PhaseSpace(e1_squared, 1, canonical_pairing(1))
+    assert verify_symplectic(P.total, P.form).ok
+    assert verify_phase_space(P, base, dual).reason == "SUBALGEBRA_FAILS"
 
 
 def test_manin_triple_on_phase_space():

@@ -25,13 +25,15 @@ from leibniz_lab.scalars import Scalar
 # the per-scalar field tag and its conversions, the dense to sparse tensor
 # conversion, the record comparisons that ``==`` does, the whole-space
 # subspace, the shape-sniffing document parser, the document's switch
-# for validation, the span test and ambient size of the row-tuple subspace
-# and the abelian-algebra shortcut for ``from_brackets(n, {})``.
+# for validation, the span test and ambient size of the row-tuple subspace,
+# the abelian-algebra shortcut for ``from_brackets(n, {})`` and the skew
+# test of a Kahler form S = BM, which a passed Kahler check already makes
+# skew.
 FORBIDDEN = {"_add", "_sub", "_vadd", "_vsub", "_unit", "_form_value",
              "_product", "scalar_arith", "promote", "demote", "field_tag",
              "sparse_brackets", "tensors_equal", "dendriforms_equal",
              "full_subspace", "parse_document", "_should_validate",
-             "contains", "ambient_dim", "abelian"}
+             "contains", "ambient_dim", "abelian", "_skew_form"}
 DENSE_TENSOR_ATTRIBUTES = {"constants", "left_constants", "right_constants"}
 
 
@@ -125,6 +127,36 @@ def test_records_bind_their_fields_in_record_py():
                      and isinstance(node.value, ast.Name)
                      and node.value.id == "object" and id(node) not in allowed]
     assert (inits, setattrs) == ([], [])
+
+
+def test_records_compare_by_record_py_alone():
+    """Record equality has one rule, ``Record.__eq__`` over the fields, and
+    one hash: no ``Record`` subclass, direct or not, defines or assigns
+    ``__eq__`` or ``__hash__``."""
+    classes = [(name, cls) for name, tree in _package_trees()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    records, size = {"Record"}, 0
+    while len(records) > size:   # add subclasses until none is new
+        size = len(records)
+        records |= {cls.name for _, cls in classes
+                    if any(isinstance(base, ast.Name) and base.id in records
+                           for base in cls.bases)}
+    defined = []
+    for name, cls in classes:
+        if cls.name == "Record" or cls.name not in records:
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, cls.name, target) for target in targets
+                        if target in ("__eq__", "__hash__")]
+    assert records > {"Record", "Matrix", "LeibnizAlgebra"}
+    assert defined == []
 
 
 # -- the sparse tensor against a dense reference ----------------------------
