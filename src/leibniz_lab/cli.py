@@ -19,25 +19,15 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from .dendriform import (subadjacent, verify_dendriform,
-                         verify_invariant_form, verify_quadratic_dendriform)
 from .errors import (DimensionMismatch, FieldMismatch, LeibnizLabError,
                      ParseError, TooLarge, ValidationError, WrongField)
 from .io import (load_json, parse_algebra, parse_dendriform, parse_matrix,
                  parse_representation, parse_subspace, serialize_algebra,
                  serialize_matrix, serialize_representation)
-from .kahler import (check_para_kahler, check_pseudo_kahler,
-                     complexify_pseudo_kahler, levi_civita, realify)
 from .leibniz import OK, CheckResult, verify_leibniz
-from .representations import (bowtie_algebra, dual_rep, semidirect_product,
-                              verify_representation, verify_rota_baxter)
 from .scalars import format_scalar
-from .structures import (check_complex_product_pair, classify_complex,
-                         classify_product, enumerate_diagonal_products)
-from .symplectic import (build_phase_space, solve_symplectic_space,
-                         verify_manin_triple, verify_phase_space,
-                         verify_symplectic)
 
 
 def _witnesses(check) -> list:
@@ -58,9 +48,19 @@ def _verdict(key, check, **extra) -> dict:
     return doc
 
 
-# The functions below and the lambdas of the tables call the library
-# through this module's globals at call time, never through a stored
-# function object, so a tracer that rebinds those globals sees every call.
+# The functions below and the lambdas of the tables call the library at
+# call time, never through a stored function object: ``io``, ``leibniz``
+# and ``scalars`` (which every command loads) through this module's
+# globals, every other layer as an attribute of its module, which
+# ``_layer`` imports on the command's first call.  So a process compiles
+# only the layers its command runs, and a tracer that rebinds the names
+# of every loaded namespace sees every call.
+
+
+def _layer(name: str):
+    """The library module ``name``, imported on first use."""
+    return import_module("." + name, __package__)
+
 
 # How a path argument of each kind is parsed.  ``field`` is the field of
 # the first document, in which every matrix is read.  A "raw" document is
@@ -82,7 +82,7 @@ def _integrable(ok: bool, payload: dict):
 
 
 def _classify_product(A, E):
-    report = classify_product(A, E)
+    report = _layer("structures").classify_product(A, E)
     return _integrable(report.is_product, {
         "isProduct": report.is_product, "isStrict": report.is_strict,
         "isAbelian": report.is_abelian,
@@ -92,7 +92,7 @@ def _classify_product(A, E):
 
 
 def _classify_complex(A, J):
-    report = classify_complex(A, J)
+    report = _layer("structures").classify_complex(A, J)
     return _integrable(report.is_complex, {
         "isComplex": report.is_complex, "isStrict": report.is_strict,
         "isAbelian": report.is_abelian, "eigenIDim": report.eigen_i.dim,
@@ -100,14 +100,14 @@ def _classify_complex(A, J):
 
 
 def _enumerate_products(A):
-    found = enumerate_diagonal_products(A)
+    found = _layer("structures").enumerate_diagonal_products(A)
     return OK, {"count": len(found),
                 "diagonals": [[format_scalar(E[i, i]) for i in range(A.dim)]
                               for E, _ in found]}
 
 
 def _solve_symplectic(A, seed):
-    basis, sample = solve_symplectic_space(A, seed=seed)
+    basis, sample = _layer("symplectic").solve_symplectic_space(A, seed=seed)
     return OK, {"dim": len(basis),
                 "basis": [serialize_matrix(B)["matrix"] for B in basis],
                 "sampleNondegenerate":
@@ -116,8 +116,10 @@ def _solve_symplectic(A, seed):
 
 
 def _phase_space(D):
-    P = build_phase_space(D)
-    return P, verify_phase_space(P, P.base_subspace(), P.dual_subspace())
+    symplectic = _layer("symplectic")
+    P = symplectic.build_phase_space(D)
+    return P, symplectic.verify_phase_space(P, P.base_subspace(),
+                                            P.dual_subspace())
 
 
 def _construct_phase_space(D):
@@ -128,7 +130,7 @@ def _construct_phase_space(D):
 
 
 def _levi_civita(A, S):
-    pair = levi_civita(A, S)
+    pair = _layer("kahler").levi_civita(A, S)
 
     def tensor_doc(product):
         return [[[format_scalar(c) for c in product(i, j)]
@@ -151,44 +153,49 @@ _TRIPLE = ("algebra", "matrix", "matrix")
 # function of ``solve`` also takes the ``--seed``.
 COMMANDS = {
     ("verify", "leibniz"): (("raw algebra",), lambda A: verify_leibniz(A)),
-    ("verify", "rep"): (("raw representation",),
-                        lambda R: verify_representation(R)),
-    ("verify", "dendriform"): (("raw dendriform",),
-                               lambda D: verify_dendriform(D)),
-    ("verify", "symplectic"): (_FORM, lambda A, B: verify_symplectic(A, B)),
-    ("verify", "invariant"): (("dendriform", "matrix"),
-                              lambda D, w: verify_invariant_form(D, w)),
-    ("verify", "quadratic"): (("dendriform", "matrix"),
-                              lambda D, B: verify_quadratic_dendriform(D, B)),
+    ("verify", "rep"): (("raw representation",), lambda R:
+                        _layer("representations").verify_representation(R)),
+    ("verify", "dendriform"): (("raw dendriform",), lambda D:
+                               _layer("dendriform").verify_dendriform(D)),
+    ("verify", "symplectic"): (_FORM, lambda A, B:
+                               _layer("symplectic").verify_symplectic(A, B)),
+    ("verify", "invariant"): (("dendriform", "matrix"), lambda D, w: _layer(
+        "dendriform").verify_invariant_form(D, w)),
+    ("verify", "quadratic"): (("dendriform", "matrix"), lambda D, B: _layer(
+        "dendriform").verify_quadratic_dendriform(D, B)),
     ("verify", "rota-baxter"): (("representation", "matrix"), lambda R, T:
-                                verify_rota_baxter(R.algebra, R, T)),
+                                _layer("representations").verify_rota_baxter(
+                                    R.algebra, R, T)),
     ("classify", "product"): (_FORM, _classify_product),
     ("classify", "complex"): (_FORM, _classify_complex),
     ("enumerate", "products"): (("algebra",), _enumerate_products),
     ("solve", "symplectic"): (("algebra",), _solve_symplectic),
     ("construct", "phase-space"): (("dendriform",), _construct_phase_space),
     ("construct", "subadjacent"): (("dendriform",), lambda D: (
-        OK, serialize_algebra(subadjacent(D)))),
+        OK, serialize_algebra(_layer("dendriform").subadjacent(D)))),
     ("construct", "semidirect"): (("representation",), lambda R: (
-        OK, serialize_algebra(semidirect_product(R)))),
+        OK, serialize_algebra(
+            _layer("representations").semidirect_product(R)))),
     ("construct", "dual-rep"): (("representation",), lambda R: (
-        OK, serialize_representation(dual_rep(R)))),
+        OK, serialize_representation(_layer("representations").dual_rep(R)))),
     ("construct", "levi-civita"): (_FORM, _levi_civita),
     ("construct", "complexify"): (_TRIPLE, lambda A, B, J: _bridge(
-        *complexify_pseudo_kahler(A, B, J), "product")),
+        *_layer("kahler").complexify_pseudo_kahler(A, B, J), "product")),
     ("construct", "realify"): (_TRIPLE, lambda A, B, E: _bridge(
-        *realify(A, B, E), "complex")),
+        *_layer("kahler").realify(A, B, E), "complex")),
     ("construct", "bowtie"): (("representation", "matrix"), lambda R, T: (
-        OK, serialize_algebra(bowtie_algebra(R.algebra, R, T)))),
-    ("check", "para-kahler"): (_TRIPLE,
-                               lambda A, B, E: check_para_kahler(A, B, E)),
-    ("check", "pseudo-kahler"): (_TRIPLE,
-                                 lambda A, B, J: check_pseudo_kahler(A, B, J)),
-    ("check", "complex-product"): (_TRIPLE, lambda A, J, E:
-                                   check_complex_product_pair(A, J, E)),
+        OK, serialize_algebra(
+            _layer("representations").bowtie_algebra(R.algebra, R, T)))),
+    ("check", "para-kahler"): (_TRIPLE, lambda A, B, E:
+                               _layer("kahler").check_para_kahler(A, B, E)),
+    ("check", "pseudo-kahler"): (_TRIPLE, lambda A, B, J: _layer(
+        "kahler").check_pseudo_kahler(A, B, J)),
+    ("check", "complex-product"): (_TRIPLE, lambda A, J, E: _layer(
+        "structures").check_complex_product_pair(A, J, E)),
     ("check", "manin-triple"): (("dendriform", "matrix", "subspace",
-                                 "subspace"), lambda D, B, W1, W2:
-                                verify_manin_triple(D, B, W1, W2)),
+                                 "subspace"), lambda D, B, W1, W2: _layer(
+                                     "symplectic").verify_manin_triple(
+                                         D, B, W1, W2)),
     ("check", "phase-space"): (("dendriform",),
                                lambda D: _phase_space(D)[1]),
 }

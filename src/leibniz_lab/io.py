@@ -12,6 +12,9 @@ embed (or reference by path) an algebra plus per-basis-index matrices.
 Forms and endomorphisms are ``{"matrix": [[...]]}``; subspaces are
 ``{"vectors": [[...]]}`` (rows are basis vectors); they have no field of
 their own and are read in the field their caller passes.
+
+Every command loads this module, so ``parse_dendriform`` and
+``parse_representation`` import their layer modules when called.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from __future__ import annotations
 import json
 import sys
 
-from .dendriform import DendriformAlgebra, verify_dendriform
 from .errors import ParseError, ValidationError
 from .leibniz import LeibnizAlgebra, Subspace, verify_leibniz
 from .linalg import Matrix
-from .representations import Representation, verify_representation
 from .scalars import GAUSSIAN, RATIONAL, format_scalar, parse_scalar
 
 
@@ -127,6 +128,7 @@ def parse_algebra(doc: dict, validate: bool = True) -> LeibnizAlgebra:
 
 
 def parse_dendriform(doc: dict, validate: bool = True) -> DendriformAlgebra:
+    from .dendriform import DendriformAlgebra, verify_dendriform
     dim = _size(doc, "dim", "dendriform")
     field = _field_of(doc, "dendriform")
     left = _bracket_map(_require(doc, "left", "dendriform"), dim, field,
@@ -138,7 +140,7 @@ def parse_dendriform(doc: dict, validate: bool = True) -> DendriformAlgebra:
         check = verify_dendriform(algebra)
         if not check.ok:
             raise ValidationError("dendriform axiom %s fails at %s"
-                                  % (check.reason, (check.indices,)))
+                                  % (check.reason, check.indices))
     return algebra
 
 
@@ -174,6 +176,7 @@ def parse_subspace(doc: dict, field: str,
 
 
 def parse_representation(doc: dict, validate: bool = True) -> Representation:
+    from .representations import Representation, verify_representation
     algebra_doc = _require(doc, "algebra", "representation")
     if isinstance(algebra_doc, str):
         algebra_doc = load_json(algebra_doc)
@@ -188,7 +191,7 @@ def parse_representation(doc: dict, validate: bool = True) -> Representation:
         check = verify_representation(rep)
         if not check.ok:
             raise ValidationError("representation axiom %s fails at %s"
-                                  % (check.reason, (check.indices,)))
+                                  % (check.reason, check.indices))
     return rep
 
 

@@ -151,21 +151,25 @@ ONE_TERM = [{"i": 0, "j": 0, "value": [{"k": 0, "c": "1"}]}]
 
 
 @pytest.mark.parametrize("command, doc, error", [
+    (("solve", "symplectic"), NON_LEIBNIZ_DOC,
+     "algebra fails the Leibniz identity at (0, 1, 0)"),
     (("construct", "subadjacent"),
-     {"dim": 1, "left": ONE_TERM, "right": []}, "dendriform axiom p1 fails"),
+     {"dim": 1, "left": ONE_TERM, "right": []},
+     "dendriform axiom p1 fails at (0, 0, 0)"),
     (("construct", "semidirect"),
      {"algebra": {"dim": 1}, "repDim": 1, "left": [[["1"]]],
-      "right": [[["1"]]]}, "representation axiom AXIOM_R_COMPOSE fails"),
-], ids=["dendriform", "representation"])
+      "right": [[["1"]]]},
+     "representation axiom AXIOM_R_COMPOSE fails at (0, 0)"),
+], ids=["algebra", "dendriform", "representation"])
 def test_documents_failing_their_axioms_exit_2(write_doc, capsys, command,
                                               doc, error):
-    """A dendriform or representation document that fails its axioms is
-    reported on stdout with exit status 2, and nothing on stderr."""
+    """A document that fails its axioms is reported on stdout with exit
+    status 2, and nothing on stderr; the error names the witness indices."""
     assert main(list(command) + [write_doc(doc)]) == 2
     out, err = capsys.readouterr()
     verdict = json.loads(out)
     assert verdict["reason"] == "ValidationError" and err == ""
-    assert verdict["error"].startswith(error + " at ")
+    assert verdict["error"] == error
 
 
 def test_representation_needs_one_matrix_per_basis_index(write_doc):
@@ -427,18 +431,45 @@ def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
         assert (proc.wait(), stderr) == (expected, b"")
 
 
+HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis")
+
+
+def _loaded_by(code):
+    """The package modules, ``HEAVY`` modules and ``random`` that a fresh
+    interpreter has loaded after running ``code``; ``-S`` keeps the
+    modules of ``site`` and its ``.pth`` files out."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code + "\nimport sys\nprint(*[m for m "
+         "in sys.modules if m.startswith('leibniz_lab') or m in %r])"
+         % (HEAVY + ("random",),)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return set(proc.stdout.split())
+
+
+def _modules(*layers):
+    return {"leibniz_lab." + layer for layer in layers}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_typing():
     """The records are plain slotted classes, so a fresh ``leibniz-lab``
-    process does not import dataclasses and what it pulls in; ``-S`` keeps
-    the modules of ``site`` and its ``.pth`` files out."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import leibniz_lab.cli, sys; "
-         "print(*[m for m in %r if m in sys.modules])" % (heavy,)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+    process does not import dataclasses and what it pulls in."""
+    assert _loaded_by("import leibniz_lab.cli") & set(HEAVY) == set()
+
+
+def test_a_command_loads_only_the_layers_it_runs(write_doc):
+    """The package and the CLI import a layer module when it is first used,
+    so a process compiles only the layers its command runs."""
+    assert _loaded_by("import leibniz_lab") == {"leibniz_lab"}
+    run = "from leibniz_lab.cli import main\nmain(%r)"
+    loaded = _loaded_by(run % (["verify", "leibniz", write_doc(ALGEBRA_DOC)],))
+    assert loaded & (_modules("dendriform", "representations", "symplectic",
+                              "structures", "kahler") | {"random"}) == set()
+    loaded = _loaded_by(run % (["solve", "symplectic",
+                                write_doc(ALGEBRA_DOC)],))
+    assert "leibniz_lab.symplectic" in loaded
+    assert loaded & _modules("structures", "kahler") == set()
 
 
 TWICE_I3 = endo([[2, 0, 0], [0, 2, 0], [0, 0, 2]])

@@ -112,6 +112,26 @@ def test_matrix_shape_errors():
         Matrix.from_rows([[Scalar.of(1)], [Scalar.of(1), Scalar.of(2)]])
 
 
+def test_operations_refuse_operands_of_the_wrong_shape():
+    wide, square = mat([[1, 2, 3], [4, 5, 6]]), mat([[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatch, match="vector length 2 vs 3"):
+        wide.apply([1, 2])
+    with pytest.raises(DimensionMismatch, match="hstack row mismatch"):
+        wide.hstack(mat([[1]]))
+    for rhs in (mat([[1], [2], [3]]), mat([[1, 0], [0, 1]])):
+        with pytest.raises(DimensionMismatch, match="2-row column"):
+            solve_linear(wide, rhs)
+    with pytest.raises(DimensionMismatch, match="only square"):
+        invert(wide)
+    with pytest.raises(DimensionMismatch, match="non-square"):
+        eigenspace(wide, Scalar.one())
+    with pytest.raises(DimensionMismatch, match="non-square"):
+        trace(wide)
+    # The square matrix of the same entries passes every guard.
+    assert square.apply([1, 1]) == [3, 7] and trace(square) == 5
+    assert invert(square) @ square == Matrix.identity(2)
+
+
 def test_dense_rows_fail_at_construction():
     """The direct constructor takes one {column: value} dict per row; dense
     row tuples or a wrong row count fail at once, not at a first use."""

@@ -169,6 +169,24 @@ def test_phase_space_rejects_wrong_blocks(e1_squared):
     assert verify_phase_space(P, base, dual).reason == "SUBALGEBRA_FAILS"
 
 
+def test_phase_space_rejects_blocks_that_do_not_pair():
+    """Two isotropic subalgebras of the right dimension that overlap pass
+    every check but the last: their Gram matrix is singular."""
+    P = build_phase_space(random_dendriform(random.Random(31), 2))
+    base = P.base_subspace()
+    assert verify_phase_space(P, base, P.dual_subspace()).ok
+    check = verify_phase_space(P, base, base)
+    assert (check.ok, check.reason, check.indices) == (
+        False, "PAIRING_FAILS", None)
+    # span(e1, f2) meets span(e1, e2) in e1: the Gram matrix has rank 1.
+    P = build_phase_space(DendriformAlgebra(2, {}, {}))
+    e, z = Scalar.one(), Scalar.zero()
+    overlap = Subspace.from_vectors([[e, z, z, z], [z, z, z, e]])
+    check = verify_phase_space(P, P.base_subspace(), overlap)
+    assert (check.ok, check.reason, check.indices) == (
+        False, "PAIRING_FAILS", None)
+
+
 def test_manin_triple_on_phase_space():
     rng = random.Random(17)
     for _ in range(5):
