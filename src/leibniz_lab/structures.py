@@ -18,7 +18,7 @@ from .errors import (DimensionMismatch, NotAntiInvolution, NotComplexProduct,
                      NotComplexStructure, NotDirectSum, NotInvolution,
                      NotSubalgebra, PhiIdentityFails, TooLarge, WrongField)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, _columns,
-                      _require, _require_square, first_witness,
+                      _last_call, _require, _require_square, first_witness,
                       is_subalgebra, tensor_sum, transport)
 from .linalg import Matrix, eigenspace, invert, rank
 from .record import Record
@@ -52,7 +52,12 @@ def verify_nijenhuis(A: LeibnizAlgebra, N: Matrix) -> CheckResult:
 
 def integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
     """M[x,y] = [Mx,y] + [x,My] - c M[Mx,My] on all basis pairs."""
-    return _integrability(A, M, c, *_sides(A.brackets, M))
+    return _integrability(A, M, c)
+
+
+@_last_call
+def _integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
+    return _from_sides(A, M, c, *_sides(A.brackets, M))
 
 
 def _sides(T: dict, M: Matrix) -> tuple:
@@ -61,8 +66,8 @@ def _sides(T: dict, M: Matrix) -> tuple:
     return transport(T, R=M), transport(T, M), transport(T, None, M)
 
 
-def _integrability(A: LeibnizAlgebra, M: Matrix, c: int, MT: dict,
-                   TM: dict, TN: dict) -> CheckResult:
+def _from_sides(A: LeibnizAlgebra, M: Matrix, c: int, MT: dict, TM: dict,
+                TN: dict) -> CheckResult:
     """:func:`integrability` from the three :func:`_sides` of M."""
     return first_witness(A.dim, [(
         "INTEGRABILITY_FAILS", MT,
@@ -84,7 +89,7 @@ def _report(A: LeibnizAlgebra, M: Matrix, c: int):
     """
     T = A.brackets
     MT, TM, TN = _sides(T, M)
-    return (_integrability(A, M, c, MT, TM, TN).ok, MT == TM == TN,
+    return (_from_sides(A, M, c, MT, TM, TN).ok, MT == TM == TN,
             T == transport(T, M if c < 0 else -M, M),
             *_eigenspaces(M, Scalar.one() if c > 0 else Scalar.i()))
 

@@ -10,7 +10,7 @@ from .dendriform import (QUADRATIC, DendriformAlgebra, dendriform_rep,
 from .errors import (DegenerateForm, DimensionMismatch, NotQuadratic,
                      NotSymmetric, NotSymplectic)
 from .leibniz import (CheckResult, LeibnizAlgebra, OK, Subspace, _closed,
-                      _columns, _require, _require_square, defect,
+                      _columns, _last_call, _require, _require_square, defect,
                       first_defect, form_tensor, functionals, is_subalgebra,
                       transport, verify_leibniz)
 from .linalg import Matrix, invert, is_singular, kernel_basis, rank
@@ -30,19 +30,24 @@ SYMPLECTIC = (("IDENTITY_FAILS", ((1, "z|(x.y)"),),
 def verify_symplectic(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
     """Symmetry, nondegeneracy and the defining trilinear identity
     (:data:`SYMPLECTIC`) on all basis triples."""
+    return _verify_symplectic(A, B, SYMPLECTIC)
+
+
+@_last_call
+def _verify_symplectic(A: LeibnizAlgebra, B: Matrix, table) -> CheckResult:
+    """:func:`verify_symplectic` with the identity's term table given."""
     _require_square(B, A.dim)
     if B != B.transpose():
         return CheckResult(False, "NOT_SYMMETRIC")
     if is_singular(B):
         return CheckResult(False, "DEGENERATE")
-    return first_defect(A.dim, SYMPLECTIC,
-                        {".": A.brackets, "|": form_tensor(B)})
+    return first_defect(A.dim, table, {".": A.brackets, "|": form_tensor(B)})
 
 
 def _symplectic_gate(A: LeibnizAlgebra, B: Matrix) -> CheckResult:
     """:func:`verify_symplectic` as the first step of a larger check: a
     failure becomes SYMPLECTIC_FAILS with the same witness."""
-    check = verify_symplectic(A, B)
+    check = _verify_symplectic(A, B, SYMPLECTIC)
     return check if check.ok else CheckResult(
         False, "SYMPLECTIC_FAILS", check.indices, check.lhs, check.rhs)
 
@@ -115,7 +120,7 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
     bracket as ``*``, for the two products columnwise: they determine x<y
     and x>y uniquely because B is nondegenerate.
     """
-    _require(verify_symplectic(A, B), NotSymplectic,
+    _require(_verify_symplectic(A, B, SYMPLECTIC), NotSymplectic,
              "form fails the symplectic check")
     b_inv = invert(B)
     tensors = {"*": A.brackets, "|": form_tensor(B)}

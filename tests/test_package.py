@@ -1,10 +1,12 @@
-"""The package surface: the names ``leibniz_lab`` exports, loaded lazily.
+"""The package surface: the names ``leibniz_lab`` exports, loaded lazily,
+and the runtime dependencies it declares (none).
 
 The package imports a module when one of its names is first used, so the
 exports are listed here once more, module by module, as the package
 imported them before it loaded lazily.
 """
 
+import pathlib
 from importlib import import_module
 
 import pytest
@@ -65,3 +67,19 @@ def test_an_unknown_name_raises_attribute_error():
         leibniz_lab.no_such_name
     with pytest.raises(ImportError):
         exec("from leibniz_lab import no_such_name", {})
+
+
+def test_the_package_declares_no_runtime_dependency():
+    """``dependencies = []`` in the ``[project]`` table: the toolkit runs
+    on the standard library alone.  Read with ``tomllib`` where it exists
+    (Python 3.11+), and by a line match that Python 3.10 runs too."""
+    text = (pathlib.Path(__file__).resolve().parent.parent
+            / "pyproject.toml").read_text()
+    project = next(table for table in ("\n" + text).split("\n[")
+                   if table.startswith("project]"))
+    assert "\ndependencies = []\n" in project
+    try:
+        import tomllib
+    except ModuleNotFoundError:   # Python 3.10
+        return
+    assert tomllib.loads(text)["project"]["dependencies"] == []

@@ -13,7 +13,7 @@ from random import Random
 
 from conftest import mat, random_dendriform
 from leibniz_lab import (DendriformAlgebra, build_phase_space, kahler, linalg,
-                         omega_to_J, structures)
+                         omega_to_J, structures, symplectic)
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import Scalar
 
@@ -129,3 +129,33 @@ def test_complex_product_pair_check_builds_no_product_report():
     assert check.ok
     assert "structures.integrability" in names
     assert "structures.classify_product" not in names
+
+
+def test_public_verdicts_keep_their_spans_over_memoized_cores():
+    """``install_spans`` wraps only functions whose ``__module__`` is their
+    own module, so a decorated public name could lose its span without an
+    error.  The memo sits on the private cores, and the public names stay
+    plain functions that the tracer wraps."""
+    P = build_phase_space(random_dendriform(Random(2), 2))
+    E = Matrix.diagonal([Scalar.one()] * 2 + [Scalar.of(-1)] * 2)
+    originals = symplectic.verify_symplectic, structures.integrability
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install_spans()
+    try:
+        wrapped = symplectic.verify_symplectic, structures.integrability
+        tracer.on = True
+        checks = (symplectic.verify_symplectic(P.total, P.form),
+                  structures.integrability(P.total, E, 1))
+        tracer.on = False
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+    names = {table["names"][i] for i in table["name"]}
+    assert all(check.ok for check in checks)
+    assert all(w is not o and w.__wrapped__ is o
+               for w, o in zip(wrapped, originals))
+    assert {"symplectic.verify_symplectic",
+            "structures.integrability"} <= names
+    assert (symplectic.verify_symplectic, structures.integrability) \
+        == originals
