@@ -157,11 +157,12 @@ def _gram(B: Matrix, U: Matrix, W: Matrix) -> Matrix:
     return U.transpose() @ B @ W
 
 
-def _non_isotropic_pair(B: Matrix, C: Matrix) -> tuple | None:
-    """The first basis pair (a, b) of the span of C's columns with
-    B(w_a, w_b) != 0, or None: the first stored entry of the Gram matrix."""
-    return next(((a, min(row)) for a, row in enumerate(_gram(B, C, C).nonzero)
-                 if row), None)
+def _non_isotropic_pair(B: Matrix, *columns: Matrix) -> tuple | None:
+    """The first basis pair (a, b) with B(w_a, w_b) != 0 of the span of
+    each C's columns in turn, or None: the first stored entry of the first
+    nonzero Gram matrix."""
+    return next(((a, min(row)) for C in columns
+                 for a, row in enumerate(_gram(B, C, C).nonzero) if row), None)
 
 
 def _isotropic_split(A, B: Matrix, W1: Subspace, W2: Subspace,
@@ -169,8 +170,9 @@ def _isotropic_split(A, B: Matrix, W1: Subspace, W2: Subspace,
     """Whether A (anything with a dim) is the direct sum of two B-isotropic
     subspaces, each closed under every product tensor in ``tensors``."""
     C1, C2 = _columns(A, W1), _columns(A, W2)
-    if any(_non_isotropic_pair(B, C) is not None for C in (C1, C2)):
-        return CheckResult(False, "ISOTROPY_FAILS")
+    pair = _non_isotropic_pair(B, C1, C2)
+    if pair is not None:
+        return CheckResult(False, "ISOTROPY_FAILS", pair)
     if not all(_closed(C, *(transport(T, C, C) for T in tensors))
                for C in (C1, C2)):
         return CheckResult(False, "SUBALGEBRA_FAILS")
@@ -201,10 +203,9 @@ def verify_phase_space(P: PhaseSpace, base: Subspace,
     # The two blocks must pair canonically: isotropic against themselves,
     # dual bases against each other.
     C1, C2 = _columns(P.total, base), _columns(P.total, dual)
-    for C in (C1, C2):
-        pair = _non_isotropic_pair(P.form, C)
-        if pair is not None:
-            return CheckResult(False, "PAIRING_FAILS", pair)
+    pair = _non_isotropic_pair(P.form, C1, C2)
+    if pair is not None:
+        return CheckResult(False, "PAIRING_FAILS", pair)
     if rank(_gram(P.form, C1, C2)) != n:
         return CheckResult(False, "PAIRING_FAILS")
     return OK

@@ -65,8 +65,10 @@ def ref_non_isotropic_pair(B, W):
 def ref_isotropic_split(A, B, W1, W2, products):
     if any(W.dim and W.columns.rows != A.dim for W in (W1, W2)):
         raise DimensionMismatch("subspace lives in the wrong ambient space")
-    if any(ref_non_isotropic_pair(B, W) is not None for W in (W1, W2)):
-        return CheckResult(False, "ISOTROPY_FAILS")
+    for W in (W1, W2):
+        pair = ref_non_isotropic_pair(B, W)
+        if pair is not None:
+            return CheckResult(False, "ISOTROPY_FAILS", pair)
     if not all(ref_spans(W, (p(u, v) for p in products
                              for u in basis_vectors(W)
                              for v in basis_vectors(W)))
@@ -259,6 +261,43 @@ def test_dendriform_isotropic_split_matches_the_vector_loop(
                                       (D.left_brackets, D.right_brackets))
     assert verdict(got) == verdict(ref_isotropic_split(D, B, W1, W2,
                                                        (D.left, D.right)))
+
+
+@SETTINGS
+@given(algebras(), st.sampled_from(SUBSPACES), st.sampled_from(SUBSPACES),
+       st.sampled_from(FORMS))
+def test_isotropy_witness_re_evaluates_to_a_nonzero_value(case, kind1, kind2,
+                                                          form):
+    """ISOTROPY_FAILS names a basis pair (a, b) of W1, or of W2 when W1 is
+    isotropic, with B(w_a, w_b) != 0."""
+    A, rng = case
+    n = A.dim
+    W1, W2 = (random_subspace(rng, n, A.field, kind) for kind in (kind1, kind2))
+    B = symmetric_form(rng, n, A.field, form)
+    check = symplectic._isotropic_split(A, B, W1, W2, (A.brackets,))
+    if check.reason != "ISOTROPY_FAILS":
+        return
+    a, b = check.indices
+    first = basis_vectors(W1)
+    W = W1 if any(form_value(B, u, v) for u in first for v in first) else W2
+    basis = basis_vectors(W)
+    assert form_value(B, basis[a], basis[b])
+
+
+@pytest.mark.parametrize("mixed_first", [True, False])
+def test_isotropy_witness_names_the_pair_of_the_failing_block(mixed_first):
+    """On the 4-dim abelian algebra with the canonical pairing, span(e0, e2)
+    pairs e0 with e2 while span(e0, e1) is isotropic: the witness is (0, 1)
+    in whichever place the mixed block stands."""
+    A = LeibnizAlgebra.from_brackets(4, {})
+    e = [A.basis_vector(i) for i in range(4)]
+    mixed, isotropic = (Subspace.from_vectors([e[0], e[2]]),
+                        Subspace.from_vectors([e[0], e[1]]))
+    W1, W2 = (mixed, isotropic) if mixed_first else (isotropic, mixed)
+    check = symplectic._isotropic_split(A, symplectic.canonical_pairing(2),
+                                        W1, W2, (A.brackets,))
+    assert (check.ok, check.reason, check.indices) == (
+        False, "ISOTROPY_FAILS", (0, 1))
 
 
 def test_isotropic_split_rejects_a_subspace_of_another_space(sl2):
