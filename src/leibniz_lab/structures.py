@@ -57,6 +57,7 @@ def integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
 
 @_last_call
 def _integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
+    _require_square(M, A.dim, "operator")
     return _from_sides(A, M, c, *_sides(A.brackets, M))
 
 

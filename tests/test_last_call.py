@@ -161,31 +161,25 @@ def test_equal_but_distinct_arguments_are_evaluated_afresh(case):
                 assert calls == once
 
 
-def test_a_call_that_raises_stores_nothing():
+@pytest.mark.parametrize("size", [1, 5])
+def test_a_call_that_raises_stores_nothing(size):
+    """A form or operator of the wrong shape raises DimensionMismatch on
+    every call, and the stored verdict still answers its own arguments."""
     P = build_phase_space(random_dendriform(Random(3), 2))
     A, B, M = P.total, P.form, diag(1, 1, -1, -1)
-    wrong = Matrix.zero(A.dim + 1, A.dim + 1)
-    verify = symplectic._verify_symplectic
+    wrong = diag(*[1] * size)
     table = symplectic.SYMPLECTIC
-    stored = verify(A, B, table), structures._integrability(A, M, 1)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = spy(mp, symplectic, ("_require_square", "first_defect"))
-        for _ in range(2):
-            with pytest.raises(DimensionMismatch):
-                verify(A, wrong, table)
-            assert calls == ["_require_square"]
-            del calls[:]
-            assert verify(A, B, table) is stored[0] and not calls
-    # The identity's evaluation raises: the stored verdict of (A, M, 1)
-    # still answers, and the raising call raises again.
-    with pytest.MonkeyPatch.context() as mp:
-        def broken(*args):
-            raise ZeroDivisionError("evaluation failed")
-        mp.setattr(structures, "first_witness", broken)
-        for _ in range(2):
-            with pytest.raises(ZeroDivisionError):
-                structures._integrability(A, M, -1)
-            assert structures._integrability(A, M, 1) is stored[1]
+    for (core, args, bad), (module, names) in zip(
+            ((CORES[0], (A, B, table), (A, wrong, table)),
+             (CORES[1], (A, M, 1), (A, wrong, 1))), SPIED):
+        stored = core(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy(mp, module, names)
+            for _ in range(2):
+                with pytest.raises(DimensionMismatch):
+                    core(*bad)
+                del calls[:]
+                assert core(*args) is stored and not calls
 
 
 def test_the_memo_keeps_no_more_than_one_call_alive():

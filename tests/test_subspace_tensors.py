@@ -284,20 +284,23 @@ def test_isotropy_witness_re_evaluates_to_a_nonzero_value(case, kind1, kind2,
     assert form_value(B, basis[a], basis[b])
 
 
-@pytest.mark.parametrize("mixed_first", [True, False])
-def test_isotropy_witness_names_the_pair_of_the_failing_block(mixed_first):
-    """On the 4-dim abelian algebra with the canonical pairing, span(e0, e2)
-    pairs e0 with e2 while span(e0, e1) is isotropic: the witness is (0, 1)
-    in whichever place the mixed block stands."""
+@pytest.mark.parametrize("first, second, pair", [
+    ("mixed", "isotropic", (0, 1)), ("isotropic", "mixed", (0, 1)),
+    ("diagonal", "mixed", (0, 0)), ("mixed", "diagonal", (0, 1))])
+def test_isotropy_witness_is_the_first_pair_of_the_first_failing_block(
+        first, second, pair):
+    """On the 4-dim abelian algebra with the canonical pairing, span(e0, e1)
+    is isotropic, span(e0, e2) first fails at (0, 1), as B(e0, e2) = 1, and
+    span(e1 + e3) at (0, 0); W1 is read before W2."""
     A = LeibnizAlgebra.from_brackets(4, {})
     e = [A.basis_vector(i) for i in range(4)]
-    mixed, isotropic = (Subspace.from_vectors([e[0], e[2]]),
-                        Subspace.from_vectors([e[0], e[1]]))
-    W1, W2 = (mixed, isotropic) if mixed_first else (isotropic, mixed)
+    blocks = {"isotropic": [e[0], e[1]], "mixed": [e[0], e[2]],
+              "diagonal": [[a + b for a, b in zip(e[1], e[3])]]}
+    W1, W2 = (Subspace.from_vectors(blocks[name]) for name in (first, second))
     check = symplectic._isotropic_split(A, symplectic.canonical_pairing(2),
                                         W1, W2, (A.brackets,))
     assert (check.ok, check.reason, check.indices) == (
-        False, "ISOTROPY_FAILS", (0, 1))
+        False, "ISOTROPY_FAILS", pair)
 
 
 def test_isotropic_split_rejects_a_subspace_of_another_space(sl2):
