@@ -76,7 +76,7 @@ def first_witness(width: int, equations) -> CheckResult:
     maps ``{index tuple: {k: c}}`` without zeros, so an equation fails at a
     tuple exactly when its two entries differ.  The smallest failing tuple,
     and in it the first failing equation, is the witness, with both sides
-    as dense vectors of length ``width``.
+    as dense tuples of length ``width``, immutable like the verdict.
     """
     failures = [(min(failing), place)
                 for place, (_, lhs, rhs) in enumerate(equations)
@@ -86,8 +86,8 @@ def first_witness(width: int, equations) -> CheckResult:
         return OK
     idx, place = min(failures)
     reason, lhs, rhs = equations[place]
-    return CheckResult(False, reason, idx, _dense(lhs, idx, width),
-                       _dense(rhs, idx, width))
+    return CheckResult(False, reason, idx, tuple(_dense(lhs, idx, width)),
+                       tuple(_dense(rhs, idx, width)))
 
 
 def _last_call(fn):
@@ -176,19 +176,12 @@ def transport(tensor: dict, P: Matrix = None, Q: Matrix = None,
 
     ``None`` is the identity and costs nothing.  P and Q may be rectangular
     (their rows index the tensor's slots, their columns the new ones) and
-    may have no columns; R is applied through its nonzero columns.  An
-    entry 1 is kept as None too, so no factor 1 is ever multiplied.
+    may have no columns; R is applied through its nonzero columns.
     """
-    def support(M):
-        """Row a of M as its nonzero entries (i, M[a, i]), None for 1."""
-        return [[(i, None if c == 1 else c) for i, c in row.items()]
-                for row in M.nonzero]
-    ps = None if P is None else support(P)
-    qs = None if Q is None else support(Q)
     if R is not None:
         rs = {}    # column k of R as its nonzero (r, R[r, k])
-        for r, row in enumerate(support(R)):
-            for k, c in row:
+        for r, row in enumerate(R.nonzero):
+            for k, c in row.items():
                 rs.setdefault(k, []).append((r, c))
     out = {}
     for (a, b), value in tensor.items():
@@ -196,11 +189,11 @@ def transport(tensor: dict, P: Matrix = None, Q: Matrix = None,
             image = {}
             for k, c in value.items():
                 for r, d in rs.get(k, ()):
-                    v = c if d is None else d * c
+                    v = d * c
                     image[r] = image[r] + v if r in image else v
             value = image
-        for i, p in ((a, None),) if ps is None else ps[a]:
-            for j, q in ((b, None),) if qs is None else qs[b]:
+        for i, p in ((a, None),) if P is None else P.nonzero[a].items():
+            for j, q in ((b, None),) if Q is None else Q.nonzero[b].items():
                 f = q if p is None else p if q is None else p * q
                 acc = out.setdefault((i, j), {})
                 for k, c in value.items():

@@ -160,15 +160,13 @@ def _echelon(rows, ncols: int) -> dict:
     rows {column: nonzero value} with columns in range(ncols)) as
     {pivot column: sparse row}.  The given rows are left unchanged.
 
-    Rows are inserted one at a time until every column has a pivot.  A new
-    row is reduced by the pivot rows it meets (a zero or repeated row
-    vanishes); what is left becomes a pivot row, scaled to 1 at its
-    leading column, which is then cleared from the other pivot rows.
+    Rows are inserted one at a time.  A new row is reduced by the pivot
+    rows it meets (a zero or repeated row vanishes); what is left becomes a
+    pivot row, scaled to 1 at its leading column, which is then cleared
+    from the other pivot rows.
     """
     pivots = {}
     for row in rows:
-        if len(pivots) == ncols:
-            break
         row = dict(row)
         for p in [p for p in row if p in pivots]:
             _subtract(row, row[p], pivots[p])

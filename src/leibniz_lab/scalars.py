@@ -84,6 +84,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):   # copy and pickle through __init__
+        return Scalar, (self.real, self.imag)
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod

@@ -4,9 +4,8 @@ c = 1 gives a product structure E, c = -1 a complex structure J; both are
 integrable when M[x,y] = [Mx,y] + [x,My] - c M[Mx,My] (:func:`integrability`).
 Applied to the Nijenhuis identity, M^2 = cI gives exactly this identity, so
 after the square test it decides as :func:`verify_nijenhuis` does.  A report
-(:func:`classify_product`, :func:`classify_complex`) computes the sides
-M[x,y], [Mx,y] and [x,My] once, for this identity and for the strict test
-M[x,y] = [Mx,y] = [x,My].
+(:func:`classify_product`, :func:`classify_complex`) reads the memoized
+:func:`integrability` verdict; strict means M[x,y] = [Mx,y] = [x,My].
 """
 
 from __future__ import annotations
@@ -58,22 +57,11 @@ def integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
 @_last_call
 def _integrability(A: LeibnizAlgebra, M: Matrix, c: int) -> CheckResult:
     _require_square(M, A.dim, "operator")
-    return _from_sides(A, M, c, *_sides(A.brackets, M))
-
-
-def _sides(T: dict, M: Matrix) -> tuple:
-    """M[x,y], [Mx,y] and [x,My], shared by the integrability identity and
-    the strict test."""
-    return transport(T, R=M), transport(T, M), transport(T, None, M)
-
-
-def _from_sides(A: LeibnizAlgebra, M: Matrix, c: int, MT: dict, TM: dict,
-                TN: dict) -> CheckResult:
-    """:func:`integrability` from the three :func:`_sides` of M."""
+    T = A.brackets
     return first_witness(A.dim, [(
-        "INTEGRABILITY_FAILS", MT,
-        tensor_sum(TM, TN, transport(A.brackets, M, M,
-                                     M if c < 0 else -M)))])
+        "INTEGRABILITY_FAILS", transport(T, R=M),
+        tensor_sum(transport(T, M), transport(T, None, M),
+                   transport(T, M, M, M if c < 0 else -M)))])
 
 
 def _eigenspaces(M: Matrix, lam: Scalar):
@@ -89,8 +77,8 @@ def _report(A: LeibnizAlgebra, M: Matrix, c: int):
     Strict: M[x,y] = [Mx,y] = [x,My].  Abelian: [x,y] = -c [Mx,My].
     """
     T = A.brackets
-    MT, TM, TN = _sides(T, M)
-    return (_from_sides(A, M, c, MT, TM, TN).ok, MT == TM == TN,
+    return (integrability(A, M, c).ok,
+            transport(T, R=M) == transport(T, M) == transport(T, None, M),
             T == transport(T, M if c < 0 else -M, M),
             *_eigenspaces(M, Scalar.one() if c > 0 else Scalar.i()))
 

@@ -73,7 +73,7 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     rows = defect(SYMPLECTIC[0], {".": A.brackets, "|": {
         pq: {t: Scalar.one()} for pq, t in index.items()}})
     nonzero = tuple(rows[key] for key in sorted(rows)
-                    if key[1] <= key[2]) or ({},)
+                    if key[1] <= key[2])
     constraints = Matrix(len(nonzero), m, nonzero)
     basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
                                for p in range(n)])

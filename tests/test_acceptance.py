@@ -288,7 +288,7 @@ def test_criterion_10_negative_certificates():
     lhs = A.bracket(ei, A.bracket(ej, ek))
     rhs = [a + b for a, b in zip(A.bracket(A.bracket(ei, ej), ek),
                                  A.bracket(ej, A.bracket(ei, ek)))]
-    ok = ok and lhs == check.lhs and rhs == check.rhs
+    ok = ok and (tuple(lhs), tuple(rhs)) == (check.lhs, check.rhs)
 
     # representation verifier
     good = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: Scalar.of(1)}})
@@ -323,7 +323,7 @@ def test_criterion_10_negative_certificates():
     rhs = (-form_value(B, y, sl2.bracket(x, zv))
            + form_value(B, x, sl2.bracket(y, zv))
            + form_value(B, x, sl2.bracket(zv, y)))
-    ok = ok and [lhs] == check.lhs and [rhs] == check.rhs
+    ok = ok and (lhs,) == check.lhs and (rhs,) == check.rhs
 
     # nijenhuis / integrability verifiers
     from leibniz_lab import verify_nijenhuis

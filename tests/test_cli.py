@@ -206,6 +206,24 @@ def test_cli_solve_symplectic(write_doc):
     assert verdict2 == verdict3
 
 
+def test_cli_solve_symplectic_reports_a_null_sample(write_doc, capsys):
+    """On the Heisenberg algebra [e0, e1] = e2 = -[e1, e0] every solution
+    vanishes on e2, so the form space has a nonzero radical and no member
+    is nondegenerate: the command passes with a null sample."""
+    algebra = write_doc({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "value": [{"k": 2, "c": "1"}]},
+        {"i": 1, "j": 0, "value": [{"k": 2, "c": "-1"}]}]})
+    verdict, status = run_command(["solve", "symplectic", algebra])
+    assert status == 0 and verdict["ok"]
+    z = ["0", "0", "0"]
+    assert verdict["payload"] == {"dim": 3, "basis": [
+        [["1", "0", "0"], z, z],
+        [["0", "1", "0"], ["1", "0", "0"], z],
+        [z, ["0", "1", "0"], z]], "sampleNondegenerate": None}
+    assert main(["solve", "symplectic", algebra]) == 0
+    assert '"sampleNondegenerate": null' in capsys.readouterr().out
+
+
 def test_cli_construct_phase_space_roundtrip(write_doc):
     verdict, status = run_command(["construct", "phase-space",
                                    write_doc(ZERO_DENDRIFORM_DOC)])

@@ -161,6 +161,21 @@ def test_equal_but_distinct_arguments_are_evaluated_afresh(case):
                 assert calls == once
 
 
+def test_a_shared_verdict_cannot_be_changed_by_a_caller(sl2):
+    """A memo hit hands every caller the same verdict; its witness sides
+    are tuples, so no caller can change what the next call returns."""
+    A = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: 1}})
+    for fn, args in ((verify_symplectic, (A, diag(1, 1))),
+                     (structures.integrability, (sl2, diag(3, 3, 3), 1))):
+        first = fn(*args)
+        sides = first.lhs, first.rhs
+        assert not first.ok and sides[0] != sides[1]
+        with pytest.raises(TypeError):
+            first.lhs[0] = 99
+        again = fn(*args)
+        assert again.lhs is first.lhs and (again.lhs, again.rhs) == sides
+
+
 @pytest.mark.parametrize("size", [1, 5])
 def test_a_call_that_raises_stores_nothing(size):
     """A form or operator of the wrong shape raises DimensionMismatch on

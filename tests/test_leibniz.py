@@ -5,10 +5,10 @@ import random
 import pytest
 
 from conftest import mat, random_leibniz
-from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, Subspace,
-                         direct_sum, is_abelian_subalgebra, is_subalgebra,
-                         is_two_sided_ideal, killing_form, verify_leibniz,
-                         verify_symplectic)
+from leibniz_lab import (CheckResult, DendriformAlgebra, LeibnizAlgebra,
+                         Subspace, direct_sum, is_abelian_subalgebra,
+                         is_subalgebra, is_two_sided_ideal, killing_form,
+                         verify_leibniz, verify_symplectic)
 from leibniz_lab.errors import DimensionMismatch, FieldMismatch
 from leibniz_lab.linalg import is_singular
 from leibniz_lab.scalars import GAUSSIAN, Scalar
@@ -39,7 +39,12 @@ def test_verify_leibniz_rejects_with_witness():
     lhs = A.bracket(ei, A.bracket(ej, ek))
     rhs = [a + b for a, b in zip(A.bracket(A.bracket(ei, ej), ek),
                                  A.bracket(ej, A.bracket(ei, ek)))]
-    assert lhs == check.lhs and rhs == check.rhs and lhs != rhs
+    assert (tuple(lhs), tuple(rhs)) == (check.lhs, check.rhs) and lhs != rhs
+
+
+def test_a_check_result_is_true_exactly_when_it_passed(sl2):
+    assert verify_leibniz(sl2) and bool(CheckResult(True)) is True
+    assert not CheckResult(False, "LEIBNIZ_FAILS", (0, 1, 0), (1,), (0,))
 
 
 def test_random_nilpotent_algebras_are_leibniz():

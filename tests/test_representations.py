@@ -98,6 +98,13 @@ def test_bowtie_with_zero_T_equals_semidirect(sl2):
     assert bowtie_algebra(sl2, R, T) == semidirect_product(R)
 
 
+def test_rota_baxter_map_must_send_the_module_into_the_algebra(sl2):
+    R = dual_rep(regular_rep(sl2))   # a 3-dim module of the 3-dim sl2
+    for T in (Matrix.zero(2, 3), Matrix.zero(3, 2)):
+        with pytest.raises(DimensionMismatch, match="3-dim module"):
+            verify_rota_baxter(sl2, R, T)
+
+
 def test_bowtie_rejects_non_rota_baxter(sl2):
     R = dual_rep(regular_rep(sl2))
     with pytest.raises(NotRotaBaxter):

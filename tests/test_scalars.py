@@ -1,8 +1,10 @@
 """Exact scalar arithmetic and string round-trips."""
 
 import ast
+import copy
 import operator
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,12 @@ from hypothesis import assume, given, strategies as st
 
 import leibniz_lab
 from conftest import canonical, kind
-from leibniz_lab import build_phase_space, solve_symplectic_space
+from leibniz_lab import (LeibnizAlgebra, build_phase_space,
+                         solve_symplectic_space)
 from leibniz_lab.errors import DivisionByZero, ParseError
 from leibniz_lab.io import parse_algebra, parse_dendriform, parse_matrix
-from leibniz_lab.scalars import Scalar, format_scalar, parse_scalar, quotient
+from leibniz_lab.scalars import (GAUSSIAN, Scalar, format_scalar,
+                                 parse_scalar, quotient)
 
 fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
                       st.integers(1, 10 ** 4))
@@ -80,6 +84,27 @@ def test_constructors_and_tags():
     assert type(Scalar.of(5, 0)) is int
     assert canonical(Scalar.of(Fraction(4, 2), Fraction(1, 3)))
     assert canonical(Scalar(Fraction(4, 2), Fraction(3, 3)))
+
+
+def test_a_scalar_is_immutable():
+    z = Scalar.of(1, 2)
+    for name in ("real", "imag", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(z, name, 0)
+    assert (z.real, z.imag) == (1, 2)
+
+
+def test_gaussian_values_copy_and_pickle():
+    """A Scalar rebuilds through its constructor, as the records that hold
+    one do."""
+    z = Scalar.of(1, 1)
+    A = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: z}}, GAUSSIAN)
+    for value in (z, A):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+    twin = pickle.loads(pickle.dumps(z))
+    assert canonical(twin) and twin is not z
 
 
 def test_rational_rejects_imaginary_part():

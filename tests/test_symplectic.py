@@ -41,7 +41,7 @@ def test_verify_symplectic_identity_witness(sl2):
     rhs = (-form_value(B, y, sl2.bracket(x, z))
            + form_value(B, x, sl2.bracket(y, z))
            + form_value(B, x, sl2.bracket(z, y)))
-    assert [lhs] == check.lhs and [rhs] == check.rhs
+    assert (lhs,) == check.lhs and (rhs,) == check.rhs
 
 
 def test_solver_dimension_and_pattern(heisenberg_like):
