@@ -293,15 +293,6 @@ def _checked_product(tensor: dict, dim: int, x: Vector, y: Vector) -> Vector:
     return tensor_product(tensor, x, y)
 
 
-def _mult_matrix(tensor: dict, dim: int, keys) -> Matrix:
-    """The dim x dim matrix whose column j holds the entry tensor[keys[j]]."""
-    rows = [{} for _ in range(dim)]
-    for j, key in enumerate(keys):
-        for k, c in tensor.get(key, {}).items():
-            rows[k][j] = c
-    return Matrix(dim, dim, tuple(rows))
-
-
 def _require_square(M: Matrix, dim: int, what: str = "form"):
     if M.rows != dim or M.cols != dim:
         raise DimensionMismatch("%s must be %d x %d" % (what, dim, dim))

@@ -182,26 +182,22 @@ def _echelon(rows, ncols: int) -> dict:
     return pivots
 
 
-def _kernel(pivots: dict, ncols: int) -> list:
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        coords = [_ZERO] * ncols
-        coords[free] = _ONE
-        for p, row in pivots.items():
-            coords[p] = -row.get(free, _ZERO)
-        basis.append(tuple(coords))
-    return basis
-
-
 def rank(M: Matrix) -> int:
     return len(_echelon(M.nonzero, M.cols))
 
 
 def kernel_basis(M: Matrix) -> list:
     """Exact basis of ker(M) as coordinate tuples, in free-column order."""
-    return _kernel(_echelon(M.nonzero, M.cols), M.cols)
+    pivots, basis = _echelon(M.nonzero, M.cols), []
+    for free in range(M.cols):
+        if free in pivots:
+            continue
+        coords = [_ZERO] * M.cols
+        coords[free] = _ONE
+        for p, row in pivots.items():
+            coords[p] = -row.get(free, _ZERO)
+        basis.append(tuple(coords))
+    return basis
 
 
 NO_SOLUTION = "NO_SOLUTION"
@@ -217,15 +213,12 @@ def solve_linear(A: Matrix, b: Matrix):
     if b.rows != A.rows or b.cols != 1:
         raise DimensionMismatch("right-hand side must be a %d-row column"
                                 % A.rows)
-    n = A.cols
-    pivots = _echelon(A.hstack(b).nonzero, n + 1)
-    if n in pivots:
+    # ker [A | -b] ends with (x, 1) for a solution x iff its last column is
+    # free; the vectors before it end in 0 and are ker(A) with a 0 appended.
+    n, basis = A.cols, kernel_basis(A.hstack(-b))
+    if not basis or not basis[-1][n]:
         return NO_SOLUTION
-    # With no pivot in the last column, the rest is the RREF of A.
-    coords = [_ZERO] * n
-    for p, row in pivots.items():
-        coords[p] = row.get(n, _ZERO)
-    return tuple(coords), _kernel(pivots, n)
+    return basis[-1][:n], [v[:n] for v in basis[:-1]]
 
 
 def invert(M: Matrix) -> Matrix:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import DimensionMismatch, NotRotaBaxter
-from .leibniz import (CheckResult, LeibnizAlgebra, _mult_matrix, contract,
-                      first_witness, tensor_sum, transport)
+from .leibniz import (CheckResult, LeibnizAlgebra, contract, first_witness,
+                      tensor_sum, transport)
 from .linalg import Matrix
 from .record import Record
 
@@ -38,14 +38,16 @@ class Representation(Record):
     def left_maps(self) -> tuple:
         """The matrices l(e_i)."""
         m = self.rep_dim
-        return tuple(_mult_matrix(self.left, m, [(i, b) for b in range(m)])
+        return tuple(Matrix(m, m, tuple(self.left.get((i, b), {})
+                                        for b in range(m))).transpose()
                      for i in range(self.algebra.dim))
 
     @property
     def right_maps(self) -> tuple:
         """The matrices r(e_i)."""
         m = self.rep_dim
-        return tuple(_mult_matrix(self.right, m, [(b, i) for b in range(m)])
+        return tuple(Matrix(m, m, tuple(self.right.get((b, i), {})
+                                        for b in range(m))).transpose()
                      for i in range(self.algebra.dim))
 
 

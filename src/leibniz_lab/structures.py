@@ -118,59 +118,50 @@ def _product_signs(brackets: dict, dim: int):
 
     Each stored c_ij^k != 0 with k not in {i, j} forbids two partial
     patterns (nogoods): s_i = s_j = a with s_k = -a, for a = 1 and a = -1.
-    The search is depth first, highest index first and +1 first.  Every
-    sign set is propagated through the nogoods that mention it: a nogood
-    whose other signs all match fails the branch, and one with a single
-    unknown sign forces it to the other value.
+    The search is depth first, highest index first and +1 first.  Each
+    branch copies the signs, sets one, and propagates over all nogoods to
+    a fixed point: a nogood that every set sign matches fails the branch,
+    and one with a single unknown sign, the others matching, forces it to
+    the other value.  Propagation is confluent, so the fixed point does
+    not depend on the order of the nogoods.
     """
     nogoods = {tuple(sorted({i: a, j: a, k: -a}.items()))
                for (i, j), value in brackets.items()
                for k, c in value.items() if c and k != i and k != j
                for a in (1, -1)}
-    watch = [[] for _ in range(dim)]
-    for nogood in nogoods:
-        for v, _ in nogood:
-            watch[v].append(nogood)
-    signs, trail = [0] * dim, []
 
-    def propagate(pos: int) -> bool:
-        """Force what the signs set at trail[pos:] imply; False on a conflict."""
-        while pos < len(trail):
-            v = trail[pos]
-            pos += 1
-            for nogood in watch[v]:
-                free = None
+    def propagate(signs: list) -> bool:
+        """Force what ``signs`` imply, in place; False on a conflict."""
+        changed = True
+        while changed:
+            changed = False
+            for nogood in nogoods:
+                unknown = None
                 for u, s in nogood:
-                    if signs[u] == -s:
-                        break   # the nogood cannot hold any more
-                    if not signs[u]:
-                        if free is not None:
-                            break   # two signs unknown: nothing forced yet
-                        free = u, s
+                    if signs[u] != s:
+                        if signs[u] or unknown:
+                            break   # cannot hold, or two signs unknown
+                        unknown = u, s
                 else:
-                    if free is None:
+                    if not unknown:
                         return False
-                    signs[free[0]] = -free[1]
-                    trail.append(free[0])
+                    signs[unknown[0]] = -unknown[1]
+                    changed = True
         return True
 
-    def search(v: int):
+    def search(signs: list, v: int):
         while v >= 0 and signs[v]:
             v -= 1
         if v < 0:
             yield tuple(signs)
             return
         for s in (1, -1):
-            mark = len(trail)
-            signs[v] = s
-            trail.append(v)
-            if propagate(mark):
-                yield from search(v - 1)
-            for u in trail[mark:]:
-                signs[u] = 0
-            del trail[mark:]
+            branch = signs.copy()
+            branch[v] = s
+            if propagate(branch):
+                yield from search(branch, v - 1)
 
-    return search(dim - 1)
+    return search([0] * dim, dim - 1)
 
 
 def enumerate_diagonal_products(A: LeibnizAlgebra):

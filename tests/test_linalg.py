@@ -50,6 +50,16 @@ def test_solve_consistent_and_inconsistent():
     assert len(kernel) == 1
 
 
+def test_solve_reads_the_edges_of_the_augmented_kernel():
+    """ker [A | -b] with no columns of A, and with no rows at all."""
+    no_columns, no_rows = dense(0, [[]] * 3), dense(3, [])
+    assert solve_linear(no_columns, Matrix.zero(3, 1)) == ((), [])
+    assert solve_linear(no_columns, mat([[0], [2], [0]])) == NO_SOLUTION
+    particular, kernel = solve_linear(no_rows, Matrix.zero(0, 1))
+    assert exact(particular) == exact((Scalar.zero(),) * 3)
+    assert exact(kernel) == exact(list(Matrix.identity(3).entries))
+
+
 def test_solve_reconstructs_full_solution_set():
     rng = random.Random(11)
     for _ in range(20):

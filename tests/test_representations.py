@@ -1,13 +1,16 @@
 """Representations, duals, semidirect products, bowtie doubles."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mat, random_dendriform, random_leibniz
-from leibniz_lab import (Representation, bowtie_algebra, dual_rep,
-                         regular_rep, semidirect_product, verify_leibniz,
-                         verify_representation, verify_rota_baxter)
+from leibniz_lab import (LeibnizAlgebra, Representation, bowtie_algebra,
+                         dual_rep, regular_rep, semidirect_product,
+                         verify_leibniz, verify_representation,
+                         verify_rota_baxter)
 from leibniz_lab.dendriform import dendriform_rep
 from leibniz_lab.errors import DimensionMismatch, NotRotaBaxter
 from leibniz_lab.linalg import Matrix
@@ -78,6 +81,42 @@ def test_zero_rep_and_build_guards(sl2):
     with pytest.raises(DimensionMismatch):   # m is given, never inferred
         Representation.build(sl2, [Matrix.identity(2)] * 3,
                              [Matrix.identity(2)] * 3, 3)
+
+
+@st.composite
+def sparse_actions(draw):
+    """An n-dim algebra with a module of a dim m != n, and sparse action
+    tensors in the stored layout: left[(i, b)], right[(b, i)]."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4).filter(lambda m: m != n))
+    value = st.sampled_from((1, -1, 2, Fraction(1, 2)))
+
+    def tensor(key):
+        out = {}
+        for _ in range(draw(st.integers(0, 2 * n * m))):
+            i, b, c = (draw(st.integers(0, d - 1)) for d in (n, m, m))
+            out.setdefault(key(i, b), {})[c] = draw(value)
+        return out
+    return Representation(LeibnizAlgebra.from_brackets(n, {}), m,
+                          tensor(lambda i, b: (i, b)),
+                          tensor(lambda i, b: (b, i)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_actions())
+def test_build_inverts_the_action_maps(R):
+    """Column b of l(e_i) is left[(i, b)] and of r(e_i) is right[(b, i)];
+    with m != n a swapped key shows."""
+    m = R.rep_dim
+    for maps, tensor, key in ((R.left_maps, R.left, lambda i, b: (i, b)),
+                              (R.right_maps, R.right, lambda i, b: (b, i))):
+        assert len(maps) == R.algebra.dim
+        for i, M in enumerate(maps):
+            assert (M.rows, M.cols) == (m, m)
+            for b in range(m):
+                stored = tensor.get(key(i, b), {})
+                assert M.col(b) == tuple(stored.get(c, 0) for c in range(m))
+    assert Representation.build(R.algebra, R.left_maps, R.right_maps, m) == R
 
 
 def test_rota_baxter_zero_map_and_bowtie():

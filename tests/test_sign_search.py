@@ -6,18 +6,21 @@ one of the 2^n sign patterns, in binary-counting order, through a full
 ``classify_product``, keeping the product structures.  The search must
 return the same list of (E, report) pairs in the same order, over Q and
 Q(i), on the 0-dim algebra and on sparse tensors that are not Leibniz.
+Up to dimension 12, the patterns of ``_product_signs`` are checked against
+the support rule itself, filtered over all 2^n patterns.
 """
 
 from fractions import Fraction
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_leibniz
 from leibniz_lab import (LeibnizAlgebra, classify_product,
                          enumerate_diagonal_products, verify_nijenhuis)
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import GAUSSIAN, RATIONAL, Scalar
+from leibniz_lab.structures import _product_signs
 
 
 def ref_enumerate_diagonal_products(A):
@@ -91,3 +94,47 @@ def test_nilpotent_generator_at_dimension_24():
     assert {0, 2 ** 24 - 1} <= set(patterns)
     for E, report in found:
         assert report.is_product and verify_nijenhuis(A, E).ok
+
+
+def ref_product_signs(brackets, dim):
+    """The patterns, in binary-counting order, where every stored
+    c_ij^k != 0 with s_i = s_j also has s_k = s_i."""
+    support = [(i, j, k) for (i, j), value in brackets.items()
+               for k, c in value.items() if c]
+    patterns = []
+    for pattern in range(2 ** dim):
+        s = [-1 if (pattern >> i) & 1 else 1 for i in range(dim)]
+        if all(s[i] != s[j] or s[k] == s[i] for i, j, k in support):
+            patterns.append(tuple(s))
+    return patterns
+
+
+@st.composite
+def forcing_tensors(draw):
+    """Sparse tensors on up to 12 indices, rich in squares [e_i, e_i] and
+    in chains [e_i, e_i] = e_(i+1), whose one-source nogoods make the
+    propagation force many signs."""
+    n = draw(st.integers(0, 12))
+    brackets = {}
+    if n < 2:
+        return n, brackets
+    index = st.integers(0, n - 1)
+    lo = draw(st.integers(0, n - 2))
+    for i in range(lo, draw(st.integers(lo, n - 1))):
+        brackets[(i, i)] = {i + 1: Scalar.one()}
+    for _ in range(draw(st.integers(0, n))):
+        i, k = draw(index), draw(index)
+        j = i if draw(st.booleans()) else draw(index)
+        brackets.setdefault((i, j), {})[k] = draw(st.sampled_from(
+            (Scalar.one(), Scalar.of(-2), Scalar.zero())))
+    return n, brackets
+
+
+# [e_i, e_i] = e_(i+1) for every i ties each sign to the next: the highest
+# sign set forces all the others.
+@example((12, {(i, i): {i + 1: Scalar.one()} for i in range(11)}))
+@settings(max_examples=60, deadline=None)
+@given(forcing_tensors())
+def test_search_matches_the_support_rule_filter(case):
+    n, brackets = case
+    assert list(_product_signs(brackets, n)) == ref_product_signs(brackets, n)
