@@ -2,10 +2,11 @@
 
 Every command is one entry of ``COMMANDS``: ``(group, kind)`` maps to the
 kinds of its path arguments and to the function that turns the parsed
-documents into a check, or into a ``(check, payload)`` pair.  The arity
-check, the argparse groups and the parsing of each document (in path
-order, with matrices read in the field of the first document) all derive
-from that table.
+documents into a check, or into a ``(check, payload)`` pair.  The argv
+grammar (``GROUP KIND PATH...``, ``--seed N`` anywhere), the arity check,
+the ``--help`` text and the parsing of each document (in path order, with
+matrices read in the field of the first document) all derive from that
+table.
 
 Exit status 0 means the check passed (or the construction succeeded),
 1 means a mathematical violation, 2 means an input or usage error (including
@@ -15,7 +16,6 @@ not take, and an algebra too large for the sign enumeration).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -201,19 +201,15 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="leibniz-lab",
-        description="Exact verification and construction for Leibniz "
-                    "algebras with symplectic, product and complex "
-                    "structures.")
-    sub = parser.add_subparsers(dest="group", required=True)
-    for group in dict.fromkeys(group for group, _ in COMMANDS):
-        g = sub.add_parser(group)
-        g.add_argument("kind")
-        g.add_argument("paths", nargs="*")
-        g.add_argument("--seed", type=int, default=0)
-    return parser
+def _usage() -> str:
+    rows = ["  %-22s %s" % (" ".join(key), ", ".join(
+        kind.split()[-1] for kind in kinds)) for key, (kinds, _)
+        in COMMANDS.items()]
+    return ("usage: leibniz-lab GROUP KIND PATH... [--seed N]\n\n"
+            "A PATH is a JSON document, or - for stdin.  --seed N (an\n"
+            "integer, anywhere in argv; default 0) seeds the sampling of\n"
+            "solve.  Exit 0: ok, 1: mathematical violation, 2: malformed\n"
+            "input or misuse.\n\ncommands:\n" + "\n".join(rows) + "\n")
 
 
 def _parse_paths(kinds, paths) -> list:
@@ -226,24 +222,42 @@ def _parse_paths(kinds, paths) -> list:
     return docs
 
 
+def _misuse(words, error):
+    """The USAGE verdict, named by the first two words of argv read."""
+    return _verdict(words[:2], CheckResult(False, "USAGE"), error=error), 2
+
+
 def run_command(argv):
-    """Parse argv, run the command, return (verdict-dict, exit-status)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return None, (2 if exc.code else 0)
-    key = (args.group, args.kind)
+    """Read argv, run the command, return (verdict-dict, exit-status); for
+    ``-h`` or ``--help``, the usage text and 0."""
+    words, seed, args = [], 0, iter(argv)
+    for word in args:
+        if word in ("-h", "--help"):
+            return _usage(), 0
+        if word == "--seed":    # reads as --seed=N; a trailing one as --seed=
+            word += "=" + next(args, "")
+        if word.startswith("--seed="):
+            try:
+                seed = int(word[7:])
+            except ValueError:
+                return _misuse(words, "--seed expects an integer, got %r"
+                               % word[7:])
+        elif word.startswith("-") and word != "-":
+            return _misuse(words, "unknown option %r" % word)
+        else:
+            words.append(word)
+    if len(words) < 2:
+        return _misuse(words, "expected a command group and kind")
+    key, paths = tuple(words[:2]), words[2:]
     if key not in COMMANDS:
-        return _verdict(key, CheckResult(False, "USAGE")), 2
+        return _misuse(key, None)
     kinds, compute = COMMANDS[key]
-    if len(args.paths) != len(kinds):
-        return _verdict(key, CheckResult(False, "USAGE"),
-                        error="expected %d path argument(s)" % len(kinds)), 2
+    if len(paths) != len(kinds):
+        return _misuse(key, "expected %d path argument(s)" % len(kinds))
     try:
-        docs = _parse_paths(kinds, args.paths)
-        if args.group == "solve":
-            docs.append(args.seed)
+        docs = _parse_paths(kinds, paths)
+        if key[0] == "solve":
+            docs.append(seed)
         out = compute(*docs)
     except LeibnizLabError as exc:
         bad_input = isinstance(exc, (ParseError, ValidationError,
@@ -256,16 +270,15 @@ def run_command(argv):
 
 
 def main(argv=None) -> int:
-    verdict, status = run_command(sys.argv[1:] if argv is None else argv)
-    if verdict is not None:
-        try:
-            json.dump(verdict, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader has gone (``| head``).  Point stdout at devnull so
-            # that the flush at interpreter exit cannot fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    out, status = run_command(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.write(out if isinstance(out, str)
+                         else json.dumps(out, indent=2) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  Point stdout at devnull so
+        # that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -40,6 +40,10 @@ def load_json(path: str):
                          % (path, exc.lineno, exc.colno, exc.msg)) from None
     except OSError as exc:
         raise ParseError("%s: %s" % (path, exc.strerror)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from None
+    except RecursionError:
+        raise ParseError("%s: JSON nested too deeply" % path) from None
 
 
 def _require(doc: dict, key: str, where: str):

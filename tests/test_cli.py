@@ -133,6 +133,72 @@ def test_cli_input_errors(write_doc):
     assert status == 2
 
 
+def test_seed_may_stand_anywhere_in_argv(write_doc):
+    """``--seed 3`` and ``--seed=3`` give the same verdict before, between
+    and after the words of the command."""
+    algebra = write_doc(ALGEBRA_DOC)
+    form = write_doc(endo([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
+                           [0, 0, 1, 0]]))
+    for words in (["solve", "symplectic", algebra],
+                  ["verify", "symplectic", algebra, form]):
+        verdicts = [run_command(words[:at] + option + words[at:])
+                    for option in (["--seed", "3"], ["--seed=3"])
+                    for at in range(len(words) + 1)]
+        assert verdicts == [run_command(words + ["--seed", "3"])] * len(
+            verdicts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "leibniz", "doc", "--seed", "x"],
+    ["verify", "leibniz", "doc", "--seed=x"],
+    ["verify", "leibniz", "doc", "--seed"],
+    ["verify", "leibniz", "--sed", "3", "doc"],
+    ["verify", "-x", "leibniz", "doc"],
+    ["verify"],
+    [],
+    ["frobnicate", "leibniz", "doc"],
+], ids=["seed-x", "seed=x", "trailing-seed", "sed", "short-option",
+        "one-word", "empty", "unknown-group"])
+def test_misuse_prints_a_usage_verdict(write_doc, capsys, argv):
+    """Misuse of argv exits 2 with a USAGE verdict on stdout and nothing on
+    stderr; every misuse but an unknown key says what was wrong."""
+    argv = [write_doc(ALGEBRA_DOC) if word == "doc" else word
+            for word in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    verdict = json.loads(out)
+    assert (verdict["ok"], verdict["reason"], err) == (False, "USAGE", "")
+    assert ("error" in verdict) != (argv[:1] == ["frobnicate"])
+
+
+def test_help_lists_every_command(capsys):
+    from leibniz_lab.cli import COMMANDS
+    for option in ("-h", "--help"):
+        assert main(["verify", option]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: leibniz-lab") and err == ""
+        assert all(" %s %s " % key in out for key in COMMANDS)
+
+
+@pytest.mark.parametrize("data, error", [
+    (b'\xff\xfe{"dim": 1}', "can't decode byte 0xff"),
+    (b"[" * 200000 + b"]" * 200000, "JSON nested too deeply"),
+], ids=["not-utf8", "nested-200000-deep"])
+def test_undecodable_documents_exit_2(tmp_path, monkeypatch, data, error):
+    """A document that is not UTF-8, or that nests deeper than the decoder
+    recurses, is malformed input (exit 2), from a path and from ``-``."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    verdict, status = run_command(["verify", "leibniz", str(path)])
+    assert (status, verdict["reason"]) == (2, "ParseError")
+    assert error in verdict["error"]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                       encoding="utf-8"))
+    verdict, status = run_command(["verify", "leibniz", "-"])
+    assert (status, verdict["reason"]) == (2, "ParseError")
+    assert verdict["error"].startswith("-: ") and error in verdict["error"]
+
+
 def test_cli_reads_stdin_and_an_algebra_by_path(write_doc, monkeypatch):
     """``-`` reads the document from standard input, and a representation
     may name its algebra by an (absolute) path, as the README shows."""
@@ -450,17 +516,19 @@ def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
 
 
 HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis")
+# What the standard option parser loads; argv is read from ``COMMANDS``.
+OPTION_PARSER = ("argparse", "gettext", "locale")
 
 
 def _loaded_by(code):
-    """The package modules, ``HEAVY`` modules and ``random`` that a fresh
-    interpreter has loaded after running ``code``; ``-S`` keeps the
-    modules of ``site`` and its ``.pth`` files out."""
+    """The package modules, ``HEAVY`` and ``OPTION_PARSER`` modules and
+    ``random`` that a fresh interpreter has loaded after running ``code``;
+    ``-S`` keeps the modules of ``site`` and its ``.pth`` files out."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code + "\nimport sys\nprint(*[m for m "
          "in sys.modules if m.startswith('leibniz_lab') or m in %r])"
-         % (HEAVY + ("random",),)],
+         % (HEAVY + OPTION_PARSER + ("random",),)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (0, "")
     return set(proc.stdout.split())
@@ -484,10 +552,12 @@ def test_a_command_loads_only_the_layers_it_runs(write_doc):
     loaded = _loaded_by(run % (["verify", "leibniz", write_doc(ALGEBRA_DOC)],))
     assert loaded & (_modules("dendriform", "representations", "symplectic",
                               "structures", "kahler") | {"random"}) == set()
+    assert loaded & set(OPTION_PARSER) == set()
     loaded = _loaded_by(run % (["solve", "symplectic",
                                 write_doc(ALGEBRA_DOC)],))
     assert "leibniz_lab.symplectic" in loaded
-    assert loaded & _modules("structures", "kahler") == set()
+    assert loaded & (_modules("structures", "kahler")
+                     | set(OPTION_PARSER)) == set()
 
 
 TWICE_I3 = endo([[2, 0, 0], [0, 2, 0], [0, 0, 2]])

@@ -144,6 +144,51 @@ def test_mutated_documents_keep_the_exit_contract(data, tmp_path):
         assert status == 2 and verdict["reason"] in expected
 
 
+# Words that look like options but are none: each is misuse wherever it
+# stands, and so is the word after a ``--seed`` that is not an integer.
+NOT_OPTIONS = ["--sed", "-x", "--", "--seed", "--seed=", "--seed=x",
+               "--seedx", "---seed"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_argv_keeps_the_exit_contract(data, tmp_path):
+    """Dropping or duplicating a word of a golden command line, or inserting
+    an option-like word, is misuse (a USAGE verdict, exit 2); moving its
+    ``--seed N`` leaves the verdict as it was."""
+    key, names, seed_status = data.draw(st.sampled_from(SEEDS),
+                                        label="command")
+    paths = []
+    for at, name in enumerate(names):
+        path = tmp_path / ("%d.json" % at)
+        path.write_text(json.dumps(GOLDEN["documents"][name]))
+        paths.append(str(path))
+    seed = ["--seed", str(data.draw(st.integers(0, 10 ** 6), label="seed"))]
+    argv = list(key) + paths + seed
+    mutation = data.draw(st.sampled_from(["drop", "duplicate", "insert",
+                                          "move"]), label="mutation")
+    at = data.draw(st.integers(0, len(argv) - (mutation != "insert")),
+                   label="position")
+    if mutation == "drop":
+        mutated = argv[:at] + argv[at + 1:]
+    elif mutation == "duplicate":
+        mutated = argv[:at + 1] + argv[at:]
+    elif mutation == "insert":
+        mutated = argv[:at] + [data.draw(st.sampled_from(NOT_OPTIONS),
+                                         label="word")] + argv[at:]
+    else:
+        words = argv[:-2]
+        at = min(at, len(words))
+        mutated = words[:at] + seed + words[at:]
+    verdict, status = cli.run_command(mutated)
+    assert status in (2, seed_status)
+    if mutation == "move":
+        assert (verdict, status) == cli.run_command(argv)
+    else:
+        assert (verdict["reason"], status) == ("USAGE", 2)
+
+
 # -- the tracer sees the library through the table ----------------------------
 
 
