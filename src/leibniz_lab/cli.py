@@ -223,7 +223,7 @@ def _parse_paths(kinds, paths) -> list:
 
 
 def _misuse(words, error):
-    """The USAGE verdict, named by the first two words of argv read."""
+    """The USAGE verdict, named by the first two non-option words read."""
     return _verdict(words[:2], CheckResult(False, "USAGE"), error=error), 2
 
 
