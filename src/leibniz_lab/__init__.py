@@ -25,8 +25,8 @@ _MODULES = {
                "complexify_pseudo_kahler", "isotropic_decomposition_check",
                "levi_civita", "omega_to_J", "realify"),
     "leibniz": ("CheckResult", "LeibnizAlgebra", "Subspace", "direct_sum",
-                "is_abelian_subalgebra", "is_subalgebra",
-                "is_two_sided_ideal", "killing_form", "verify_leibniz"),
+                "is_abelian_subalgebra", "is_subalgebra", "killing_form",
+                "verify_leibniz"),
     "linalg": ("Matrix",),
     "representations": ("Representation", "bowtie_algebra", "dual_rep",
                         "regular_rep", "semidirect_product",

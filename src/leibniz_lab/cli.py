@@ -11,7 +11,8 @@ table.
 Exit status 0 means the check passed (or the construction succeeded),
 1 means a mathematical violation, 2 means an input or usage error (including
 inputs whose sizes do not match, an algebra over a field the command does
-not take, and an algebra too large for the sign enumeration).
+not take, an algebra too large for the sign enumeration, and a number past
+the interpreter's int-to-str digit limit, read or to be written).
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ COMMANDS = {
         "dendriform").verify_quadratic_dendriform(D, B)),
     ("verify", "rota-baxter"): (("representation", "matrix"), lambda R, T:
                                 _layer("representations").verify_rota_baxter(
-                                    R.algebra, R, T)),
+                                    R, T)),
     ("classify", "product"): (_FORM, _classify_product),
     ("classify", "complex"): (_FORM, _classify_complex),
     ("enumerate", "products"): (("algebra",), _enumerate_products),
@@ -185,7 +186,7 @@ COMMANDS = {
         *_layer("kahler").realify(A, B, E), "complex")),
     ("construct", "bowtie"): (("representation", "matrix"), lambda R, T: (
         OK, serialize_algebra(
-            _layer("representations").bowtie_algebra(R.algebra, R, T)))),
+            _layer("representations").bowtie_algebra(R, T)))),
     ("check", "para-kahler"): (_TRIPLE, lambda A, B, E:
                                _layer("kahler").check_para_kahler(A, B, E)),
     ("check", "pseudo-kahler"): (_TRIPLE, lambda A, B, J: _layer(
@@ -259,14 +260,15 @@ def run_command(argv):
         if key[0] == "solve":
             docs.append(seed)
         out = compute(*docs)
+        check, payload = out if isinstance(out, tuple) else (out, None)
+        # Built here, so that a scalar past the digit limit is TooLarge.
+        return _verdict(key, check, payload=payload), 0 if check.ok else 1
     except LeibnizLabError as exc:
         bad_input = isinstance(exc, (ParseError, ValidationError,
                                      DimensionMismatch, WrongField,
                                      FieldMismatch, TooLarge))
         return (_verdict(key, CheckResult(False, type(exc).__name__),
                          error=str(exc)), 2 if bad_input else 1)
-    check, payload = out if isinstance(out, tuple) else (out, None)
-    return _verdict(key, check, payload=payload), 0 if check.ok else 1
 
 
 def main(argv=None) -> int:

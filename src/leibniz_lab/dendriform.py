@@ -85,22 +85,22 @@ def dendriform_rep(D: DendriformAlgebra) -> Representation:
                           D.right_brackets)
 
 
-def rb_to_dendriform(A: LeibnizAlgebra, R: Representation,
-                     T: Matrix) -> DendriformAlgebra:
+def rb_to_dendriform(R: Representation, T: Matrix) -> DendriformAlgebra:
     """Dendriform structure on V: u<v = l(Tu)v, u>v = r(Tv)u."""
-    _require_rota_baxter(A, R, T)
+    _require_rota_baxter(R, T)
     return DendriformAlgebra(R.rep_dim, transport(R.left, T),
-                             transport(R.right, None, T), A.field)
+                             transport(R.right, None, T), R.algebra.field)
 
 
 def compatible_dendriform_from_invertible_rb(
-        A: LeibnizAlgebra, R: Representation, T: Matrix) -> DendriformAlgebra:
+        R: Representation, T: Matrix) -> DendriformAlgebra:
     """Dendriform structure on the algebra itself: x<y = T(l(x)T^{-1}y)
     and x>y = T(r(y)T^{-1}x)."""
     if T.rows != T.cols:
         raise SingularMatrix("invertible T must be square")
     t_inv = invert(T)
-    _require_rota_baxter(A, R, T)
+    _require_rota_baxter(R, T)
+    A = R.algebra
     return DendriformAlgebra(A.dim, transport(R.left, None, t_inv, T),
                              transport(R.right, t_inv, None, T), A.field)
 

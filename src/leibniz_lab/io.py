@@ -29,18 +29,21 @@ from .scalars import GAUSSIAN, RATIONAL, format_scalar, parse_scalar
 
 
 def load_json(path: str):
-    """Read a JSON document from a path, or standard input for ``-``."""
+    """Read a JSON document, as bytes decoded here in strict UTF-8 whatever
+    the locale, from a path or, for ``-``, standard input."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as handle:
-            return json.load(handle)
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError("%s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg)) from None
     except OSError as exc:
         raise ParseError("%s: %s" % (path, exc.strerror)) from None
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:   # not UTF-8, or an int past the digit limit
         raise ParseError("%s: %s" % (path, exc)) from None
     except RecursionError:
         raise ParseError("%s: JSON nested too deeply" % path) from None
@@ -157,10 +160,7 @@ def parse_matrix(doc, field: str, where: str = "matrix") -> Matrix:
     parsed = [[_scalar(entry, field, "%s[%d][%d]" % (where, i, j))
                for j, entry in enumerate(row)]
               for i, row in enumerate(rows)]
-    if not parsed:
-        return Matrix.zero(0, 0)
-    width = len(parsed[0])
-    if any(len(row) != width for row in parsed):
+    if any(len(row) != len(parsed[0]) for row in parsed):
         raise ParseError("%s: ragged rows" % where)
     return Matrix.from_rows(parsed)
 

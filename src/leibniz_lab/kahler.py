@@ -123,8 +123,7 @@ def check_pseudo_kahler(A: LeibnizAlgebra, B: Matrix, J: Matrix) -> CheckResult:
 def _blocks(top_left: Matrix, top_right: Matrix, bottom_left: Matrix,
             bottom_right: Matrix) -> Matrix:
     top, bottom = top_left.hstack(top_right), bottom_left.hstack(bottom_right)
-    return Matrix(top.rows + bottom.rows, top.cols,
-                  top.nonzero + bottom.nonzero)
+    return Matrix(top.cols, top.nonzero + bottom.nonzero)
 
 
 def omega_to_J(D: DendriformAlgebra, omega: Matrix):
@@ -170,7 +169,7 @@ def _realified_brackets(A: LeibnizAlgebra) -> dict:
 
 def _parts(M: Matrix):
     """(Re M, Im M) as rational matrices."""
-    return tuple(Matrix(M.rows, M.cols, tuple(
+    return tuple(Matrix(M.cols, tuple(
         {j: Scalar.of(part(e)) for j, e in row.items() if part(e)}
         for row in M.nonzero))
         for part in (attrgetter("real"), attrgetter("imag")))

@@ -374,7 +374,7 @@ def _closed(C: Matrix, *tensors: dict) -> bool:
     exactly then."""
     rows = C.transpose().nonzero + tuple(
         value for tensor in tensors for value in tensor.values())
-    return rank(Matrix(len(rows), C.rows, rows)) == C.cols
+    return rank(Matrix(C.rows, rows)) == C.cols
 
 
 def is_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
@@ -385,12 +385,6 @@ def is_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
 def is_abelian_subalgebra(A: LeibnizAlgebra, W: Subspace) -> bool:
     C = _columns(A, W)
     return not transport(A.brackets, C, C)
-
-
-def is_two_sided_ideal(A: LeibnizAlgebra, W: Subspace) -> bool:
-    C = _columns(A, W)
-    return _closed(C, transport(A.brackets, None, C),
-                   transport(A.brackets, C))
 
 
 def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -416,5 +410,5 @@ def killing_form(A: LeibnizAlgebra) -> Matrix:
                                      {".": A.brackets}).items():
         if a in value:
             rows[i][j] = rows[i].get(j, _ZERO) + value[a]
-    return Matrix(A.dim, A.dim, tuple({j: c for j, c in row.items() if c}
-                                      for row in rows))
+    return Matrix(A.dim, tuple({j: c for j, c in row.items() if c}
+                               for row in rows))

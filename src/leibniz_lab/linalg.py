@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and Q(i).
 
-A :class:`Matrix` is an immutable record (:mod:`record`): its shape, kept
-also without rows, and one ``{column: value}`` dict per row holding only
-the nonzero entries (rationals or :class:`Scalar`), so ``==``, which
-compares the shape and the stored rows, is exact; stored rows are never
+A :class:`Matrix` is an immutable record (:mod:`record`): its column
+count, kept also without rows, and one ``{column: value}`` dict per row
+(their number is the row count) holding only the nonzero entries
+(rationals or :class:`Scalar`), so ``==`` is exact; stored rows are never
 mutated, and a matrix is unhashable.  Every operation reads the stored
 rows, as does the one sparse, incremental elimination (:func:`_echelon`)
 behind rank, kernel, solve, inverse and singularity, whose unique reduced
@@ -24,31 +24,31 @@ from .scalars import _ONE, _ZERO, Scalar, _canonical, quotient
 
 
 class Matrix(Record):
-    __slots__ = ("rows", "cols", "nonzero")
+    __slots__ = ("cols", "nonzero")
 
-    def __init__(self, rows: int, cols: int, nonzero: tuple):
-        """``nonzero`` holds one {column: nonzero value} dict per row.
-        Only the row count and the row type are checked, in O(rows):
-        :meth:`from_rows` is the checked entry point for dense rows."""
-        if len(nonzero) != rows or not all(
-                isinstance(row, dict) for row in nonzero):
+    def __init__(self, cols: int, nonzero: tuple):
+        """``nonzero`` holds one {column: nonzero value} dict per row; only
+        their type is checked: :meth:`from_rows` checks dense rows."""
+        if not all(isinstance(row, dict) for row in nonzero):
             raise DimensionMismatch("a Matrix stores one dict per row")
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nonzero", nonzero)
 
+    @property
+    def rows(self) -> int:
+        return len(self.nonzero)
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
+        c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise DimensionMismatch("ragged matrix rows")
-        return Matrix(r, c, tuple({j: v for j, v in enumerate(row) if v}
-                                  for row in rows))
+        return Matrix(c, tuple({j: v for j, v in enumerate(row) if v}
+                               for row in rows))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, ({},) * rows)
+        return Matrix(cols, ({},) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -56,9 +56,8 @@ class Matrix(Record):
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
-        n = len(values)
-        return Matrix(n, n, tuple({i: v} if v else {}
-                                  for i, v in enumerate(values)))
+        return Matrix(len(values), tuple({i: v} if v else {}
+                                         for i, v in enumerate(values)))
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
@@ -84,7 +83,7 @@ class Matrix(Record):
         return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(
+        return Matrix(self.cols, tuple(
             {j: -v for j, v in row.items()} for row in self.nonzero))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -100,22 +99,17 @@ class Matrix(Record):
                     v = a * b
                     acc[j] = acc[j] + v if j in acc else v
             rows.append({j: v for j, v in acc.items() if v})
-        return Matrix(self.rows, other.cols, tuple(rows))
+        return Matrix(other.cols, tuple(rows))
 
     def scale(self, a: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(
+        return Matrix(self.cols, tuple(
             {j: a * v for j, v in row.items()} if a else {}
             for row in self.nonzero))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
+        return Matrix(self.rows, tuple(
             {i: row[j] for i, row in enumerate(self.nonzero) if j in row}
             for j in range(self.cols)))
-
-    def conjugate(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(
-            {j: v.conjugate() for j, v in row.items()}
-            for row in self.nonzero))
 
     def apply(self, coords: Sequence[Scalar]) -> list:
         """Matrix-vector product returning a plain coordinate list."""
@@ -128,21 +122,17 @@ class Matrix(Record):
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(self.rows, self.cols + other.cols, tuple(
+        return Matrix(self.cols + other.cols, tuple(
             {**r, **{self.cols + j: v for j, v in s.items()}}
             for r, s in zip(self.nonzero, other.nonzero)))
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(
+        return Matrix(self.cols, tuple(
             {j: v for j in r.keys() | s.keys()
              if (v := op(r.get(j, _ZERO), s.get(j, _ZERO)))}
             for r, s in zip(self.nonzero, other.nonzero)))
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self.entries)
 
 
 def _subtract(row: dict, f: Scalar, pivot_row: dict):
@@ -229,8 +219,8 @@ def invert(M: Matrix) -> Matrix:
     left_rank = sum(1 for p in pivots if p < n)
     if left_rank < n:
         raise SingularMatrix("matrix of rank %d < %d" % (left_rank, n))
-    return Matrix(n, n, tuple({j - n: v for j, v in pivots[p].items()
-                               if j >= n} for p in range(n)))
+    return Matrix(n, tuple({j - n: v for j, v in pivots[p].items() if j >= n}
+                           for p in range(n)))
 
 
 def is_singular(M: Matrix) -> bool:

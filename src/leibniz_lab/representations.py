@@ -38,16 +38,16 @@ class Representation(Record):
     def left_maps(self) -> tuple:
         """The matrices l(e_i)."""
         m = self.rep_dim
-        return tuple(Matrix(m, m, tuple(self.left.get((i, b), {})
-                                        for b in range(m))).transpose()
+        return tuple(Matrix(m, tuple(self.left.get((i, b), {})
+                                     for b in range(m))).transpose()
                      for i in range(self.algebra.dim))
 
     @property
     def right_maps(self) -> tuple:
         """The matrices r(e_i)."""
         m = self.rep_dim
-        return tuple(Matrix(m, m, tuple(self.right.get((b, i), {})
-                                        for b in range(m))).transpose()
+        return tuple(Matrix(m, tuple(self.right.get((b, i), {})
+                                     for b in range(m))).transpose()
                      for i in range(self.algebra.dim))
 
 
@@ -115,9 +115,9 @@ def semidirect_product(R: Representation) -> LeibnizAlgebra:
     return LeibnizAlgebra.from_brackets(n + R.rep_dim, brackets, A.field)
 
 
-def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
-                       T: Matrix) -> CheckResult:
+def verify_rota_baxter(R: Representation, T: Matrix) -> CheckResult:
     """[Tu, Tv] = T(l(Tu)v + r(Tv)u), checked on all basis pairs of V."""
+    A = R.algebra
     if T.rows != A.dim or T.cols != R.rep_dim:
         raise DimensionMismatch("T must map the %d-dim module into the algebra"
                                 % R.rep_dim)
@@ -127,24 +127,23 @@ def verify_rota_baxter(A: LeibnizAlgebra, R: Representation,
                    transport(R.right, None, T, T)))])
 
 
-def _require_rota_baxter(A: LeibnizAlgebra, R: Representation, T: Matrix):
-    check = verify_rota_baxter(A, R, T)
+def _require_rota_baxter(R: Representation, T: Matrix):
+    check = verify_rota_baxter(R, T)
     if not check.ok:
         raise NotRotaBaxter("identity fails at basis pair %s" % (check.indices,))
 
 
-def bowtie_algebra(A: LeibnizAlgebra, R: Representation,
-                   T: Matrix) -> LeibnizAlgebra:
+def bowtie_algebra(R: Representation, T: Matrix) -> LeibnizAlgebra:
     """The twisted double on E + V induced by a relative Rota-Baxter T.
 
     With S the semidirect product and K(x + u) = Tu, the product is
     S + S(K., .) + S(., K.) - K S.
     """
-    _require_rota_baxter(A, R, T)
-    n, m = A.dim, R.rep_dim
+    _require_rota_baxter(R, T)
+    n, m = R.algebra.dim, R.rep_dim
     S = semidirect_product(R).brackets
-    K = Matrix(n + m, n + m, tuple({n + b: c for b, c in row.items()}
-                                   for row in T.nonzero) + ({},) * m)
+    K = Matrix(n + m, tuple({n + b: c for b, c in row.items()}
+                            for row in T.nonzero) + ({},) * m)
     return LeibnizAlgebra(n + m, tensor_sum(
         S, transport(S, K), transport(S, None, K), transport(S, R=-K)),
-        A.field)
+        R.algebra.field)

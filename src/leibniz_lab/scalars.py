@@ -20,9 +20,10 @@ use too.  There is no rounding anywhere in the package.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero, ParseError, TooLarge
 
 RATIONAL = "Q"
 GAUSSIAN = "Q(i)"
@@ -179,26 +180,23 @@ class Scalar:
 
 
 _KINDS = (int, Fraction, Scalar)   # the kinds of a field element
-
-
-def _format_fraction(q) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+_TOO_LONG = "a scalar has a numerator or denominator of more than %d digits"
 
 
 def format_scalar(a) -> str:
-    """Serialize to the canonical string form, e.g. ``-5/7+1/3*i``."""
-    if not a.imag:
-        return _format_fraction(a)
-    mag = abs(a.imag)
-    imag = "i" if mag == 1 else "%s*i" % _format_fraction(mag)
-    sign = "-" if a.imag < 0 else ""
-    if a.real == 0:
-        return sign + imag
-    if not sign:
-        sign = "+"
-    return _format_fraction(a.real) + sign + imag
+    """Serialize to the canonical string form, e.g. ``-5/7+1/3*i``; a part
+    past ``sys.get_int_max_str_digits()`` digits is :class:`TooLarge`."""
+    try:
+        if not a.imag:
+            return str(a)
+        mag = abs(a.imag)
+        imag = "i" if mag == 1 else "%s*i" % mag
+        sign = "-" if a.imag < 0 else ""
+        if a.real == 0:
+            return sign + imag
+        return "%s%s%s" % (a.real, sign or "+", imag)
+    except ValueError:
+        raise TooLarge(_TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
 _FRACTION = r"[+-]?\d+(?:/\d+)?"
@@ -229,3 +227,5 @@ def parse_scalar(text: str):
         return _make(re_part, -mag if m.group("isign") == "-" else mag)
     except ZeroDivisionError:
         raise ParseError("zero denominator in scalar %r" % text) from None
+    except ValueError:
+        raise ParseError(_TOO_LONG % sys.get_int_max_str_digits()) from None

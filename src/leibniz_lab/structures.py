@@ -25,8 +25,13 @@ from .scalars import GAUSSIAN, RATIONAL, Scalar
 
 
 class StructureReport(Record):
-    __slots__ = ("is_product", "is_strict", "is_abelian", "is_paracomplex",
-                 "plus_eigenspace", "minus_eigenspace")
+    __slots__ = ("is_product", "is_strict", "is_abelian", "plus_eigenspace",
+                 "minus_eigenspace")
+
+    @property
+    def is_paracomplex(self) -> bool:   # eigenspaces of equal dimension
+        return (self.is_product
+                and self.plus_eigenspace.dim == self.minus_eigenspace.dim)
 
 
 class ComplexReport(Record):
@@ -92,9 +97,7 @@ def _require_involution(A: LeibnizAlgebra, E: Matrix):
 def classify_product(A: LeibnizAlgebra, E: Matrix) -> StructureReport:
     """Full integrability/strict/abelian/paracomplex report for an involution."""
     _require_involution(A, E)
-    product, strict, abelian, plus, minus = _report(A, E, 1)
-    return StructureReport(product, strict, abelian,
-                           product and plus.dim == minus.dim, plus, minus)
+    return StructureReport(*_report(A, E, 1))
 
 
 def product_from_decomposition(A: LeibnizAlgebra, w_plus: Subspace,
@@ -314,7 +317,7 @@ def induced_dendriform_on_eigenspaces(A: LeibnizAlgebra, J: Matrix,
 
     def build(space: Subspace, rows) -> DendriformAlgebra:
         X = _columns(A, space)
-        JX, proj = J @ X, -(Matrix(space.dim, A.dim, rows) @ J)
+        JX, proj = J @ X, -(Matrix(A.dim, rows) @ J)
         return DendriformAlgebra(space.dim, transport(A.brackets, X, JX, proj),
                                  transport(A.brackets, JX, X, proj), A.field)
 

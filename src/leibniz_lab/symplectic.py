@@ -72,9 +72,8 @@ def solve_symplectic_space(A: LeibnizAlgebra, seed: int = 0):
     m = n * (n + 1) // 2
     rows = defect(SYMPLECTIC[0], {".": A.brackets, "|": {
         pq: {t: Scalar.one()} for pq, t in index.items()}})
-    nonzero = tuple(rows[key] for key in sorted(rows)
-                    if key[1] <= key[2])
-    constraints = Matrix(len(nonzero), m, nonzero)
+    constraints = Matrix(m, tuple(rows[key] for key in sorted(rows)
+                                  if key[1] <= key[2]))
     basis = [Matrix.from_rows([[c[index[(p, q)]] for q in range(n)]
                                for p in range(n)])
              for c in kernel_basis(constraints)]
@@ -88,7 +87,7 @@ def form_space_radical(basis: Sequence[Matrix]) -> list:
     if not basis:
         raise DimensionMismatch("an empty form list has no ambient space")
     nonzero = tuple(row for B in basis for row in B.nonzero)
-    return kernel_basis(Matrix(len(nonzero), basis[0].cols, nonzero))
+    return kernel_basis(Matrix(basis[0].cols, nonzero))
 
 
 def sample_nondegenerate(basis: Sequence[Matrix],
@@ -132,24 +131,26 @@ def symplectic_to_dendriform(A: LeibnizAlgebra, B: Matrix) -> DendriformAlgebra:
 
 def canonical_pairing(n: int) -> Matrix:
     """The block form [[0, I], [I, 0]] on base + dual coordinates."""
-    return Matrix(2 * n, 2 * n, tuple({(i + n) % (2 * n): Scalar.one()}
-                                      for i in range(2 * n)))
+    return Matrix(2 * n, tuple({(i + n) % (2 * n): Scalar.one()}
+                               for i in range(2 * n)))
 
 
 class PhaseSpace(Record):
-    __slots__ = ("total", "base_dim", "form")
+    __slots__ = ("total", "form")
+
+    @property
+    def base_dim(self) -> int:
+        return self.total.dim // 2
 
     def base_subspace(self) -> Subspace:
         """The block [I; 0] of the first base_dim coordinates."""
         n = self.base_dim
-        return Subspace(Matrix(2 * n, n, Matrix.identity(n).nonzero
-                               + ({},) * n))
+        return Subspace(Matrix(n, Matrix.identity(n).nonzero + ({},) * n))
 
     def dual_subspace(self) -> Subspace:
         """The block [0; I] of the last base_dim coordinates."""
         n = self.base_dim
-        return Subspace(Matrix(2 * n, n, ({},) * n
-                               + Matrix.identity(n).nonzero))
+        return Subspace(Matrix(n, ({},) * n + Matrix.identity(n).nonzero))
 
 
 def _gram(B: Matrix, U: Matrix, W: Matrix) -> Matrix:
@@ -184,7 +185,7 @@ def _isotropic_split(A, B: Matrix, W1: Subspace, W2: Subspace,
 def build_phase_space(D: DendriformAlgebra) -> PhaseSpace:
     """Semidirect product with the dual of the tautological representation."""
     total = semidirect_product(dual_rep(dendriform_rep(D)))
-    return PhaseSpace(total, D.dim, canonical_pairing(D.dim))
+    return PhaseSpace(total, canonical_pairing(D.dim))
 
 
 def verify_phase_space(P: PhaseSpace, base: Subspace,

@@ -199,10 +199,85 @@ def test_undecodable_documents_exit_2(tmp_path, monkeypatch, data, error):
     assert verdict["error"].startswith("-: ") and error in verdict["error"]
 
 
+CLI_MAIN = "import sys; from leibniz_lab.cli import main; sys.exit(main())"
+
+
+def _cli_env(**extra):
+    """The environment of a CLI child process that imports ``src``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
+
+
+def test_stdin_is_decoded_as_a_path_is_under_the_c_locale(tmp_path):
+    """Under LC_ALL=C the interpreter reads stdin as UTF-8 with
+    surrogateescape, so a text read of ``-`` would take undecodable bytes;
+    the document is read as bytes and decoded strictly for a path and for
+    ``-`` alike, so both give the same error."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"dim": 1}')
+    env = _cli_env(LC_ALL="C")
+    for name in ("PYTHONUTF8", "PYTHONIOENCODING", "LANG", "LC_CTYPE"):
+        env.pop(name, None)
+    errors = []
+    for arg in (str(path), "-"):
+        with open(path, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-c", CLI_MAIN, "verify", "leibniz", arg],
+                stdin=stdin, capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        error = json.loads(proc.stdout)["error"]
+        assert error.startswith(arg + ": ")
+        errors.append(error[len(arg) + 2:])
+    assert errors[0] == errors[1]
+    assert "can't decode byte 0xff in position 0" in errors[0]
+
+
+BIG = "1" + "0" * 5000   # past the interpreter's limit of 4300 digits
+
+
+def _one_bracket(c):
+    return json.dumps({"dim": 1, "brackets": [
+        {"i": 0, "j": 0, "value": [{"k": 0, "c": c}]}]})
+
+
+def _squares_witness(c):
+    """[e0,e1] = c e0, [e1,e0] = c e1, [e1,e1] = c e0: the Leibniz identity
+    fails with c^2 in the witness."""
+    return json.dumps({"dim": 2, "brackets": [
+        {"i": i, "j": j, "value": [{"k": k, "c": c}]}
+        for i, j, k in ((0, 1, 0), (1, 0, 1), (1, 1, 0))]})
+
+
+@pytest.mark.parametrize("text, reason, error", [
+    ('{"dim": %s}' % BIG, "ParseError", "limit (4300"),
+    (_one_bracket(BIG), "ParseError", "more than 4300 digits"),
+    (_one_bracket("1/" + BIG), "ParseError", "more than 4300 digits"),
+    (_squares_witness("1" + "0" * 3000), "TooLarge", "more than 4300 digits"),
+], ids=["dim", "numerator", "denominator", "witness"])
+def test_numbers_past_the_digit_limit_exit_2(tmp_path, monkeypatch, capsys,
+                                             text, reason, error):
+    """A number with more digits than the interpreter converts between int
+    and str, read (a JSON integer, a scalar) or to be written (c^2 with
+    6001 digits in a witness), is bad input: exit 2 with a verdict on
+    stdout and nothing on stderr, from a path and from ``-``."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(text.encode())))
+    for arg in (str(path), "-"):
+        assert main(["verify", "leibniz", arg]) == 2
+        out, err = capsys.readouterr()
+        verdict = json.loads(out)
+        assert (verdict["reason"], err) == (reason, "")
+        assert error in verdict["error"]
+
+
 def test_cli_reads_stdin_and_an_algebra_by_path(write_doc, monkeypatch):
     """``-`` reads the document from standard input, and a representation
     may name its algebra by an (absolute) path, as the README shows."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(ALGEBRA_DOC)))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(json.dumps(ALGEBRA_DOC).encode())))
     verdict, status = run_command(["verify", "leibniz", "-"])
     assert status == 0 and verdict["ok"]
     path = write_doc({"dim": 2, "brackets": []})
@@ -497,9 +572,7 @@ def test_subspace_vectors_must_be_equal_length_lists():
 
 def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
     """``leibniz-lab ... | head -c 10``: no traceback, the verdict's status."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _cli_env()
     good = write_doc(ALGEBRA_DOC)
     bad = write_doc({"dim": 2, "brackets": [
         {"i": 0, "j": 1, "value": [{"k": 0, "c": "1"}]},
@@ -507,8 +580,7 @@ def test_closed_stdout_pipe_exits_with_verdict_status(write_doc):
     for argv, expected in ((["solve", "symplectic", good], 0),
                            (["verify", "leibniz", bad], 1)):
         proc = subprocess.Popen(
-            [sys.executable, "-c", "import sys; from leibniz_lab.cli import "
-             "main; sys.exit(main())"] + argv,
+            [sys.executable, "-c", CLI_MAIN] + argv,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         proc.stdout.close()   # the reader is gone before anything is written
         stderr = proc.stderr.read()

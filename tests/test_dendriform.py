@@ -87,22 +87,22 @@ def test_identity_is_rota_baxter_for_dendriform_rep(matrix_plus_vector):
     D = matrix_plus_vector
     R = dendriform_rep(D)
     T = Matrix.identity(D.dim)
-    assert verify_rota_baxter(R.algebra, R, T).ok
-    assert rb_to_dendriform(R.algebra, R, T) == D
-    assert compatible_dendriform_from_invertible_rb(R.algebra, R, T) == D
+    assert verify_rota_baxter(R, T).ok
+    assert rb_to_dendriform(R, T) == D
+    assert compatible_dendriform_from_invertible_rb(R, T) == D
 
 
 def test_rota_baxter_rejects(sl2):
     from leibniz_lab import regular_rep
     from leibniz_lab.linalg import Matrix
     R = regular_rep(sl2)
-    check = verify_rota_baxter(sl2, R, Matrix.identity(3))
+    check = verify_rota_baxter(R, Matrix.identity(3))
     assert not check.ok and check.reason == "ROTA_BAXTER_FAILS"
     from leibniz_lab.errors import SingularMatrix
     with pytest.raises(SingularMatrix):   # only a square T inverts
-        compatible_dendriform_from_invertible_rb(sl2, R, Matrix.zero(3, 2))
+        compatible_dendriform_from_invertible_rb(R, Matrix.zero(3, 2))
     with pytest.raises(NotRotaBaxter):
-        rb_to_dendriform(sl2, R, Matrix.identity(3))
+        rb_to_dendriform(R, Matrix.identity(3))
 
 
 def test_invariant_form_checks(matrix_plus_vector):

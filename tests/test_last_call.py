@@ -45,8 +45,7 @@ def fresh(arg):
                                         in arg.brackets.items()},
                               arg.field, arg.labels)
     if isinstance(arg, Matrix):
-        return Matrix(arg.rows, arg.cols,
-                      tuple(dict(row) for row in arg.nonzero))
+        return Matrix(arg.cols, tuple(dict(row) for row in arg.nonzero))
     if isinstance(arg, tuple):   # the term table
         return tuple(list(arg))
     return None
@@ -99,11 +98,11 @@ def cases(draw):
     if mode == "perturbed":
         B = B + diag(*[rng.randint(-1, 1) for _ in range(n)])
     elif mode == "not symmetric":
-        B = B + Matrix(n, n, ({n - 1: Scalar.one()},) + ({},) * (n - 1))
+        B = B + Matrix(n, ({n - 1: Scalar.one()},) + ({},) * (n - 1))
     elif mode == "singular":
-        B = Matrix(n, n, B.nonzero[:-1] + ({},))
-        B = Matrix(n, n, tuple({q: v for q, v in row.items() if q < n - 1}
-                               for row in B.nonzero))
+        B = Matrix(n, B.nonzero[:-1] + ({},))
+        B = Matrix(n, tuple({q: v for q, v in row.items() if q < n - 1}
+                            for row in B.nonzero))
     field = draw(st.sampled_from(["Q", "Q(i)"]))
     if field == "Q(i)":
         A, B = complexify(A), B.scale(Scalar.of(1, 2))
@@ -112,7 +111,7 @@ def cases(draw):
         M = diag(*[rng.choice((1, -1)) for _ in range(n)])
     elif kind == "complex":
         h = n // 2
-        M = Matrix(n, n, tuple({h + a: Scalar.of(-1)} for a in range(h))
+        M = Matrix(n, tuple({h + a: Scalar.of(-1)} for a in range(h))
                    + tuple({a: Scalar.one()} for a in range(h)))
     else:
         M = random_matrix(rng, n, field)

@@ -7,8 +7,8 @@ import pytest
 from conftest import mat, random_leibniz
 from leibniz_lab import (CheckResult, DendriformAlgebra, LeibnizAlgebra,
                          Subspace, direct_sum, is_abelian_subalgebra,
-                         is_subalgebra, is_two_sided_ideal, killing_form,
-                         verify_leibniz, verify_symplectic)
+                         is_subalgebra, killing_form, verify_leibniz,
+                         verify_symplectic)
 from leibniz_lab.errors import DimensionMismatch, FieldMismatch
 from leibniz_lab.linalg import is_singular
 from leibniz_lab.scalars import GAUSSIAN, Scalar
@@ -57,12 +57,9 @@ def test_subspace_membership_and_subalgebra(sl2):
     h = Subspace.from_vectors([sl2.basis_vector(0)])
     assert is_subalgebra(sl2, h)
     assert is_abelian_subalgebra(sl2, h)
-    assert not is_two_sided_ideal(sl2, h)
     borel = Subspace.from_vectors([sl2.basis_vector(0), sl2.basis_vector(1)])
     assert is_subalgebra(sl2, borel)
     assert not is_abelian_subalgebra(sl2, borel)
-    whole = Subspace.from_vectors([sl2.basis_vector(i) for i in range(3)])
-    assert is_two_sided_ideal(sl2, whole)
 
 
 def test_subspace_rejects_dependent_basis():

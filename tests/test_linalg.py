@@ -10,7 +10,7 @@ from conftest import (basis_vectors, canonical, dense, kind, mat,
                       random_dendriform, random_leibniz)
 from leibniz_lab import build_phase_space, complexify
 from leibniz_lab.errors import DimensionMismatch, SingularMatrix
-from leibniz_lab.leibniz import Subspace, is_subalgebra, is_two_sided_ideal
+from leibniz_lab.leibniz import Subspace, is_subalgebra
 from leibniz_lab.linalg import (Matrix, NO_SOLUTION, eigenspace, invert,
                                 is_singular, kernel_basis, rank,
                                 solve_linear, trace)
@@ -96,7 +96,6 @@ def test_eigenspace_exact():
 def test_gaussian_matrices():
     i = Scalar.i()
     J = Matrix.from_rows([[Scalar.zero(), -i], [i.conjugate(), i * i]])
-    assert J.conjugate()[0, 1] == i
     assert rank(J) == 2
     assert J @ invert(J) == Matrix.identity(2)
     ev = eigenspace(Matrix.diagonal([i, -i]), i)
@@ -143,16 +142,13 @@ def test_operations_refuse_operands_of_the_wrong_shape():
 
 
 def test_dense_rows_fail_at_construction():
-    """The direct constructor takes one {column: value} dict per row; dense
-    row tuples or a wrong row count fail at once, not at a first use."""
+    """The direct constructor takes one {column: value} dict per row, whose
+    number is the row count; dense row tuples fail at once, not at a first
+    use."""
     one, zero = Scalar.one(), Scalar.zero()
     with pytest.raises(DimensionMismatch):
-        Matrix(2, 2, ((one, zero), (zero, one)))
-    with pytest.raises(DimensionMismatch):
-        Matrix(3, 2, ({0: one}, {}))
-    with pytest.raises(DimensionMismatch):
-        Matrix(0, 2, ({},))
-    assert Matrix(2, 2, ({0: one}, {1: one})) == Matrix.identity(2)
+        Matrix(2, ((one, zero), (zero, one)))
+    assert Matrix(2, ({0: one}, {1: one})) == Matrix.identity(2)
 
 
 def test_transpose_hstack_column_ops():
@@ -395,7 +391,7 @@ def test_elimination_is_canonical_on_non_unit_pivots(system):
     assert [c for c in returned if not canonical(c)] == []
 
 
-# -- subalgebra and ideal tests: one elimination against per-pair membership --
+# -- the subalgebra test: one elimination against per-pair membership --------
 
 
 def ref_is_subalgebra(A, W):
@@ -403,14 +399,6 @@ def ref_is_subalgebra(A, W):
     basis = basis_vectors(W)
     return all(ref_in_span(basis, A.bracket(u, v))
                for u in basis for v in basis)
-
-
-def ref_is_two_sided_ideal(A, W):
-    """The per-pair loop that ``is_two_sided_ideal`` replaced."""
-    basis = basis_vectors(W)
-    return all(ref_in_span(basis, A.bracket(A.basis_vector(i), w))
-               and ref_in_span(basis, A.bracket(w, A.basis_vector(i)))
-               for i in range(A.dim) for w in basis)
 
 
 def one_sided_closure(A, v, left):
@@ -431,8 +419,8 @@ def algebras_with_subspaces(draw):
     """A conftest algebra (nilpotent, or a phase space), over Q or Q(i),
     with the kernel of a drawn matrix and both one-sided closures of a
     drawn vector.  A zero last column puts the last basis vector in the
-    kernel, which often closes it up; a one-sided closure in a phase space
-    is often an ideal on that side only."""
+    kernel, which often closes it up; a one-sided closure is an ideal on
+    that side, and so a subalgebra."""
     gaussian = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     if draw(st.booleans()):
@@ -453,11 +441,10 @@ def algebras_with_subspaces(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(algebras_with_subspaces())
-def test_subalgebra_and_ideal_match_per_pair_reference(case):
+def test_subalgebra_matches_per_pair_reference(case):
     A, subspaces = case
     for W in subspaces:
         assert is_subalgebra(A, W) == ref_is_subalgebra(A, W)
-        assert is_two_sided_ideal(A, W) == ref_is_two_sided_ideal(A, W)
 
 
 # -- zero-skipping products against the dense loops they replaced ----------
@@ -472,7 +459,6 @@ def test_results_keep_their_shape_without_rows_or_columns():
                      (empty - empty, (0, 3)),
                      (empty + empty, (0, 3)),
                      (-empty, (0, 3)),
-                     (empty.conjugate(), (0, 3)),
                      (empty.hstack(dense(2, [])), (0, 5)),
                      (empty.transpose(), (3, 0)),
                      (tall.transpose(), (0, 3)),
@@ -590,7 +576,7 @@ def test_results_store_only_nonzero_values(gaussian, r, k, c, data):
     results = [A + A, A - A, A + -A, -A, A @ B, cancelled,
                A.scale(Fraction(0)),
                A.scale(data.draw(sparse_entries(gaussian))), A.transpose(),
-               A.conjugate(), A.hstack(A), S - Matrix.diagonal([lam] * k),
+               A.hstack(A), S - Matrix.diagonal([lam] * k),
                S - S.transpose()]
     if not is_singular(S):
         results += [invert(S), S @ invert(S), invert(S) @ S]

@@ -155,8 +155,8 @@ def ref_rb_actions(R, T):
             [ref_action(R.right_maps, tu, m) for tu in tus])
 
 
-def ref_rota_baxter(A, R, T):
-    m = R.rep_dim
+def ref_rota_baxter(R, T):
+    A, m = R.algebra, R.rep_dim
     us = [unit(m, a) for a in range(m)]
     tus = [T.apply(u) for u in us]
     lefts, rights = ref_rb_actions(R, T)
@@ -176,7 +176,8 @@ def ref_rb_to_dendriform(R, T):
             tensor_from(m, lambda a, b: rights[b].apply(us[a])))
 
 
-def ref_compatible(A, R, T):
+def ref_compatible(R, T):
+    A = R.algebra
     n, m = A.dim, R.rep_dim
     t_inv = invert(T)
     e = [A.basis_vector(i) for i in range(n)]
@@ -187,7 +188,8 @@ def ref_compatible(A, R, T):
                 ref_action(R.right_maps, e[j], m).apply(t_inv_e[i]))))
 
 
-def ref_bowtie(A, R, T):
+def ref_bowtie(R, T):
+    A = R.algebra
     n, m = A.dim, R.rep_dim
     zero_n, zero_m = [Scalar.zero()] * n, [Scalar.zero()] * m
     parts = ([(A.basis_vector(p), zero_m) for p in range(n)]
@@ -363,7 +365,7 @@ def unitriangular(draw, n, field):
 
 @st.composite
 def module_cases(draw):
-    """(algebra, module, T): T maps the module into the algebra and may be
+    """(module, T): T maps the module into its algebra and may be
     rectangular or empty.  In a quarter of the cases T is a Rota-Baxter
     operator: c times the identity is one on the module of a dendriform
     algebra, and stays one, as c G, once the module is moved by a basis
@@ -379,14 +381,14 @@ def module_cases(draw):
                                  [G_inv @ M @ G for M in R.left_maps],
                                  [G_inv @ M @ G for M in R.right_maps], n)
         c = Scalar.of(draw(st.sampled_from((1, -1, 3))))
-        return R.algebra, R, G.scale(c)
+        return R, G.scale(c)
     n = draw(st.integers(0, 3))
     A = algebra(draw, n, field)
     R = representation(draw, A, draw(st.integers(0, 3)), field)
     m = R.rep_dim   # 0 when n = 0, unless R is the zero module
     T = (Matrix.zero(n, m)
          if draw(st.booleans()) else matrix(draw, n, m, field))
-    return A, R, T
+    return R, T
 
 
 # -- the verifiers ---------------------------------------------------------------
@@ -460,9 +462,9 @@ def test_integrability_decides_as_nijenhuis_when_squares_to_c(case):
 @SETTINGS
 @given(module_cases())
 def test_rota_baxter_and_representation_match_closures(case):
-    A, R, T = case
-    assert outcome(lambda: verify_rota_baxter(A, R, T)) == outcome(
-        lambda: ref_rota_baxter(A, R, T))
+    R, T = case
+    assert outcome(lambda: verify_rota_baxter(R, T)) == outcome(
+        lambda: ref_rota_baxter(R, T))
     assert outcome(lambda: verify_representation(R)) == outcome(
         lambda: ref_representation(R))
 
@@ -505,22 +507,22 @@ def same_tensors(got, expected):
 @SETTINGS
 @given(module_cases())
 def test_rota_baxter_constructions_match_closures(case):
-    A, R, T = case
-    if not ref_rota_baxter(A, R, T).ok:
+    R, T = case
+    if not ref_rota_baxter(R, T).ok:
         return
-    D = rb_to_dendriform(A, R, T)
+    D = rb_to_dendriform(R, T)
     same_tensors((D.left_brackets, D.right_brackets), ref_rb_to_dendriform(R, T))
-    same_tensors(bowtie_algebra(A, R, T).brackets, ref_bowtie(A, R, T))
+    same_tensors(bowtie_algebra(R, T).brackets, ref_bowtie(R, T))
     if T.rows == T.cols and not is_singular(T):
-        D = compatible_dendriform_from_invertible_rb(A, R, T)
-        same_tensors((D.left_brackets, D.right_brackets),
-                     ref_compatible(A, R, T))
+        D = compatible_dendriform_from_invertible_rb(R, T)
+        same_tensors((D.left_brackets, D.right_brackets), ref_compatible(R, T))
 
 
 @SETTINGS
 @given(module_cases())
 def test_module_constructions_match_matrix_round_trips(case):
-    A, R, _ = case
+    R, _ = case
+    A = R.algebra
     same_tensors(semidirect_product(R).brackets, ref_semidirect(R))
     Rd = dual_rep(R)
     same_tensors((Rd.left_maps, Rd.right_maps), ref_dual_maps(R))

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mat, random_dendriform, random_leibniz
 from leibniz_lab import (LeibnizAlgebra, Representation, bowtie_algebra,
-                         dual_rep, regular_rep, semidirect_product,
+                         compatible_dendriform_from_invertible_rb, dual_rep,
+                         rb_to_dendriform, regular_rep, semidirect_product,
                          verify_leibniz, verify_representation,
                          verify_rota_baxter)
 from leibniz_lab.dendriform import dendriform_rep
@@ -126,25 +127,39 @@ def test_rota_baxter_zero_map_and_bowtie():
         R = dual_rep(dendriform_rep(D))
         A = R.algebra
         T = Matrix.zero(A.dim, R.rep_dim)
-        assert verify_rota_baxter(A, R, T).ok
-        total = bowtie_algebra(A, R, T)
+        assert verify_rota_baxter(R, T).ok
+        total = bowtie_algebra(R, T)
         assert verify_leibniz(total).ok
 
 
 def test_bowtie_with_zero_T_equals_semidirect(sl2):
     R = dual_rep(regular_rep(sl2))
     T = Matrix.zero(3, 3)
-    assert bowtie_algebra(sl2, R, T) == semidirect_product(R)
+    assert bowtie_algebra(R, T) == semidirect_product(R)
 
 
 def test_rota_baxter_map_must_send_the_module_into_the_algebra(sl2):
     R = dual_rep(regular_rep(sl2))   # a 3-dim module of the 3-dim sl2
     for T in (Matrix.zero(2, 3), Matrix.zero(3, 2)):
         with pytest.raises(DimensionMismatch, match="3-dim module"):
-            verify_rota_baxter(sl2, R, T)
+            verify_rota_baxter(R, T)
 
 
 def test_bowtie_rejects_non_rota_baxter(sl2):
     R = dual_rep(regular_rep(sl2))
     with pytest.raises(NotRotaBaxter):
-        bowtie_algebra(sl2, R, Matrix.identity(3))
+        bowtie_algebra(R, Matrix.identity(3))
+
+
+@pytest.mark.parametrize("function", [
+    verify_rota_baxter, bowtie_algebra, rb_to_dendriform,
+    compatible_dendriform_from_invertible_rb], ids=lambda f: f.__name__)
+def test_rota_baxter_functions_read_the_algebra_from_the_representation(
+        function):
+    """Each takes (R, T) and reads the bracket from R.algebra: there is no
+    third argument through which another algebra could be passed."""
+    R = dendriform_rep(random_dendriform(random.Random(5), 2))
+    T = Matrix.identity(2)   # a Rota-Baxter operator of the dendriform rep
+    function(R, T)
+    with pytest.raises(TypeError):
+        function(R.algebra, R, T)

@@ -5,6 +5,7 @@ import copy
 import operator
 import pathlib
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ import leibniz_lab
 from conftest import canonical, kind
 from leibniz_lab import (LeibnizAlgebra, build_phase_space,
                          solve_symplectic_space)
-from leibniz_lab.errors import DivisionByZero, ParseError
+from leibniz_lab.errors import DivisionByZero, ParseError, TooLarge
 from leibniz_lab.io import parse_algebra, parse_dendriform, parse_matrix
 from leibniz_lab.scalars import (GAUSSIAN, Scalar, format_scalar,
                                  parse_scalar, quotient)
@@ -254,6 +255,33 @@ def test_format_canonical_forms():
     assert format_scalar(Scalar.of(0, 2)) == "2*i"
     assert format_scalar(Scalar.of(Fraction(1, 2), Fraction(-1, 3))) \
         == "1/2-1/3*i"
+    # Each part as ``str`` writes its int or Fraction: an integral Fraction,
+    # such as a sum of two Fractions, as its int, a negative part with its
+    # sign before the numerator.
+    assert format_scalar(Fraction(6, 3)) == "2"
+    assert format_scalar(Fraction(1, 2) + Fraction(3, 2)) == "2"
+    assert format_scalar(Scalar(Fraction(6, 3), Fraction(-1, 2))) \
+        == "2-1/2*i"
+    assert format_scalar(Fraction(-6, 4)) == "-3/2"
+    assert format_scalar(-7) == "-7"
+    assert format_scalar(Scalar(Fraction(-5, 7), -1)) == "-5/7-i"
+    assert format_scalar(Scalar(0, Fraction(-1, 2))) == "-1/2*i"
+    assert format_scalar(Scalar(-3, Fraction(-1, 2))) == "-3-1/2*i"
+
+
+def test_parts_past_the_digit_limit_raise_named_errors():
+    """Python converts ints of at most ``sys.get_int_max_str_digits()``
+    digits to and from str.  Past it, reading a scalar is a ParseError and
+    writing one is TooLarge, both naming the limit, not a ValueError."""
+    limit = sys.get_int_max_str_digits()
+    big, text = 10 ** limit, "1" + "0" * limit
+    message = "more than %d digits" % limit
+    for bad in (text, "1/" + text, "2+%s*i" % text):
+        with pytest.raises(ParseError, match=message):
+            parse_scalar(bad)
+    for value in (big, Fraction(1, big), Scalar(1, big), Scalar(big, 1)):
+        with pytest.raises(TooLarge, match=message):
+            format_scalar(value)
 
 
 def test_equality_ignores_field_tag():

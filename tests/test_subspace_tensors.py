@@ -21,9 +21,8 @@ from test_term_tables import (coefficient, dendriform, random_form,
                               random_tensor, typed)
 from leibniz_lab import (DendriformAlgebra, LeibnizAlgebra, PhaseSpace,
                          Subspace, build_phase_space, complexify,
-                         is_abelian_subalgebra, is_subalgebra,
-                         is_two_sided_ideal, killing_form, levi_civita,
-                         verify_leibniz, verify_phase_space,
+                         is_abelian_subalgebra, is_subalgebra, killing_form,
+                         levi_civita, verify_leibniz, verify_phase_space,
                          verify_symplectic)
 from leibniz_lab import linalg, symplectic
 from leibniz_lab.errors import DimensionMismatch
@@ -48,12 +47,6 @@ def ref_is_subalgebra(A, W):
 def ref_is_abelian_subalgebra(A, W):
     basis = basis_vectors(W)
     return not any(c for u in basis for v in basis for c in A.bracket(u, v))
-
-
-def ref_is_two_sided_ideal(A, W):
-    e = [A.basis_vector(i) for i in range(A.dim)]
-    return ref_spans(W, (p for x in e for w in basis_vectors(W)
-                         for p in (A.bracket(x, w), A.bracket(w, x))))
 
 
 def ref_non_isotropic_pair(B, W):
@@ -198,7 +191,7 @@ def symmetric_form(rng, n, field, kind):
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
-# -- closure: subalgebras, ideals, abelian subalgebras ------------------------
+# -- closure: subalgebras and abelian subalgebras -----------------------------
 
 
 @SETTINGS
@@ -207,13 +200,12 @@ def test_closure_tests_match_the_vector_loops(case, kind):
     A, rng = case
     W = random_subspace(rng, A.dim, A.field, kind)
     assert is_subalgebra(A, W) == ref_is_subalgebra(A, W)
-    assert is_two_sided_ideal(A, W) == ref_is_two_sided_ideal(A, W)
     assert is_abelian_subalgebra(A, W) == ref_is_abelian_subalgebra(A, W)
 
 
 def test_closure_tests_reject_a_subspace_of_another_space(sl2):
     W = Subspace.from_vectors([[Scalar.one(), Scalar.zero()]])
-    for test in (is_subalgebra, is_two_sided_ideal, is_abelian_subalgebra):
+    for test in (is_subalgebra, is_abelian_subalgebra):
         with pytest.raises(DimensionMismatch):
             test(sl2, W)
 
@@ -222,8 +214,7 @@ def test_subspace_columns_keep_the_ambient_dimension(sl2):
     zero = Subspace.from_vectors([])
     C = _columns(sl2, zero)
     assert (C.rows, C.cols) == (3, 0)
-    assert is_subalgebra(sl2, zero) and is_two_sided_ideal(
-        sl2, zero) and is_abelian_subalgebra(sl2, zero)
+    assert is_subalgebra(sl2, zero) and is_abelian_subalgebra(sl2, zero)
 
 
 # -- isotropy and the isotropic split -----------------------------------------
@@ -341,7 +332,7 @@ def phase_spaces_with_blocks(draw):
     base, dual = draw(st.sampled_from(
         [own, own[::-1], (own[0], own[0]), (own[0], blocks[0]),
          tuple(blocks)]))
-    return PhaseSpace(total, n, B), base, dual
+    return PhaseSpace(total, B), base, dual
 
 
 @SETTINGS

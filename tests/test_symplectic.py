@@ -161,10 +161,10 @@ def test_phase_space_rejects_wrong_blocks(e1_squared):
                   for i in range(2))
     non_leibniz = LeibnizAlgebra.from_brackets(
         2, {(0, 1): {0: Scalar.one()}, (1, 0): {1: Scalar.one()}})
-    check = verify_phase_space(PhaseSpace(non_leibniz, 1, canonical_pairing(1)),
+    check = verify_phase_space(PhaseSpace(non_leibniz, canonical_pairing(1)),
                                base, dual)
     assert (check.reason, check.indices) == ("LEIBNIZ_FAILS", (0, 1, 0))
-    P = PhaseSpace(e1_squared, 1, canonical_pairing(1))
+    P = PhaseSpace(e1_squared, canonical_pairing(1))
     assert verify_symplectic(P.total, P.form).ok
     assert verify_phase_space(P, base, dual).reason == "SUBALGEBRA_FAILS"
 

@@ -82,8 +82,8 @@ CASES = {
     "quadratic-right": lambda: verify_quadratic_dendriform(
         dendriform({(1, 1, 1): 2}, {(1, 1, 0): -1}),
         mat([[2, -1], [-1, 3]])),
-    "rota-baxter": lambda: verify_rota_baxter(
-        sl2(), regular_rep(sl2()), Matrix.identity(3)),
+    "rota-baxter": lambda: verify_rota_baxter(regular_rep(sl2()),
+                                              Matrix.identity(3)),
     "representation-l-bracket": lambda: verify_representation(rep(
         [[[0, -1], [0, -1]], [[0, 0], [0, 1]]],
         [[[0, 0], [-1, 0]], [[1, 0], [1, 0]]])),
